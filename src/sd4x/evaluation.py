@@ -13,12 +13,15 @@ import csv
 
 import numpy as np
 
+from . import kernels
 from .errors import InputError
 from .neighborhood import NeighborhoodSet
 from .splitter import Partition
 from .whitebox import (
     WhiteBoxModel,
     fit_on_neighborhoods,
+    model_from_solution,
+    neighborhood_grams,
     predict,
     subgroup_loss,
 )
@@ -39,14 +42,20 @@ def fit_global_wb(ns: NeighborhoodSet, lam: float) -> tuple[WhiteBoxModel, float
 
 
 def fit_local_wb(ns: NeighborhoodSet, lam: float) -> tuple[list[WhiteBoxModel], float]:
-    """One model per explained object; returns (models, total loss)."""
+    """One model per explained object; returns (models, total loss).
+
+    All objects are solved in one batched call; each model equals what
+    ``fit_on_neighborhoods`` returns for that object alone.
+    """
+    G_all, C_all, _ = neighborhood_grams(ns)
+    m = ns.samples.shape[2]
+    B, _ = kernels.solve_stack(G_all, C_all, lam, m)
     models = []
     total = 0.0
     for i in range(ns.n_objects):
-        member = np.asarray([i], dtype=np.int64)
-        model = fit_on_neighborhoods(ns, member, lam, fitted_on=f"o{i}")
+        model = model_from_solution(B[i], lam, f"o{i}", ns.size)
         models.append(model)
-        total += subgroup_loss(ns, member, model)
+        total += subgroup_loss(ns, np.asarray([i], dtype=np.int64), model)
     return models, float(total)
 
 

@@ -1,263 +1,104 @@
 """Numeric kernels for ridge solves and boundary scans.
 
-Two interchangeable backends implement the same contract: a numba
-``@njit`` path (default when numba imports) and a pure-numpy twin.
-Selection is controlled by the ``SD4X_NUMBA`` environment variable
-("0", "false" or "off" disables numba) or programmatically through
-:func:`set_backend`.
-
 All solvers work on Gram-form inputs.  For a subgroup with pooled
 augmented design ``Xa`` (intercept column last) and stacked targets
 ``Y`` the inputs are ``G = Xa.T @ Xa``, ``C = Xa.T @ Y`` and
 ``yy = sum(Y * Y)``.  The ridge penalty ``lam`` is added to the first
 ``npen`` diagonal entries only, leaving the intercept unpenalized.
-On a non-positive pivot the Cholesky path falls back to an
-eigendecomposition pseudoinverse, which returns the minimum-norm
-least-squares solution; on consistent systems (always the case for
-Gram-form normal equations) that solution still attains the minimal
-sum of squared errors.
+
+Every solve goes through one batched path, :func:`solve_stack`, which
+works on a stack of systems at once: one ``np.linalg.cholesky`` call
+tests every matrix, one ``np.linalg.solve`` call solves every matrix
+that passes.  A matrix fails the test when Cholesky fails or any pivot
+``L[i, i]**2`` is at most ``1e-12`` times its largest diagonal entry;
+a failed matrix falls back to an eigendecomposition pseudoinverse,
+which returns the minimum-norm least-squares solution.  On consistent
+systems (always the case for Gram-form normal equations) that solution
+still attains the minimal sum of squared errors.  Each matrix of a
+stack is solved by the same LAPACK call as it would be on its own, so
+batched and single results are bit-identical.
 """
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
 _EIG_CUTOFF = 1e-12
 _PIVOT_CUTOFF = 1e-12
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_wants_numba() -> bool:
-    raw = os.environ.get("SD4X_NUMBA", "1").strip().lower()
-    return raw not in ("0", "false", "off")
-
-
-_BACKEND = "numba" if (_HAVE_NUMBA and _env_wants_numba()) else "numpy"
-if _env_wants_numba() and not _HAVE_NUMBA and os.environ.get("SD4X_NUMBA"):
-    warnings.warn("SD4X_NUMBA requested but numba is not importable; using numpy")
-
 
 def backend() -> str:
-    """Name of the active backend, "numba" or "numpy"."""
-    return _BACKEND
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-def numba_available() -> bool:
-    return _HAVE_NUMBA
-
-
-def set_backend(name: str) -> None:
-    """Force a backend; used by tests and benchmarks."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# numpy twin
-# ---------------------------------------------------------------------------
-
-
-def _pinv_solve_np(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _pinv_solve(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(A)
     cut = _EIG_CUTOFF * max(np.max(np.abs(w)), 0.0)
     inv = np.where(np.abs(w) > cut, 1.0 / np.where(w == 0.0, 1.0, w), 0.0)
     return (V * inv) @ (V.T @ C)
 
 
-def _solve_np(A: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, bool]:
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return _pinv_solve_np(A, C), False
-    return np.linalg.solve(A, C), True
-
-
 def _penalize(G: np.ndarray, lam: float, npen: int) -> np.ndarray:
     A = G.copy()
     if lam > 0.0:
         idx = np.arange(npen)
-        A[idx, idx] += lam
+        A[..., idx, idx] += lam
     return A
 
 
-def solve_penalized_np(
+def _pivots_pass(A: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack: does Cholesky succeed with every pivot above the cutoff?"""
+    tol = _PIVOT_CUTOFF * np.maximum(np.diagonal(A, axis1=1, axis2=2).max(axis=1), 0.0)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        if A.shape[0] == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_pivots_pass(A[k : k + 1]) for k in range(A.shape[0])])
+    piv = np.diagonal(L, axis1=1, axis2=2)
+    return np.all(piv * piv > tol[:, None], axis=1)
+
+
+def solve_stack(
     G: np.ndarray, C: np.ndarray, lam: float, npen: int
-) -> tuple[np.ndarray, bool]:
-    """Solve (G + lam * diag(mask)) B = C; mask is 1 on the first npen entries."""
-    return _solve_np(_penalize(G, lam, npen), C)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (G[k] + lam * diag(mask)) B[k] = C[k] for every k of a stack.
 
-
-def ridge_sse_np(
-    G: np.ndarray, C: np.ndarray, yy: float, lam: float, npen: int
-) -> float:
-    """Residual SSE of the penalized fit, computed from Gram-form inputs."""
-    B, _ = solve_penalized_np(G, C, lam, npen)
-    return float(yy + np.sum(B * (G @ B - 2.0 * C)))
-
-
-def scan_sse_np(
-    Gpre: np.ndarray,
-    Cpre: np.ndarray,
-    yypre: np.ndarray,
-    Gsuf: np.ndarray,
-    Csuf: np.ndarray,
-    yysuf: np.ndarray,
-    bounds: np.ndarray,
-    lam: float,
-    npen: int,
-) -> np.ndarray:
-    """Total child SSE for each boundary t: left = rows [0, t), right = [t, n)."""
-    out = np.empty(bounds.shape[0])
-    for i, t in enumerate(bounds):
-        left = ridge_sse_np(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, npen)
-        right = ridge_sse_np(Gsuf[t], Csuf[t], yysuf[t], lam, npen)
-        out[i] = left + right
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _chol_factor_nb(A):  # pragma: no cover - compiled
-    d = A.shape[0]
-    L = np.zeros_like(A)
-    maxdiag = 0.0
-    for i in range(d):
-        if A[i, i] > maxdiag:
-            maxdiag = A[i, i]
-    tol = _PIVOT_CUTOFF * maxdiag
-    for i in range(d):
-        s = A[i, i]
-        for k in range(i):
-            s -= L[i, k] * L[i, k]
-        if s <= tol:
-            return L, False
-        L[i, i] = np.sqrt(s)
-        inv = 1.0 / L[i, i]
-        for j in range(i + 1, d):
-            t = A[j, i]
-            for k in range(i):
-                t -= L[j, k] * L[i, k]
-            L[j, i] = t * inv
-    return L, True
-
-
-@njit(cache=True, nogil=True)
-def _chol_solve_nb(L, C):  # pragma: no cover - compiled
-    d = L.shape[0]
-    p = C.shape[1]
-    B = C.copy()
-    for j in range(p):
-        for i in range(d):
-            s = B[i, j]
-            for k in range(i):
-                s -= L[i, k] * B[k, j]
-            B[i, j] = s / L[i, i]
-        for i in range(d - 1, -1, -1):
-            s = B[i, j]
-            for k in range(i + 1, d):
-                s -= L[k, i] * B[k, j]
-            B[i, j] = s / L[i, i]
-    return B
-
-
-@njit(cache=True, nogil=True)
-def _pinv_solve_nb(A, C):  # pragma: no cover - compiled
-    w, V = np.linalg.eigh(A)
-    d = w.shape[0]
-    p = C.shape[1]
-    wmax = 0.0
-    for i in range(d):
-        if abs(w[i]) > wmax:
-            wmax = abs(w[i])
-    cut = _EIG_CUTOFF * wmax
-    VtC = V.T @ np.ascontiguousarray(C)
-    for i in range(d):
-        scale = 1.0 / w[i] if abs(w[i]) > cut else 0.0
-        for j in range(p):
-            VtC[i, j] *= scale
-    return V @ VtC
-
-
-@njit(cache=True, nogil=True)
-def _solve_penalized_nb(G, C, lam, npen):  # pragma: no cover - compiled
-    d = G.shape[0]
-    A = G.copy()
-    if lam > 0.0:
-        for i in range(npen):
-            A[i, i] += lam
-    L, ok = _chol_factor_nb(A)
-    if ok:
-        return _chol_solve_nb(L, C), True
-    return _pinv_solve_nb(A, C), False
-
-
-@njit(cache=True, nogil=True)
-def _ridge_sse_nb(G, C, yy, lam, npen):  # pragma: no cover - compiled
-    B, _ = _solve_penalized_nb(G, C, lam, npen)
-    d = G.shape[0]
-    p = C.shape[1]
-    GB = G @ B
-    s = yy
-    for i in range(d):
-        for j in range(p):
-            s += B[i, j] * (GB[i, j] - 2.0 * C[i, j])
-    return s
-
-
-@njit(cache=True, nogil=True)
-def _scan_sse_nb(
-    Gpre, Cpre, yypre, Gsuf, Csuf, yysuf, bounds, lam, npen
-):  # pragma: no cover - compiled
-    nb = bounds.shape[0]
-    out = np.empty(nb)
-    for i in range(nb):
-        t = bounds[i]
-        left = _ridge_sse_nb(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, npen)
-        right = _ridge_sse_nb(Gsuf[t], Csuf[t], yysuf[t], lam, npen)
-        out[i] = left + right
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
+    ``G`` is (k, d, d) and ``C`` is (k, d, p); mask is 1 on the first
+    npen entries.  Returns (B, ok) where ``ok[k]`` says matrix k passed
+    the pivot test and was solved directly rather than by pseudoinverse.
+    """
+    A = _penalize(G, float(lam), int(npen))
+    ok = _pivots_pass(A)
+    if ok.all():
+        return np.linalg.solve(A, C), ok
+    B = np.empty(C.shape)
+    if ok.any():
+        B[ok] = np.linalg.solve(A[ok], C[ok])
+    for k in np.flatnonzero(~ok):
+        B[k] = _pinv_solve(A[k], C[k])
+    return B, ok
 
 
 def solve_penalized(
-    G: np.ndarray, C: np.ndarray, lam: float, npen: int, force: str | None = None
+    G: np.ndarray, C: np.ndarray, lam: float, npen: int
 ) -> tuple[np.ndarray, bool]:
     """Penalized normal-equation solve; returns (B, cholesky_succeeded)."""
-    which = force or _BACKEND
-    if which == "numba":
-        B, ok = _solve_penalized_nb(
-            np.ascontiguousarray(G), np.ascontiguousarray(C), float(lam), int(npen)
-        )
-        return B, bool(ok)
-    return solve_penalized_np(G, C, float(lam), int(npen))
+    B, ok = solve_stack(G[None], C[None], lam, npen)
+    return B[0], bool(ok[0])
+
+
+def _ridge_sse_stack(
+    G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: float, npen: int
+) -> np.ndarray:
+    B, _ = solve_stack(G, C, lam, npen)
+    R = B * (G @ B - 2.0 * C)
+    return yy + np.sum(R.reshape(R.shape[0], -1), axis=1)
+
+
+def ridge_sse(G: np.ndarray, C: np.ndarray, yy: float, lam: float, npen: int) -> float:
+    """Residual SSE of the penalized fit, computed from Gram-form inputs."""
+    return float(_ridge_sse_stack(G[None], C[None], np.asarray([yy]), lam, npen)[0])
 
 
 def scan_sse(
@@ -270,20 +111,16 @@ def scan_sse(
     bounds: np.ndarray,
     lam: float,
     npen: int,
-    force: str | None = None,
 ) -> np.ndarray:
-    """Child-SSE totals for every candidate boundary of one sorted column."""
-    which = force or _BACKEND
-    if which == "numba":
-        return _scan_sse_nb(
-            np.ascontiguousarray(Gpre),
-            np.ascontiguousarray(Cpre),
-            np.ascontiguousarray(yypre),
-            np.ascontiguousarray(Gsuf),
-            np.ascontiguousarray(Csuf),
-            np.ascontiguousarray(yysuf),
-            np.ascontiguousarray(bounds, dtype=np.int64),
-            float(lam),
-            int(npen),
-        )
-    return scan_sse_np(Gpre, Cpre, yypre, Gsuf, Csuf, yysuf, bounds, float(lam), int(npen))
+    """Child-SSE totals for every candidate boundary of one sorted column.
+
+    Boundary t splits rows [0, t) (left, from the prefix sums at t - 1)
+    from rows [t, n) (right, from the suffix sums at t).  Both children
+    of every boundary are stacked and solved in one batched call.
+    """
+    t = np.asarray(bounds, dtype=np.intp)
+    G = np.concatenate([Gpre[t - 1], Gsuf[t]])
+    C = np.concatenate([Cpre[t - 1], Csuf[t]])
+    yy = np.concatenate([yypre[t - 1], yysuf[t]])
+    sse = _ridge_sse_stack(G, C, yy, lam, npen)
+    return sse[: t.shape[0]] + sse[t.shape[0] :]

@@ -19,7 +19,6 @@ lower subgroup id.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,14 +107,12 @@ class _Engine:
         lam: float,
         min_support: int,
         columns: list[int],
-        threads: int,
     ) -> None:
         self.enc = enc
         self.ns = ns
         self.lam = lam
         self.min_support = min_support
         self.columns = columns
-        self.threads = max(1, threads)
         self.grams = neighborhood_grams(ns)
         self.npen = enc.m
 
@@ -152,17 +149,9 @@ class _Engine:
         if sg.members.size < 2 * self.min_support:
             return None
 
-        def scan(j: int) -> tuple[float, float] | None:
-            return self._scan_column(sg.members, j)
-
-        if self.threads > 1 and len(self.columns) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(scan, self.columns))
-        else:
-            results = [scan(j) for j in self.columns]
-
         best: tuple[float, int, float] | None = None
-        for j, res in zip(self.columns, results):
+        for j in self.columns:
+            res = self._scan_column(sg.members, j)
             if res is None:
                 continue
             sse, threshold = res
@@ -261,7 +250,7 @@ def run(
         )
 
     columns = _resolve_columns(enc, split_columns)
-    engine = _Engine(enc, ns, lam, min_support, columns, threads)
+    engine = _Engine(enc, ns, lam, min_support, columns)
 
     members = np.arange(enc.n, dtype=np.int64)
     root_model = fit_on_neighborhoods(ns, members, lam, fitted_on="s0")

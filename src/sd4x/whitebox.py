@@ -158,12 +158,20 @@ def fit_on_neighborhoods(
     C = C_all[members].sum(axis=0)
     m = ns.samples.shape[2]
     B, _ = kernels.solve_penalized(G, C, lam, m)
+    return model_from_solution(B, lam, fitted_on, int(members.size) * ns.size)
+
+
+def model_from_solution(
+    B: np.ndarray, lam: float, fitted_on: str, n_samples: int
+) -> WhiteBoxModel:
+    """Model from a (m + 1, p) normal-equation solution, intercept row last."""
+    m = B.shape[0] - 1
     return WhiteBoxModel(
         coefficients=np.ascontiguousarray(B[:m].T),
         intercepts=np.ascontiguousarray(B[m].copy()),
         lam=float(lam),
         fitted_on=fitted_on,
-        n_samples=int(members.size) * ns.size,
+        n_samples=n_samples,
     )
 
 

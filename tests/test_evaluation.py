@@ -22,7 +22,7 @@ from sd4x.evaluation import (
     write_curve_csv,
 )
 from sd4x.neighborhood import build, label
-from sd4x.whitebox import WhiteBoxModel
+from sd4x.whitebox import WhiteBoxModel, fit_on_neighborhoods, subgroup_loss
 
 from conftest import numeric_enc, random_linear_bb
 
@@ -152,6 +152,28 @@ def test_local_fits_beat_global_at_lambda_zero():
     models, local_loss = fit_local_wb(ns, 0.0)
     assert len(models) == 15
     assert local_loss <= global_loss * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_local_wb_equals_per_object_fits_exactly(lam):
+    rng = np.random.default_rng(4)
+    enc = numeric_enc(rng.random((12, 3)))
+    bb = random_linear_bb(rng, enc, scale=2.0)
+    ns = label(build(enc, z=10, n_synth=8, seed=3), bb)
+    models, total = fit_local_wb(ns, lam)
+    expected_total = 0.0
+    for i, model in enumerate(models):
+        member = np.asarray([i], dtype=np.int64)
+        ref = fit_on_neighborhoods(ns, member, lam, fitted_on=f"o{i}")
+        assert np.array_equal(model.coefficients, ref.coefficients)
+        assert np.array_equal(model.intercepts, ref.intercepts)
+        assert (model.lam, model.fitted_on, model.n_samples) == (
+            ref.lam,
+            ref.fitted_on,
+            ref.n_samples,
+        )
+        expected_total += subgroup_loss(ns, member, ref)
+    assert total == expected_total
 
 
 def test_partition_scores_scatter():
