@@ -267,10 +267,11 @@ class ExternalBlackBox:
         try:
             request = workdir / "request.csv"
             with open(request, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(self.columns)
-                for row in X:
-                    writer.writerow([repr(float(v)) for v in row])
+                csv.writer(fh).writerow(self.columns)
+                # Same bytes as a csv.writer row of repr(float) cells: a
+                # float repr never needs quoting.  Rows are converted one
+                # at a time; X.tolist() would hold every float at once.
+                fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in X)
             try:
                 proc = subprocess.run(
                     list(self.command) + [str(workdir)],

@@ -129,13 +129,23 @@ def _load_bb(args: argparse.Namespace, classes, columns):
     return bb, "cmd:" + cmd
 
 
+def _cache_fits(ns, enc, bb, z, n_synth, seed) -> bool:
+    """Whether cached neighborhoods have the shapes and settings of this run."""
+    rows = (enc.n, 1 + n_synth)
+    return (
+        ns.samples.shape == (*rows, enc.m)
+        and ns.bb_outputs.shape == (*rows, len(bb.classes))
+        and (ns.z, ns.n_synth, ns.seed) == (z, n_synth, seed)
+    )
+
+
 def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         key = cache_key(content_hash(enc), seed, z, n_synth, bb_tag)
         path = os.path.join(cache_dir, f"ns-{key}.npz")
         cached = load_cache(path)
-        if cached is not None:
+        if cached is not None and _cache_fits(cached, enc, bb, z, n_synth, seed):
             return cached
         ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
         save_cache(path, ns)

@@ -12,8 +12,12 @@ activates the category whose raw value is closest to 1.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,26 +179,60 @@ def cache_key(data_hash: str, seed: int, z: int, n_synth: int, bb_tag: str) -> s
 
 
 def save_cache(path: str, ns: NeighborhoodSet) -> None:
+    """Write labeled neighborhoods to ``path`` (an uncompressed ``.npz``).
+
+    The file is written under a temporary name in the same directory and
+    then renamed into place, so ``path`` never holds a partial write.
+    """
     if ns.bb_outputs is None:
         raise InputError("refusing to cache unlabeled neighborhoods")
-    np.savez_compressed(
-        path,
-        samples=ns.samples,
-        bb_outputs=ns.bb_outputs,
-        meta=np.array([ns.z, ns.n_synth, ns.seed], dtype=np.int64),
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".ns-", suffix=".tmp"
     )
+    try:
+        # Through a file object: np.savez appends ".npz" to a bare path.
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                samples=ns.samples,
+                bb_outputs=ns.bb_outputs,
+                meta=np.array([ns.z, ns.n_synth, ns.seed], dtype=np.int64),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_cache(path: str) -> NeighborhoodSet | None:
+    """Neighborhoods from a cache file, or None if it is missing or corrupt.
+
+    A file that is not a readable ``.npz``, lacks an array, or holds arrays
+    of the wrong dtype or rank is treated as corrupt.  Whether the shapes
+    fit the current data is the caller's check.
+    """
     try:
-        with np.load(path) as data:
+        with np.load(path, allow_pickle=False) as data:
+            samples = data["samples"]
+            outputs = data["bb_outputs"]
             meta = data["meta"]
-            return NeighborhoodSet(
-                samples=data["samples"],
-                z=int(meta[0]),
-                n_synth=int(meta[1]),
-                seed=int(meta[2]),
-                bb_outputs=data["bb_outputs"],
-            )
-    except (OSError, KeyError, ValueError):
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
+    if (
+        samples.dtype != np.float64
+        or outputs.dtype != np.float64
+        or samples.ndim != 3
+        or outputs.ndim != 3
+        or outputs.shape[:2] != samples.shape[:2]
+        or meta.shape != (3,)
+        or meta.dtype.kind != "i"
+    ):
+        return None
+    return NeighborhoodSet(
+        samples=samples,
+        z=int(meta[0]),
+        n_synth=int(meta[1]),
+        seed=int(meta[2]),
+        bb_outputs=outputs,
+    )

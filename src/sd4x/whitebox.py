@@ -7,6 +7,15 @@ column last, unpenalized), factoring once for all outputs.  The same
 Gram-based path also fits subgroups directly from pooled neighborhoods,
 so a subgroup fit, the global baseline, and the root of a partition run
 share one code path and produce bit-identical models for equal inputs.
+
+The per-object Gram pieces come from batched BLAS products of each
+neighborhood with itself and with its black-box outputs; the intercept
+row and column are filled from the column sums, so no augmented copy of
+the neighborhoods is built.  BLAS sums in its own order, so the last bits
+of these pieces, and of every model fitted from them, can differ between
+BLAS builds.  The subgroup loss is still computed from the samples
+themselves, as an independent check on the Gram-based fits, a bounded
+block of rows at a time.
 """
 from __future__ import annotations
 
@@ -19,6 +28,10 @@ import numpy as np
 from . import kernels
 from .errors import InputError, SingularSystemError
 from .neighborhood import NeighborhoodSet
+
+
+# Neighborhood rows per block of subgroup_loss; bounds its temporaries.
+_LOSS_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -123,16 +136,32 @@ def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
 
 
 def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-object Gram pieces (G_i, C_i, yy_i) of the augmented design."""
+    """Per-object Gram pieces (G_i, C_i, yy_i) of the augmented design.
+
+    With X_i the object's (S, m) neighborhood and Y_i its (S, p) outputs,
+    the augmented design is [X_i, 1].  The blocks X_i'X_i and X_i'Y_i are
+    batched BLAS products over all objects at once.  The intercept row
+    and column hold the column sums of X_i (and of Y_i in C_i), and the
+    corner G_i[m, m] is S.  yy_i is the sum of squared outputs.
+    """
     if ns.grams is not None:
         return ns.grams
     if ns.bb_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
-    n, S, m = ns.samples.shape
-    Xa = np.concatenate([ns.samples, np.ones((n, S, 1))], axis=2)
-    G = np.einsum("nsd,nse->nde", Xa, Xa)
-    C = np.einsum("nsd,nsp->ndp", Xa, ns.bb_outputs)
-    yy = np.einsum("nsp,nsp->n", ns.bb_outputs, ns.bb_outputs)
+    X = ns.samples
+    Y = ns.bb_outputs
+    n, S, m = X.shape
+    Xt = X.transpose(0, 2, 1)
+    G = np.empty((n, m + 1, m + 1))
+    G[:, :m, :m] = Xt @ X
+    sx = X.sum(axis=1)
+    G[:, :m, m] = sx
+    G[:, m, :m] = sx
+    G[:, m, m] = S
+    C = np.empty((n, m + 1, Y.shape[2]))
+    C[:, :m] = Xt @ Y
+    C[:, m] = Y.sum(axis=1)
+    yy = np.einsum("nsp,nsp->n", Y, Y)
     ns.grams = (G, C, yy)
     return ns.grams
 
@@ -176,13 +205,24 @@ def model_from_solution(
 
 
 def subgroup_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
-    """Sum of squared errors of the model over the members' neighborhoods."""
+    """Sum of squared errors of the model over the members' neighborhoods.
+
+    The members are walked in order, in blocks of about
+    ``_LOSS_BLOCK_ROWS`` neighborhood rows, and the block sums are added
+    in that order, so the temporaries stay bounded whatever the subgroup
+    size.
+    """
     if ns.bb_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
     members = np.asarray(members, dtype=np.int64)
-    pred = ns.samples[members] @ model.coefficients.T + model.intercepts
-    diff = ns.bb_outputs[members] - pred
-    return float(np.sum(diff * diff))
+    step = max(1, _LOSS_BLOCK_ROWS // ns.size)
+    total = 0.0
+    for start in range(0, members.size, step):
+        block = members[start : start + step]
+        diff = ns.bb_outputs[block]
+        diff -= ns.samples[block] @ model.coefficients.T + model.intercepts
+        total += float(np.sum(diff * diff))
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -316,3 +318,29 @@ def test_external_cleans_up_workdirs(tmp_path):
     with pytest.raises(ExternalBlackBoxError):
         crash.predict_batch(np.zeros((1, 2)))
     assert {d for d in os.listdir(tmp_root) if d.startswith("sd4x-bb-")} == before
+
+
+_SCRIPT_COPY_REQUEST = """\
+import os, shutil, sys
+workdir = sys.argv[1]
+shutil.copyfile(os.path.join(workdir, "request.csv"), {copy!r})
+with open(os.path.join(workdir, "request.csv"), newline="") as fh:
+    n = len(fh.read().splitlines()) - 1
+with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
+    fh.write("a,b\\n" + "0.5,0.5\\n" * n)
+"""
+
+
+def test_external_request_bytes_match_csv_repr_reference(tmp_path):
+    copy = tmp_path / "request-copy.csv"
+    bb = _external(tmp_path, _SCRIPT_COPY_REQUEST.format(copy=str(copy)))
+    X = np.array(
+        [[-0.0, 1e-300], [1e16, 3.0], [0.1, -2.5e-7], [np.float64(1) / 3, 123456789.0]]
+    )
+    bb.predict_batch(X)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(bb.columns)
+    for row in X:
+        writer.writerow([repr(float(v)) for v in row])
+    assert copy.read_bytes() == reference.getvalue().encode("utf-8")

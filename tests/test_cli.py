@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sd4x.cli import main
+from sd4x.neighborhood import load_cache
 
 from conftest import TOY_CSV, TOY_SCHEMA
 
@@ -134,6 +135,40 @@ def test_explain_with_cache_dir_hits_cache(gen_dir, tmp_path):
     assert main(_explain_args(gen_dir, out2, extra=("--cache-dir", str(cache)))) == 0
     assert os.listdir(cache) == entries
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
+    cache = tmp_path / "cache"
+    first = tmp_path / "first.json"
+    assert main(_explain_args(gen_dir, first, extra=("--cache-dir", str(cache)))) == 0
+    (entry,) = os.listdir(cache)
+    path = cache / entry
+    good = load_cache(str(path))
+    blob = path.read_bytes()
+
+    def wrong_shapes(fh):
+        np.savez(
+            fh,
+            samples=np.zeros((3, 2, 2)),
+            bb_outputs=np.zeros((3, 2, 7)),
+            meta=np.array([10, 25, 2], dtype=np.int64),
+        )
+
+    for spoil in (
+        lambda fh: fh.write(blob[: len(blob) // 2]),
+        lambda fh: fh.write(blob[:10]),
+        wrong_shapes,
+    ):
+        with open(path, "wb") as fh:
+            spoil(fh)
+        out = tmp_path / "again.json"
+        assert main(_explain_args(gen_dir, out, extra=("--cache-dir", str(cache)))) == 0
+        assert out.read_bytes() == first.read_bytes()
+        assert os.listdir(cache) == [entry]
+        rewritten = load_cache(str(path))
+        assert rewritten is not None
+        assert np.array_equal(rewritten.samples, good.samples)
+        assert np.array_equal(rewritten.bb_outputs, good.bb_outputs)
 
 
 def test_eval_rejects_tampered_members(gen_dir, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,57 @@ def test_cache_refuses_unlabeled_and_tolerates_garbage(tmp_path):
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"not a zip")
     assert load_cache(str(bad)) is None
+    bad.write_bytes(b"")
+    assert load_cache(str(bad)) is None
+
+
+def test_cache_rejects_truncated_and_malformed_files(tmp_path):
+    rng = np.random.default_rng(5)
+    enc = numeric_enc(rng.normal(size=(6, 2)))
+    ns = label(build(enc, z=10, n_synth=40, seed=3), random_linear_bb(rng, enc))
+    path = tmp_path / "ns.npz"
+    save_cache(str(path), ns)
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.npz"
+    for size in (10, len(blob) // 2, len(blob) - 30):
+        cut.write_bytes(blob[:size])
+        assert load_cache(str(cut)) is None, size
+    malformed = tmp_path / "malformed.npz"
+    good = {
+        "samples": np.zeros((6, 41, 2)),
+        "bb_outputs": np.zeros((6, 41, 2)),
+        "meta": np.array([10, 40, 3], dtype=np.int64),
+    }
+    for key, value in (
+        ("samples", np.zeros((6, 41))),
+        ("samples", np.zeros((6, 41, 2), dtype=np.int64)),
+        ("bb_outputs", np.zeros((6, 40, 2))),
+        ("meta", good["meta"][:2]),
+        ("bb_outputs", None),
+    ):
+        arrays = {k: v for k, v in {**good, key: value}.items() if v is not None}
+        with open(malformed, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert load_cache(str(malformed)) is None, key
+    with open(malformed, "wb") as fh:
+        np.savez(fh, **good)
+    assert load_cache(str(malformed)) is not None
+
+
+def test_cache_save_that_raises_leaves_no_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    enc = numeric_enc(rng.normal(size=(4, 2)))
+    ns = label(build(enc, z=10, n_synth=5, seed=3), random_linear_bb(rng, enc))
+
+    def partial_write(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", partial_write)
+    path = tmp_path / "ns.npz"
+    with pytest.raises(OSError):
+        save_cache(str(path), ns)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_key_sensitivity():

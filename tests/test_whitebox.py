@@ -6,6 +6,7 @@ import pytest
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, SingularSystemError
 from sd4x.neighborhood import NeighborhoodSet, build, label
+from sd4x import whitebox
 from sd4x.whitebox import (
     WhiteBoxModel,
     feature_importance,
@@ -19,7 +20,7 @@ from sd4x.whitebox import (
     subgroup_loss,
 )
 
-from conftest import numeric_enc, random_linear_bb
+from conftest import mixed_enc, numeric_enc, random_linear_bb
 
 
 def test_ridge_frozen_one_dimensional():
@@ -138,20 +139,67 @@ def test_zero_model_loss_against_uniform_outputs():
 
 
 def test_grams_match_direct_products():
+    # numeric, boolean, one-hot and ordinal columns, S = 241 rows each
     rng = np.random.default_rng(3)
-    enc = numeric_enc(rng.normal(size=(8, 3)), classes=("a", "b"))
+    enc = mixed_enc(rng, n=8)
     bb = random_linear_bb(rng, enc)
-    ns = label(build(enc, z=10, n_synth=9, seed=1), bb)
+    ns = label(build(enc, z=10, n_synth=240, seed=1), bb)
+    n, S, m = ns.samples.shape
     G, C, yy = neighborhood_grams(ns)
-    assert G.shape == (8, 4, 4) and C.shape == (8, 4, 2) and yy.shape == (8,)
-    for i in range(8):
-        A = np.hstack([ns.samples[i], np.ones((10, 1))])
+    assert G.shape == (n, m + 1, m + 1) and C.shape == (n, m + 1, 2) and yy.shape == (n,)
+    assert np.all(G[:, m, m] == S)
+    for i in range(n):
+        A = np.hstack([ns.samples[i], np.ones((S, 1))])
         Y = ns.bb_outputs[i]
-        assert np.allclose(G[i], A.T @ A, atol=1e-10)
-        assert np.allclose(C[i], A.T @ Y, atol=1e-10)
-        assert yy[i] == pytest.approx(float(np.sum(Y * Y)), abs=1e-10)
+        # summation order differs from the reference: bound the error by
+        # 1e-12 of the sum of absolute products, which is exact for 0/1 cells
+        absA = np.abs(A)
+        assert np.all(np.abs(G[i] - A.T @ A) <= 1e-12 * (absA.T @ absA))
+        assert np.all(np.abs(C[i] - A.T @ Y) <= 1e-12 * (absA.T @ np.abs(Y)))
+        assert yy[i] == pytest.approx(float(np.sum(Y * Y)), rel=1e-12)
     again = neighborhood_grams(ns)
     assert again[0] is G  # cached on the neighborhood set
+
+
+def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2) -> NeighborhoodSet:
+    return NeighborhoodSet(
+        samples=rng.normal(size=(n, S, m)),
+        z=10,
+        n_synth=S - 1,
+        seed=0,
+        bb_outputs=rng.random(size=(n, S, p)),
+    )
+
+
+def _one_shot_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
+    pred = ns.samples[members] @ model.coefficients.T + model.intercepts
+    diff = ns.bb_outputs[members] - pred
+    return float(np.sum(diff * diff))
+
+
+def test_subgroup_loss_over_several_blocks_matches_one_shot_sum():
+    rng = np.random.default_rng(7)
+    ns = _random_ns(rng, n=80, S=1001)
+    model = WhiteBoxModel(
+        coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
+    )
+    assert whitebox._LOSS_BLOCK_ROWS // ns.size < 80  # the members span blocks
+    for members in (np.arange(80), np.arange(79, -1, -2), rng.permutation(80)[:50]):
+        expected = _one_shot_loss(ns, members, model)
+        assert subgroup_loss(ns, members, model) == pytest.approx(expected, rel=1e-12)
+    assert subgroup_loss(ns, np.array([], dtype=np.int64), model) == 0.0
+
+
+def test_subgroup_loss_counts_the_members_rows_in_any_order():
+    rng = np.random.default_rng(8)
+    ns = _random_ns(rng, n=40, S=1001)
+    model = WhiteBoxModel(
+        coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
+    )
+    members = np.array([37, 2, 19, 5, 30, 11, 0, 24], dtype=np.int64)
+    per_object = sum(subgroup_loss(ns, np.array([i]), model) for i in members)
+    for order in (members, members[::-1], np.sort(members), rng.permutation(members)):
+        assert subgroup_loss(ns, order, model) == pytest.approx(per_object, rel=1e-12)
 
 
 def test_fit_on_neighborhoods_equals_stacked_ridge():
