@@ -18,6 +18,7 @@ from .errors import InputError
 from .neighborhood import NeighborhoodSet
 from .splitter import Partition
 from .whitebox import (
+    _LOSS_BLOCK_ROWS,
     WhiteBoxModel,
     fit_on_neighborhoods,
     model_from_solution,
@@ -45,18 +46,26 @@ def fit_local_wb(ns: NeighborhoodSet, lam: float) -> tuple[list[WhiteBoxModel], 
     """One model per explained object; returns (models, total loss).
 
     All objects are solved in one batched call; each model equals what
-    ``fit_on_neighborhoods`` returns for that object alone.
+    ``fit_on_neighborhoods`` returns for that object alone.  The residuals
+    are computed a block of objects at a time, with one stacked product
+    per block, and the per-object SSEs are added in object order, so the
+    total equals the sum of the objects' ``subgroup_loss`` values.
     """
     G_all, C_all, _ = neighborhood_grams(ns)
     m = ns.samples.shape[2]
     B, _ = kernels.solve_stack(G_all, C_all, lam, m)
-    models = []
+    models = [model_from_solution(B[i], lam, f"o{i}", ns.size) for i in range(ns.n_objects)]
+    # The same (m, p) layout as model.coefficients.T, so each product is
+    # the BLAS call subgroup_loss makes.
+    coef_t = np.stack([model.coefficients for model in models]).transpose(0, 2, 1)
+    step = max(1, _LOSS_BLOCK_ROWS // ns.size)
     total = 0.0
-    for i in range(ns.n_objects):
-        model = model_from_solution(B[i], lam, f"o{i}", ns.size)
-        models.append(model)
-        total += subgroup_loss(ns, np.asarray([i], dtype=np.int64), model)
-    return models, float(total)
+    for start in range(0, ns.n_objects, step):
+        blk = slice(start, start + step)
+        diff = ns.bb_outputs[blk] - (ns.samples[blk] @ coef_t[blk] + B[blk, m][:, None])
+        for sse in np.sum((diff * diff).reshape(diff.shape[0], -1), axis=1):
+            total += float(sse)
+    return models, total
 
 
 def partition_scores(partition: Partition, values: np.ndarray) -> np.ndarray:

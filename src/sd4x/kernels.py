@@ -105,22 +105,30 @@ def scan_sse(
     Gpre: np.ndarray,
     Cpre: np.ndarray,
     yypre: np.ndarray,
-    Gsuf: np.ndarray,
-    Csuf: np.ndarray,
-    yysuf: np.ndarray,
+    Gtot: np.ndarray,
+    Ctot: np.ndarray,
+    yytot: float,
     bounds: np.ndarray,
     lam: float,
     npen: int,
 ) -> np.ndarray:
     """Child-SSE totals for every candidate boundary of one sorted column.
 
-    Boundary t splits rows [0, t) (left, from the prefix sums at t - 1)
-    from rows [t, n) (right, from the suffix sums at t).  Both children
-    of every boundary are stacked and solved in one batched call.
+    Boundary t splits rows [0, t) (left, the prefix sums at t - 1) from
+    rows [t, n) (right, the totals minus those prefix sums).  With the
+    totals taken as the last row of the same prefix sums, an entry that
+    is zero in every row of the right child, such as a one-hot level
+    absent from it, comes out as an exact zero.  Both children of every
+    boundary are stacked and solved in one batched call.
     """
-    t = np.asarray(bounds, dtype=np.intp)
-    G = np.concatenate([Gpre[t - 1], Gsuf[t]])
-    C = np.concatenate([Cpre[t - 1], Csuf[t]])
-    yy = np.concatenate([yypre[t - 1], yysuf[t]])
-    sse = _ridge_sse_stack(G, C, yy, lam, npen)
-    return sse[: t.shape[0]] + sse[t.shape[0] :]
+    t = np.asarray(bounds, dtype=np.intp) - 1
+    nb = t.shape[0]
+    G = np.empty((2 * nb,) + Gpre.shape[1:])
+    C = np.empty((2 * nb,) + Cpre.shape[1:])
+    np.take(Gpre, t, axis=0, out=G[:nb])
+    np.take(Cpre, t, axis=0, out=C[:nb])
+    np.subtract(Gtot, G[:nb], out=G[nb:])
+    np.subtract(Ctot, C[:nb], out=C[nb:])
+    yyl = yypre[t]
+    sse = _ridge_sse_stack(G, C, np.concatenate([yyl, yytot - yyl]), lam, npen)
+    return sse[:nb] + sse[nb:]

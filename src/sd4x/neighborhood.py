@@ -4,11 +4,20 @@ Each explained object gets a neighborhood of ``1 + n_synth`` rows: the
 object itself first, then synthetic points drawn from a Gaussian
 centered on the object with covariance ``Sigma / z``, where ``Sigma`` is
 the sample covariance of the encoded explained objects.  Draws use one
-independent, object-indexed substream of the base seed, so results do
-not depend on thread scheduling.  Synthetic rows are snapped back onto
-valid encodings before labeling: booleans threshold at 0.5, ordinal
-codes round half-up and clamp to the level range, and each one-hot block
-activates the category whose raw value is closest to 1.
+independent, object-indexed substream of the base seed.  Synthetic rows
+are snapped back onto valid encodings before labeling: booleans
+threshold at 0.5, ordinal codes round half-up and clamp to the level
+range, and each one-hot block activates the category whose raw value is
+closest to 1.
+
+The objects are built in chunks of about ``_BUILD_CHUNK_ROWS`` rows.
+Within a chunk the worker threads only draw the standard normals, each
+object from its own substream into its own slice of a reused buffer;
+the calling thread then applies the Cholesky factor to the whole chunk
+in one stacked product and discretizes it.  The stacked product makes
+the same per-object BLAS call as a product over one object, and
+discretization works row by row, so the samples are bit-identical for
+any thread count and chunk size.
 """
 from __future__ import annotations
 
@@ -28,6 +37,9 @@ from .dataset import AttributeKind, EncodedMatrix
 from .errors import InputError
 
 _LABEL_CHUNK = 65536
+# Neighborhood rows per chunk of build; bounds the draw buffer and the
+# discretize copy.
+_BUILD_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -103,18 +115,6 @@ def discretize(samples: np.ndarray, enc: EncodedMatrix) -> np.ndarray:
     return out
 
 
-def _object_neighborhood(
-    x0: np.ndarray, L: np.ndarray, n_synth: int, seed: int, index: int
-) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    rows = np.empty((1 + n_synth, x0.shape[0]))
-    rows[0] = x0
-    if n_synth:
-        g = rng.standard_normal((n_synth, x0.shape[0]))
-        rows[1:] = x0 + g @ L.T
-    return rows
-
-
 def build(
     enc: EncodedMatrix,
     z: int = 10,
@@ -122,24 +122,37 @@ def build(
     seed: int = 0,
     threads: int = 1,
 ) -> NeighborhoodSet:
-    """Generate discretized neighborhoods for every encoded object."""
+    """Generate discretized neighborhoods for every encoded object.
+
+    With ``threads > 1`` a pool draws the random normals; the BLAS
+    product and the discretization run on the calling thread.
+    """
     if n_synth < 0:
         raise InputError(f"n_synth must be >= 0, got {n_synth}")
     sigma = estimate_covariance(enc.values)
     L = scaled_cholesky(sigma, z)
-    n = enc.n
-    samples = np.empty((n, 1 + n_synth, enc.m))
+    n, m = enc.n, enc.m
+    samples = np.empty((n, 1 + n_synth, m))
+    samples[:, 0] = enc.values
+    step = max(1, _BUILD_CHUNK_ROWS // (1 + n_synth))
+    g = np.empty((min(step, n), n_synth, m))
 
-    def one(i: int) -> None:
-        raw = _object_neighborhood(enc.values[i], L, n_synth, seed, i)
-        samples[i] = discretize(raw, enc)
+    def draw(k: int, i: int) -> None:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        rng.standard_normal(out=g[k])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(n)))
-    else:
-        for i in range(n):
-            one(i)
+    with contextlib.ExitStack() as stack:
+        run = map
+        if threads > 1:
+            run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            list(run(draw, range(stop - start), range(start, stop)))
+            synth = samples[start:stop, 1:]
+            np.matmul(g[: stop - start], L.T, out=synth)
+            synth += enc.values[start:stop, None, :]
+            rows = samples[start:stop].reshape(-1, m)
+            rows[:] = discretize(rows, enc)
     return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
 
 

@@ -9,13 +9,13 @@ is the sum over its subgroups.
 
 Candidate generation scans every allowed column of a subgroup: members
 are sorted by column value, per-object Gram pieces are accumulated as
-prefix and suffix sums, and both children of every candidate boundary
-are solved straight from those sums.  The scan only ranks candidates;
-the winning split's children are refitted through the canonical
-pooled-fit path, and a split is applied only when the children's summed
-loss actually improves on the parent's.  All reductions break ties
-deterministically: lower column index first, then lower threshold, then
-lower subgroup id.
+prefix sums, and both children of every candidate boundary are solved
+straight from those sums, the right child as the total minus the
+prefix.  The scan only ranks candidates; the winning split's children
+are refitted through the canonical pooled-fit path, and a split is
+applied only when the children's summed loss actually improves on the
+parent's.  All reductions break ties deterministically: lower column
+index first, then lower threshold, then lower subgroup id.
 """
 from __future__ import annotations
 
@@ -127,17 +127,11 @@ class _Engine:
         if jumps.size == 0:
             return None
         G_all, C_all, yy_all = self.grams
-        Gm = G_all[mo]
-        Cm = C_all[mo]
-        yym = yy_all[mo]
-        Gpre = np.cumsum(Gm, axis=0)
-        Cpre = np.cumsum(Cm, axis=0)
-        yypre = np.cumsum(yym)
-        Gsuf = np.cumsum(Gm[::-1], axis=0)[::-1]
-        Csuf = np.cumsum(Cm[::-1], axis=0)[::-1]
-        yysuf = np.cumsum(yym[::-1])[::-1]
+        Gpre, Cpre, yypre = G_all[mo], C_all[mo], yy_all[mo]
+        for a in (Gpre, Cpre, yypre):
+            np.cumsum(a, axis=0, out=a)
         sses = kernels.scan_sse(
-            Gpre, Cpre, yypre, Gsuf, Csuf, yysuf, jumps, self.lam, self.npen
+            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], jumps, self.lam, self.npen
         )
         best = int(np.argmin(sses))
         t = int(jumps[best])

@@ -81,12 +81,11 @@ def test_scan_sse_equals_two_separate_fits():
     C = np.einsum("ni,nj->nij", A, Y)
     yy = np.sum(Y * Y, axis=1)
     Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
-    Gsuf = np.cumsum(G[::-1], 0)[::-1]
-    Csuf = np.cumsum(C[::-1], 0)[::-1]
-    yysuf = np.cumsum(yy[::-1])[::-1]
     bounds = np.array([5, 12, 19], dtype=np.int64)
     for lam in (0.0, 1.0):
-        got = kernels.scan_sse(Gpre, Cpre, yypre, Gsuf, Csuf, yysuf, bounds, lam, m)
+        got = kernels.scan_sse(
+            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, m
+        )
         for bi, t in enumerate(bounds):
             parts = []
             for rows in (slice(0, t), slice(t, n)):
@@ -132,17 +131,6 @@ def test_tiny_pivot_fails_the_relative_pivot_test():
     assert np.array_equal(B[1], np.linalg.solve(G[1], C[1]))
 
 
-def _prefix_suffix(G, C, yy):
-    return (
-        np.cumsum(G, 0),
-        np.cumsum(C, 0),
-        np.cumsum(yy),
-        np.cumsum(G[::-1], 0)[::-1],
-        np.cumsum(C[::-1], 0)[::-1],
-        np.cumsum(yy[::-1])[::-1],
-    )
-
-
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("first_scale", [1.0, 1e-7, 0.0])
 def test_scan_sse_is_bit_identical_to_per_boundary_solves(lam, first_scale):
@@ -159,14 +147,17 @@ def test_scan_sse_is_bit_identical_to_per_boundary_solves(lam, first_scale):
     G = np.einsum("nsd,nse->nde", Xa, Xa)
     C = np.einsum("nsd,nsp->ndp", Xa, Y)
     yy = np.einsum("nsp,nsp->n", Y, Y)
-    Gpre, Cpre, yypre, Gsuf, Csuf, yysuf = _prefix_suffix(G, C, yy)
+    Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
+    Gtot, Ctot, yytot = Gpre[-1], Cpre[-1], yypre[-1]
     bounds = np.arange(1, n, dtype=np.int64)
-    got = kernels.scan_sse(Gpre, Cpre, yypre, Gsuf, Csuf, yysuf, bounds, lam, m)
+    got = kernels.scan_sse(Gpre, Cpre, yypre, Gtot, Ctot, yytot, bounds, lam, m)
     expected = np.empty(bounds.size)
     flags = []
     for i, t in enumerate(bounds):
         left = kernels.ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
-        right = kernels.ridge_sse(Gsuf[t], Csuf[t], yysuf[t], lam, m)
+        right = kernels.ridge_sse(
+            Gtot - Gpre[t - 1], Ctot - Cpre[t - 1], yytot - yypre[t - 1], lam, m
+        )
         expected[i] = left + right
         flags.append(kernels.solve_penalized(Gpre[t - 1], Cpre[t - 1], lam, m)[1])
     assert np.array_equal(got, expected)

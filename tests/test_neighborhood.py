@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sd4x import neighborhood
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError
 from sd4x.neighborhood import (
@@ -19,7 +21,7 @@ from sd4x.neighborhood import (
     scaled_cholesky,
 )
 
-from conftest import numeric_enc, random_linear_bb
+from conftest import mixed_enc, numeric_enc, random_linear_bb
 
 
 def test_covariance_frozen_two_points():
@@ -125,6 +127,57 @@ def test_build_determinism_and_thread_independence():
     assert np.array_equal(a.samples, c.samples)
     d = build(enc, z=10, n_synth=30, seed=6)
     assert not np.array_equal(a.samples, d.samples)
+
+
+def _reference_build(enc, z, n_synth, seed):
+    """One object at a time: its own substream, x0 + g @ L.T, then discretize."""
+    L = scaled_cholesky(estimate_covariance(enc.values), z)
+    out = np.empty((enc.n, 1 + n_synth, enc.m))
+    for i in range(enc.n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        x0 = enc.values[i]
+        rows = np.empty((1 + n_synth, enc.m))
+        rows[0] = x0
+        if n_synth:
+            g = rng.standard_normal((n_synth, enc.m))
+            rows[1:] = x0 + g @ L.T
+        out[i] = discretize(rows, enc)
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize(
+    "chunk_rows,n_synth",
+    [
+        (1, 15),  # one object per chunk
+        (64, 15),  # four objects per chunk, one in the last
+        (64, 0),  # the objects alone
+        (neighborhood._BUILD_CHUNK_ROWS, 15),  # every object in one chunk
+    ],
+)
+def test_chunked_build_equals_per_object_reference(monkeypatch, threads, chunk_rows, n_synth):
+    enc = mixed_enc(np.random.default_rng(21), n=13)
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", chunk_rows)
+    ns = build(enc, z=3, n_synth=n_synth, seed=11, threads=threads)
+    assert np.array_equal(ns.samples, _reference_build(enc, 3, n_synth, 11))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_peak_memory_is_the_samples_plus_a_few_chunks(threads):
+    rng = np.random.default_rng(22)
+    enc = mixed_enc(rng, n=300)
+    n_synth = 300
+    build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        ns = build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    step = max(1, neighborhood._BUILD_CHUNK_ROWS // (1 + n_synth))
+    chunk_bytes = step * (1 + n_synth) * enc.m * 8
+    assert ns.samples.nbytes > 8 * chunk_bytes
+    assert peak <= ns.samples.nbytes + 4 * chunk_bytes, (peak - ns.samples.nbytes) / chunk_bytes
 
 
 def test_per_object_streams_differ():

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from sd4x import evaluation, splitter
+from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, InvariantError
-from sd4x.neighborhood import build, label
+from sd4x.neighborhood import NeighborhoodSet, build, label
 from sd4x.patterns import extent
 from sd4x.splitter import (
     Partition,
@@ -312,3 +312,48 @@ def test_property_one_child_losses_never_exceed_parent():
         rm = fit_on_neighborhoods(ns, right, 0.0)
         child_sum = subgroup_loss(ns, left, lm) + subgroup_loss(ns, right, rm)
         assert child_sum <= parent_loss * (1.0 + 1e-9) + 1e-12
+
+
+def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
+    # Columns: x, then the one-hot block hue=r, hue=g, hue=b.  Only the 7
+    # objects with the smallest x are red, so every right child of a
+    # boundary from 7 on has no red row.  Its red row and column of the
+    # Gram pieces must be exact zeros, as in a direct sum over its rows,
+    # so the pivot test and the pseudoinverse see the same structurally
+    # singular matrix rather than rounding noise.
+    rng = np.random.default_rng(23)
+    n, S, p = 20, 5, 2
+    x = np.sort(rng.normal(size=n))
+    hues = ["r"] * 7 + [("g", "b")[int(k)] for k in rng.integers(2, size=n - 7)]
+    attrs = (
+        Attribute("x", AttributeKind.NUMERIC),
+        Attribute("hue", AttributeKind.NOMINAL, categories=("r", "g", "b")),
+    )
+    order = rng.permutation(n)  # the scan, not the input, sorts the objects
+    rows = [(float(x[i]), hues[i]) for i in order]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
+    samples = np.repeat(enc.values[:, None, :], S, axis=1)
+    samples[:, 1:, 0] += rng.normal(scale=0.01, size=(n, S - 1))
+    ns = NeighborhoodSet(
+        samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=rng.random(size=(n, S, p))
+    )
+    seen = []
+    original = kernels._ridge_sse_stack
+
+    def capture(G, C, yy, lam, npen):
+        seen.append((G.copy(), C.copy()))
+        return original(G, C, yy, lam, npen)
+
+    monkeypatch.setattr(kernels, "_ridge_sse_stack", capture)
+    engine = splitter._Engine(enc, ns, 0.0, 2, [0])
+    assert engine._scan_column(np.arange(n, dtype=np.int64), 0) is not None
+    ((G, C),) = seen
+    nb = G.shape[0] // 2
+    bounds = np.arange(2, n - 1)
+    assert nb == bounds.size
+    for i, t in enumerate(bounds):
+        right_G, right_C = G[nb + i], C[nb + i]
+        red_free = t >= 7
+        assert np.all(right_G[1] == 0.0) == red_free
+        assert np.all(right_G[:, 1] == 0.0) == red_free
+        assert np.all(right_C[1] == 0.0) == red_free
