@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 broken partition invariant, 2 bad input,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -35,7 +34,7 @@ from .dataset import (
     encode,
     load_dataset,
     load_schema,
-    parse_value,
+    read_dataset,
     save_dataset,
     save_schema,
 )
@@ -46,7 +45,7 @@ from .errors import (
     SD4XError,
 )
 from .neighborhood import build, cache_key, label, load_cache, save_cache
-from .splitter import Partition, Subgroup
+from .splitter import Partition, Subgroup, TraceEntry
 from .synth import generate_synthetic, spec_from_dict
 from .text import featurize_text
 from .whitebox import WhiteBoxModel, subgroup_loss
@@ -185,47 +184,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     config = _load_config(args)
     top_n = int(_resolve(args, config, "top-n", 10))
     attributes, classes = load_schema(args.schema)
-    try:
-        with open(args.data, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read {args.data}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{args.data}: empty file")
-    header, data_rows = rows[0], rows[1:]
-    if args.field not in header:
-        raise InputError(f"{args.data}: no column named {args.field!r}")
-    fi = header.index(args.field)
-    base_header = header[:fi] + header[fi + 1 :]
-    expected = [a.name for a in attributes]
-    has_labels = base_header == expected + ["class"]
-    if not has_labels and base_header != expected:
-        raise InputError(
-            f"{args.data}: columns besides {args.field!r} must match the schema"
-        )
-    if not data_rows:
-        raise InputError(f"{args.data}: no data rows")
-
-    texts = []
-    base_rows = []
-    labels = [] if has_labels else None
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            raise InputError(f"{args.data}: row {r} has {len(row)} cells, expected {len(header)}")
-        texts.append(row[fi])
-        rest = row[:fi] + row[fi + 1 :]
-        values = []
-        for attr, cell in zip(attributes, rest):
-            where = f"{args.data}: row {r}, column {attr.name!r}"
-            values.append(parse_value(cell, attr, where))
-        if has_labels:
-            cls = rest[-1]
-            if cls not in classes:
-                raise InputError(f"{args.data}: row {r}, unknown class {cls!r}")
-            labels.append(cls)
-        base_rows.append(tuple(values))
-
+    base, texts = read_dataset(args.data, attributes, classes, text_field=args.field)
     matrix, vocab = featurize_text(texts, top_n)
     taken = {a.name for a in attributes}
     new_attrs = []
@@ -237,11 +196,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
             Attribute(name=name, kind=AttributeKind.NUMERIC, text_field=args.field)
         )
     out_attrs = tuple(attributes) + tuple(new_attrs)
-    out_rows = [
-        base + tuple(float(v) for v in matrix[i])
-        for i, base in enumerate(base_rows)
-    ]
-    out = Dataset(attributes=out_attrs, classes=classes, rows=out_rows, labels=labels)
+    out_rows = [row + tuple(float(v) for v in matrix[i]) for i, row in enumerate(base.rows)]
+    out = Dataset(attributes=out_attrs, classes=classes, rows=out_rows, labels=base.labels)
     save_dataset(out, args.out_data)
     save_schema(args.out_schema, out_attrs, classes)
     _write_json(
@@ -294,10 +250,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     _write_json(args.out, splitter.partition_to_dict(partition, enc))
     if getattr(args, "curve", None):
-        curve = [(1, partition.root_loss)] + [
-            (t.iteration + 1, t.loss_after) for t in partition.trace
-        ]
-        evaluation.write_curve_csv(args.curve, curve)
+        evaluation.write_curve_csv(args.curve, partition.curve())
     n = enc.n
     print(
         f"{len(partition.subgroups)} subgroups, "
@@ -312,58 +265,110 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _partition_from_dump(dump: dict, enc, classes) -> tuple[Partition, float]:
+_NUMBER = (int, float)
+_JSON_NAMES = {int: "integer", _NUMBER: "number", str: "string", list: "array", dict: "object"}
+# Dumped trace keys in TraceEntry field order.
+_TRACE_FIELDS = (
+    ("iter", int), ("subgroup", int), ("column", str),
+    ("threshold", _NUMBER), ("gain", _NUMBER), ("loss_after", _NUMBER),
+)
+
+
+def _field(obj: dict, key: str, kind, where: str = ""):
+    """obj[key] when it holds a JSON value of this kind; a bool is never a number.
+
+    A number is returned as a float.
+    """
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        name = _JSON_NAMES[kind]
+        raise InputError(f"partition file: {where}{key} is missing or not a JSON {name}")
+    return float(value) if kind is _NUMBER else value
+
+
+def _entries(dump: dict, key: str) -> list[dict]:
+    entries = _field(dump, key, list)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InputError(f"partition file: {key}[{i}] is not an object")
+    return entries
+
+
+def _array(obj: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """obj[key] as a float array of the given shape; its entries must be JSON numbers."""
     try:
-        config = dump["config"]
-        sub_dicts = dump["subgroups"]
-        dumped_loss = float(dump["global_loss"])
-        root_loss = float(dump["root_loss"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"partition file is missing required fields: {exc}") from exc
+        arr = np.asarray(_field(obj, key, list, where))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise InputError(f"partition file: {where}{key} must be a {shape} array of numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _members(sd: dict, where: str) -> np.ndarray:
+    members = _field(sd, "members", list, where)
+    if not all(type(v) is int and 0 <= v < 2**63 for v in members):
+        raise InputError(f"partition file: {where}members must be a flat list of indices")
+    return np.asarray(members, dtype=np.int64)
+
+
+def _partition_from_dump(dump: dict, enc, classes) -> Partition:
+    """Rebuild the subgroups, models and trace of a dumped partition.
+
+    Every field read here is type-checked, so a malformed file is bad
+    input.  Whether the subgroups cover the objects within the budget
+    and match their stored losses is left to ``_check_dump_invariants``.
+    """
+    config = _field(dump, "config", dict)
+    for key in ("k", "z", "n_synth", "seed"):
+        if _field(config, key, int, "config.") < 0:
+            raise InputError(f"partition file: config.{key} is negative")
+    _field(config, "lambda", _NUMBER, "config.")
     if config.get("data_hash") != content_hash(enc):
         raise InputError("partition was computed on different data (content hash mismatch)")
+    sub_dicts = _entries(dump, "subgroups")
+    if not sub_dicts:
+        raise InputError("partition file: subgroups is empty")
+    p, m = len(classes), enc.m
     subgroups = []
-    for sd in sub_dicts:
-        model_d = sd["model"]
-        if tuple(model_d["columns"]) != enc.column_names:
+    for i, sd in enumerate(sub_dicts):
+        where = f"subgroups[{i}]."
+        model_d = _field(sd, "model", dict, where)
+        mwhere = where + "model."
+        if tuple(_field(model_d, "columns", list, mwhere)) != enc.column_names:
             raise InputError("subgroup model columns do not match the encoded dataset")
-        if tuple(model_d["classes"]) != tuple(classes):
+        if tuple(_field(model_d, "classes", list, mwhere)) != tuple(classes):
             raise InputError("subgroup model classes do not match the schema")
         model = WhiteBoxModel(
-            coefficients=np.asarray(model_d["coefficients"], dtype=np.float64),
-            intercepts=np.asarray(model_d["intercepts"], dtype=np.float64),
-            lam=float(model_d["lambda"]),
-            fitted_on=f"s{sd['id']}",
-            n_samples=0,
+            coefficients=_array(model_d, "coefficients", (p, m), mwhere),
+            intercepts=_array(model_d, "intercepts", (p,), mwhere),
+            lam=_field(model_d, "lambda", _NUMBER, mwhere),
         )
         subgroups.append(
             Subgroup(
-                id=int(sd["id"]),
-                members=np.asarray(sd["members"], dtype=np.int64),
+                id=_field(sd, "id", int, where),
+                members=_members(sd, where),
                 pattern=None,
                 model=model,
-                loss=float(sd["loss"]),
+                loss=_field(sd, "loss", _NUMBER, where),
             )
         )
-    partition = Partition(
+    trace = [
+        TraceEntry(*(_field(td, key, kind, f"trace[{i}].") for key, kind in _TRACE_FIELDS))
+        for i, td in enumerate(_entries(dump, "trace") if "trace" in dump else [])
+    ]
+    return Partition(
         subgroups=subgroups,
-        trace=[],
-        root_loss=root_loss,
-        global_loss=dumped_loss,
+        trace=trace,
+        root_loss=_field(dump, "root_loss", _NUMBER),
+        global_loss=_field(dump, "global_loss", _NUMBER),
         config=config,
     )
-    return partition, dumped_loss
 
 
 def _check_dump_invariants(partition: Partition, enc, ns) -> None:
-    k = int(partition.config.get("k", len(partition.subgroups)))
-    if len(partition.subgroups) > k:
-        raise InvariantError(
-            f"{len(partition.subgroups)} subgroups exceed the budget K={k}"
-        )
-    seen = np.concatenate([sg.members for sg in partition.subgroups])
-    if seen.size != enc.n or not np.array_equal(np.sort(seen), np.arange(enc.n)):
-        raise InvariantError("subgroups do not disjointly cover the explained objects")
+    """Cover and budget, then an independent sample-form recomputation of the loss."""
+    splitter.check_cover(partition, enc.n)
     recomputed = 0.0
     for sg in partition.subgroups:
         recomputed += subgroup_loss(ns, sg.members, sg.model)
@@ -382,26 +387,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data, args.schema)
     enc = encode(dataset)
     dump = _read_json(args.partition, "partition")
-    partition, _ = _partition_from_dump(dump, enc, dataset.classes)
+    partition = _partition_from_dump(dump, enc, dataset.classes)
     pconf = partition.config
     bb, bb_tag = _load_bb(args, dataset.classes, enc.column_names)
     ns = _neighborhoods(
         enc,
         bb,
         bb_tag,
-        z=int(pconf["z"]),
-        n_synth=int(pconf["n_synth"]),
-        seed=int(pconf["seed"]),
+        z=pconf["z"],
+        n_synth=pconf["n_synth"],
+        seed=pconf["seed"],
         threads=threads,
         cache_dir=getattr(args, "cache_dir", None),
     )
     _check_dump_invariants(partition, enc, ns)
-    curve = None
-    trace = dump.get("trace") or []
-    if trace:
-        curve = [(1, partition.root_loss)] + [
-            (int(t["iter"]) + 1, float(t["loss_after"])) for t in trace
-        ]
+    curve = partition.curve() if partition.trace else None
     report = evaluation.build_report(
         partition, ns, enc.values, float(pconf["lambda"]), curve=curve
     )

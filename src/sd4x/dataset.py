@@ -215,15 +215,32 @@ def validate_row(row: tuple, attributes: tuple[Attribute, ...], where: str) -> N
                 )
 
 
-def load_dataset(data_path: str, schema_path: str) -> Dataset:
-    """Load a CSV data file against its JSON schema."""
-    attributes, classes = load_schema(schema_path)
+def read_dataset(
+    data_path: str,
+    attributes: tuple[Attribute, ...],
+    classes: tuple[str, ...],
+    text_field: str | None = None,
+) -> tuple[Dataset, list[str] | None]:
+    """Read a CSV data file against a schema; returns (dataset, texts).
+
+    The header must name the attributes in schema order, optionally
+    followed by ``class``.  Blank lines are skipped; rows are numbered
+    from the first line after the header.  With ``text_field`` set, that
+    column is cut from the header and from every row before parsing, and
+    its cells are returned as ``texts`` (None otherwise).
+    """
     try:
         with open(data_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{data_path}: empty data file")
+            fi = None
+            if text_field is not None:
+                if text_field not in header:
+                    raise InputError(f"{data_path}: no column named {text_field!r}")
+                fi = header.index(text_field)
+                header = header[:fi] + header[fi + 1 :]
             expected = [a.name for a in attributes]
             has_class = False
             if header == expected + ["class"]:
@@ -233,15 +250,19 @@ def load_dataset(data_path: str, schema_path: str) -> Dataset:
                     f"{data_path}: header {header} does not match schema "
                     f"attributes {expected} (optionally followed by 'class')"
                 )
+            want = len(header) + (0 if fi is None else 1)
             rows: list[tuple] = []
             labels: list[str] = []
+            texts: list[str] = []
             for lineno, cells in enumerate(reader, start=1):
                 if not cells:
                     continue
                 where = f"{data_path}: row {lineno}"
-                want = len(attributes) + (1 if has_class else 0)
                 if len(cells) != want:
                     raise InputError(f"{where}: expected {want} cells, got {len(cells)}")
+                if fi is not None:
+                    texts.append(cells[fi])
+                    cells = cells[:fi] + cells[fi + 1 :]
                 row = tuple(
                     parse_value(cell, attr, f"{where}, column {attr.name!r}")
                     for attr, cell in zip(attributes, cells)
@@ -259,7 +280,13 @@ def load_dataset(data_path: str, schema_path: str) -> Dataset:
         raise InputError(f"cannot read {data_path}: {exc}") from exc
     if not rows:
         raise InputError(f"{data_path}: no data rows")
-    return Dataset(attributes, classes, rows, labels if has_class else None)
+    dataset = Dataset(attributes, classes, rows, labels if has_class else None)
+    return dataset, (texts if fi is not None else None)
+
+
+def load_dataset(data_path: str, schema_path: str) -> Dataset:
+    """Load a CSV data file against its JSON schema."""
+    return read_dataset(data_path, *load_schema(schema_path))[0]
 
 
 def format_value(value, attr: Attribute) -> str:

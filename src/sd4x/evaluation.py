@@ -38,7 +38,7 @@ def mse(loss: float, n_objects: int) -> float:
 def fit_global_wb(ns: NeighborhoodSet, lam: float) -> tuple[WhiteBoxModel, float]:
     """One model on all neighborhoods pooled; returns (model, loss)."""
     members = np.arange(ns.n_objects, dtype=np.int64)
-    model = fit_on_neighborhoods(ns, members, lam, fitted_on="global")
+    model = fit_on_neighborhoods(ns, members, lam)
     return model, subgroup_loss(ns, members, model)
 
 
@@ -54,7 +54,7 @@ def fit_local_wb(ns: NeighborhoodSet, lam: float) -> tuple[list[WhiteBoxModel], 
     G_all, C_all, _ = neighborhood_grams(ns)
     m = ns.samples.shape[2]
     B, _ = kernels.solve_stack(G_all, C_all, lam, m)
-    models = [model_from_solution(B[i], lam, f"o{i}", ns.size) for i in range(ns.n_objects)]
+    models = [model_from_solution(B[i], lam) for i in range(ns.n_objects)]
     # The same (m, p) layout as model.coefficients.T, so each product is
     # the BLAS call subgroup_loss makes.
     coef_t = np.stack([model.coefficients for model in models]).transpose(0, 2, 1)

@@ -62,7 +62,6 @@ class CandidateSplit:
     subgroup_id: int
     column: int
     threshold: float
-    scan_sse: float
     left_members: np.ndarray
     right_members: np.ndarray
     left_model: WhiteBoxModel
@@ -89,6 +88,10 @@ class Partition:
     root_loss: float
     global_loss: float
     config: dict = field(default_factory=dict)
+
+    def curve(self) -> list[tuple[int, float]]:
+        """Loss after each greedy step: [(1, root loss), (2, loss after split 1), ...]."""
+        return [(1, self.root_loss)] + [(t.iteration + 1, t.loss_after) for t in self.trace]
 
 
 def candidate_thresholds(values: np.ndarray) -> np.ndarray:
@@ -153,21 +156,10 @@ class _Engine:
                 best = (sse, j, threshold)
         if best is None:
             return None
-        scan_sse, column, threshold = best
+        _, column, threshold = best
         mask = self.enc.values[sg.members, column] <= threshold
         left = sg.members[mask]
         right = sg.members[~mask]
-        return self._canonical_candidate(sg, column, threshold, scan_sse, left, right)
-
-    def _canonical_candidate(
-        self,
-        sg: Subgroup,
-        column: int,
-        threshold: float,
-        scan_sse: float,
-        left: np.ndarray,
-        right: np.ndarray,
-    ) -> CandidateSplit:
         left_model = fit_on_neighborhoods(self.ns, left, self.lam)
         right_model = fit_on_neighborhoods(self.ns, right, self.lam)
         left_loss = subgroup_loss(self.ns, left, left_model)
@@ -176,7 +168,6 @@ class _Engine:
             subgroup_id=sg.id,
             column=column,
             threshold=threshold,
-            scan_sse=scan_sse,
             left_members=left,
             right_members=right,
             left_model=left_model,
@@ -247,7 +238,7 @@ def run(
     engine = _Engine(enc, ns, lam, min_support, columns)
 
     members = np.arange(enc.n, dtype=np.int64)
-    root_model = fit_on_neighborhoods(ns, members, lam, fitted_on="s0")
+    root_model = fit_on_neighborhoods(ns, members, lam)
     root = Subgroup(
         id=0,
         members=members,
@@ -281,26 +272,14 @@ def run(
             id=next_id,
             members=best.left_members,
             pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
-            model=WhiteBoxModel(
-                coefficients=best.left_model.coefficients,
-                intercepts=best.left_model.intercepts,
-                lam=best.left_model.lam,
-                fitted_on=f"s{next_id}",
-                n_samples=best.left_model.n_samples,
-            ),
+            model=best.left_model,
             loss=best.left_loss,
         )
         right = Subgroup(
             id=next_id + 1,
             members=best.right_members,
             pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
-            model=WhiteBoxModel(
-                coefficients=best.right_model.coefficients,
-                intercepts=best.right_model.intercepts,
-                lam=best.right_model.lam,
-                fitted_on=f"s{next_id + 1}",
-                n_samples=best.right_model.n_samples,
-            ),
+            model=best.right_model,
             loss=best.right_loss,
         )
         next_id += 2
@@ -350,12 +329,11 @@ def run(
     return partition
 
 
-def validate_partition(partition: Partition, enc: EncodedMatrix, K: int | None = None) -> None:
-    """Check the partition invariants; raises InvariantError on violation.
+def check_cover(partition: Partition, n: int, K: int | None = None) -> None:
+    """At most K subgroups whose members disjointly cover 0..n-1.
 
-    The subgroups must disjointly cover every explained object, respect
-    the budget, and each pattern's extent over the explained objects
-    must equal the stored member set exactly.
+    K defaults to the partition's configured budget.  Raises
+    InvariantError on violation.
     """
     if K is None:
         K = int(partition.config.get("k", len(partition.subgroups)))
@@ -364,8 +342,18 @@ def validate_partition(partition: Partition, enc: EncodedMatrix, K: int | None =
             f"{len(partition.subgroups)} subgroups exceed the budget K={K}"
         )
     seen = np.concatenate([sg.members for sg in partition.subgroups])
-    if seen.size != enc.n or not np.array_equal(np.sort(seen), np.arange(enc.n)):
+    if seen.size != n or not np.array_equal(np.sort(seen), np.arange(n)):
         raise InvariantError("subgroups do not disjointly cover the explained objects")
+
+
+def validate_partition(partition: Partition, enc: EncodedMatrix, K: int | None = None) -> None:
+    """Check the partition invariants; raises InvariantError on violation.
+
+    The subgroups must disjointly cover every explained object, respect
+    the budget, and each pattern's extent over the explained objects
+    must equal the stored member set exactly.
+    """
+    check_cover(partition, enc.n, K)
     rows = [decode_row(enc.values[i], enc) for i in range(enc.n)]
     for sg in partition.subgroups:
         ext = extent(sg.pattern, rows, enc.attributes)
@@ -383,10 +371,7 @@ def loss_curve(
 ) -> tuple[list[tuple[int, float]], Partition]:
     """Loss after each greedy step of a single K_max run: [(K, loss), ...]."""
     partition = run(enc, bb, K_max, **params)
-    curve = [(1, partition.root_loss)]
-    for entry in partition.trace:
-        curve.append((entry.iteration + 1, entry.loss_after))
-    return curve, partition
+    return partition.curve(), partition
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,6 @@ class WhiteBoxModel:
     coefficients: np.ndarray  # (p, m')
     intercepts: np.ndarray  # (p,)
     lam: float
-    fitted_on: str = ""
-    n_samples: int = 0
 
 
 def _as_targets(Y: np.ndarray) -> np.ndarray:
@@ -60,7 +58,6 @@ def fit_ridge(
     lam: float,
     fit_intercept: bool = True,
     standardize: bool = False,
-    fitted_on: str = "",
 ) -> WhiteBoxModel:
     """Fit the multi-output ridge model.
 
@@ -114,8 +111,6 @@ def fit_ridge(
         coefficients=np.ascontiguousarray(coef),
         intercepts=np.ascontiguousarray(intercept),
         lam=float(lam),
-        fitted_on=fitted_on,
-        n_samples=k,
     )
 
 
@@ -166,12 +161,7 @@ def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.
     return ns.grams
 
 
-def fit_on_neighborhoods(
-    ns: NeighborhoodSet,
-    members: np.ndarray,
-    lam: float,
-    fitted_on: str = "",
-) -> WhiteBoxModel:
+def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -> WhiteBoxModel:
     """Fit one surrogate on the pooled neighborhoods of the given objects.
 
     Unlike :func:`fit_ridge` this never raises on a singular system: the
@@ -187,20 +177,16 @@ def fit_on_neighborhoods(
     C = C_all[members].sum(axis=0)
     m = ns.samples.shape[2]
     B, _ = kernels.solve_penalized(G, C, lam, m)
-    return model_from_solution(B, lam, fitted_on, int(members.size) * ns.size)
+    return model_from_solution(B, lam)
 
 
-def model_from_solution(
-    B: np.ndarray, lam: float, fitted_on: str, n_samples: int
-) -> WhiteBoxModel:
+def model_from_solution(B: np.ndarray, lam: float) -> WhiteBoxModel:
     """Model from a (m + 1, p) normal-equation solution, intercept row last."""
     m = B.shape[0] - 1
     return WhiteBoxModel(
         coefficients=np.ascontiguousarray(B[:m].T),
         intercepts=np.ascontiguousarray(B[m].copy()),
         lam=float(lam),
-        fitted_on=fitted_on,
-        n_samples=n_samples,
     )
 
 

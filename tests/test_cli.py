@@ -70,6 +70,22 @@ def _explain_args(gen_dir, out, extra=()):
     ]
 
 
+def _eval_args(gen_dir, partition, out_dir):
+    return [
+        "eval",
+        "--partition",
+        str(partition),
+        "--data",
+        str(gen_dir / "data.csv"),
+        "--schema",
+        str(gen_dir / "schema.json"),
+        "--blackbox",
+        str(gen_dir / "blackbox.json"),
+        "--out-dir",
+        str(out_dir),
+    ]
+
+
 def test_synth_writes_expected_files(gen_dir):
     for name in ("data.csv", "schema.json", "blackbox.json", "ground_truth.json"):
         assert (gen_dir / name).exists()
@@ -171,31 +187,78 @@ def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
         assert np.array_equal(rewritten.bb_outputs, good.bb_outputs)
 
 
-def test_eval_rejects_tampered_members(gen_dir, tmp_path):
+def _overlap(dump):
+    dump["subgroups"][0]["members"].append(dump["subgroups"][1]["members"][0])
+
+
+def _over_budget(dump):
+    dump["config"]["k"] = 1
+
+
+@pytest.mark.parametrize("tamper", [_overlap, _over_budget], ids=["overlap", "budget"])
+def test_eval_rejects_tampered_members(gen_dir, tmp_path, tamper):
     out = tmp_path / "partition.json"
     assert main(_explain_args(gen_dir, out)) == 0
     dump = json.loads(out.read_text())
     if len(dump["subgroups"]) < 2:
         pytest.skip("needs two subgroups to overlap")
-    dump["subgroups"][0]["members"].append(dump["subgroups"][1]["members"][0])
+    tamper(dump)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(dump))
-    code = main(
-        [
-            "eval",
-            "--partition",
-            str(tampered),
-            "--data",
-            str(gen_dir / "data.csv"),
-            "--schema",
-            str(gen_dir / "schema.json"),
-            "--blackbox",
-            str(gen_dir / "blackbox.json"),
-            "--out-dir",
-            str(tmp_path / "r"),
-        ]
-    )
-    assert code == 1
+    assert main(_eval_args(gen_dir, tampered, tmp_path / "r")) == 1
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("subgroups", 0, "model"), _DROP),
+        (("trace", 0, "loss_after"), _DROP),
+        (("subgroups", 0, "members"), "abc"),
+        (("config", "z"), "x"),
+        (("subgroups", 0, "model", "coefficients"), [[0.5]]),
+        (("subgroups", 0, "members"), [1.5]),
+    ],
+    ids=[
+        "no-model",
+        "no-loss-after",
+        "members-str",
+        "z-str",
+        "coefficients-1x1",
+        "members-float",
+    ],
+)
+def test_eval_rejects_malformed_partition_file(gen_dir, tmp_path, capsys, path, value):
+    out = tmp_path / "partition.json"
+    assert main(_explain_args(gen_dir, out)) == 0
+    dump = json.loads(out.read_text())
+    assert dump["trace"]
+    *parents, last = path
+    target = dump
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dump))
+    capsys.readouterr()
+    assert main(_eval_args(gen_dir, bad, tmp_path / "r")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: partition file: ")
+    assert err.count("\n") == 1
+
+
+def test_eval_curve_matches_explain_curve(gen_dir, tmp_path):
+    out = tmp_path / "partition.json"
+    curve = tmp_path / "curve.csv"
+    assert main(_explain_args(gen_dir, out, extra=("--curve", str(curve)))) == 0
+    assert len(json.loads(out.read_text())["trace"]) >= 1
+    assert main(_eval_args(gen_dir, out, tmp_path / "r")) == 0
+    assert (tmp_path / "r" / "curve.csv").read_bytes() == curve.read_bytes()
 
 
 def test_eval_rejects_stale_data_hash(gen_dir, tmp_path):
@@ -491,6 +554,67 @@ def test_featurize_rejects_bad_requests(tmp_path):
         )
         == 2
     )
+
+
+_TICKETS_SCHEMA = {
+    "attributes": [{"name": "severity", "kind": "numeric"}],
+    "classes": ["hw", "sw"],
+}
+
+
+def _featurize_args(tmp_path, data, schema):
+    return [
+        "featurize",
+        "--data",
+        str(data),
+        "--schema",
+        str(schema),
+        "--field",
+        "message",
+        "--top-n",
+        "3",
+        "--out-data",
+        str(tmp_path / "out.csv"),
+        "--out-schema",
+        str(tmp_path / "out_schema.json"),
+        "--out-vocab",
+        str(tmp_path / "vocab.json"),
+    ]
+
+
+def test_featurize_skips_blank_lines_like_load_dataset(tmp_path):
+    data = tmp_path / "tickets.csv"
+    data.write_text("severity,message,class\n1.0,disk full,hw\n\n0.5,login failed,sw\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_TICKETS_SCHEMA))
+    assert main(_featurize_args(tmp_path, data, schema)) == 0
+
+    from sd4x.dataset import load_dataset
+
+    ds = load_dataset(str(tmp_path / "out.csv"), str(tmp_path / "out_schema.json"))
+    assert ds.labels == ["hw", "sw"]
+    assert [row[0] for row in ds.rows] == [1.0, 0.5]
+
+
+def test_featurize_numbers_bad_rows_like_load_dataset(tmp_path, capsys):
+    from sd4x.dataset import load_dataset
+    from sd4x.errors import InputError
+
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(_TICKETS_SCHEMA))
+    with_text = tmp_path / "with_text.csv"
+    with_text.write_text("severity,message,class\n1.0,disk full,hw\n\noops,swap full,hw\n")
+    without_text = tmp_path / "without_text.csv"
+    without_text.write_text("severity,class\n1.0,hw\n\noops,hw\n")
+
+    capsys.readouterr()
+    assert main(_featurize_args(tmp_path, with_text, schema)) == 2
+    featurize_err = capsys.readouterr().err
+    with pytest.raises(InputError) as exc:
+        load_dataset(str(without_text), str(schema))
+    spot = "row 3, column 'severity': 'oops' is not numeric"
+    assert spot in featurize_err
+    assert spot in str(exc.value)
 
 
 def test_explain_on_toy_fixture(tmp_path):

@@ -14,6 +14,7 @@ from sd4x.dataset import (
     format_value,
     load_dataset,
     load_schema,
+    read_dataset,
     save_dataset,
     save_schema,
     schema_from_dict,
@@ -163,6 +164,24 @@ def test_dataset_without_class_column(tmp_path):
     ds = load_dataset(str(unlabeled), TOY_SCHEMA)
     assert ds.labels is None
     assert ds.n == 7
+
+
+def test_read_dataset_cuts_the_text_column(tmp_path, toy):
+    # the text column sits between two attributes; the rest parses as usual
+    with open(TOY_CSV) as fh:
+        lines = [ln.split(",") for ln in fh.read().splitlines()]
+    texts = [f"note {i}" for i in range(1, len(lines))]
+    for cells, text in zip(lines, ["note"] + texts):
+        cells.insert(3, text)
+    with_text = tmp_path / "with_text.csv"
+    with_text.write_text("\n".join(",".join(c) for c in lines) + "\n")
+    attributes, classes = load_schema(TOY_SCHEMA)
+    ds, got = read_dataset(str(with_text), attributes, classes, text_field="note")
+    assert got == texts
+    assert (ds.rows, ds.labels) == (toy.rows, toy.labels)
+    assert read_dataset(TOY_CSV, attributes, classes)[1] is None
+    with pytest.raises(InputError, match="no column named 'body'"):
+        read_dataset(str(with_text), attributes, classes, text_field="body")
 
 
 def test_save_load_round_trip(tmp_path, toy):

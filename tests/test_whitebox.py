@@ -110,9 +110,7 @@ def test_predict_frozen_subgroup_model(toy_enc):
     coef[0, 0] = 0.8
     coef[0, 1] = 0.7
     coef[0, 2] = 0.4
-    model = WhiteBoxModel(
-        coefficients=coef, intercepts=np.zeros(2), lam=1.0, fitted_on="s1"
-    )
+    model = WhiteBoxModel(coefficients=coef, intercepts=np.zeros(2), lam=1.0)
     scores = predict(model, toy_enc.values[1:2])
     assert scores[0, 0] == pytest.approx(0.68, abs=1e-12)
 
@@ -218,7 +216,6 @@ def test_fit_on_neighborhoods_equals_stacked_ridge():
         loss = subgroup_loss(ns, members, pooled)
         resid = float(np.sum((predict(pooled, X) - Y) ** 2))
         assert loss == pytest.approx(resid, rel=1e-9, abs=1e-9)
-    assert pooled.n_samples == members.size * ns.size
 
 
 def test_fit_on_neighborhoods_never_raises_on_singular():
