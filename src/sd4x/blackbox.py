@@ -188,30 +188,55 @@ def blackbox_to_dict(bb: LinearBlackBox | PiecewiseLinearBlackBox) -> dict:
     }
 
 
+def regimes_from_list(raw: object) -> list[Regime]:
+    """Regimes from their JSON list, as in a black-box file or a synth spec.
+
+    Each regime is an object with ``weights``, ``biases`` and optional
+    ``conditions``.  Types are checked here and errors name the regime;
+    shapes are checked by whoever builds the black box from them.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise InputError("piecewise model needs a non-empty 'regimes' list")
+    regimes = []
+    for k, reg in enumerate(raw):
+        if not isinstance(reg, dict):
+            raise InputError(f"regime #{k} is not a JSON object")
+        try:
+            conditions = tuple(
+                Condition(str(c["column"]), str(c["op"]), float(c["value"]))
+                for c in reg.get("conditions", ())
+            )
+            regimes.append(
+                Regime(
+                    conditions=conditions,
+                    weights=np.asarray(reg["weights"], dtype=np.float64),
+                    biases=np.asarray(reg["biases"], dtype=np.float64),
+                )
+            )
+        except KeyError as exc:
+            raise InputError(f"regime #{k}: missing {exc}") from exc
+        except (InputError, TypeError, ValueError) as exc:
+            raise InputError(f"regime #{k}: {exc}") from exc
+    return regimes
+
+
 def blackbox_from_dict(obj: dict) -> LinearBlackBox | PiecewiseLinearBlackBox:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("black-box description needs a 'type' field")
-    classes = tuple(str(c) for c in obj.get("classes", ()))
-    columns = tuple(str(c) for c in obj.get("columns", ()))
-    if obj["type"] == "linear":
-        weights = obj.get("weights", obj.get("coefficients"))
-        biases = obj.get("biases", obj.get("intercepts"))
-        if weights is None or biases is None:
-            raise InputError("linear black box needs weights and biases")
-        return LinearBlackBox(classes, columns, np.asarray(weights), np.asarray(biases))
-    if obj["type"] == "piecewise_linear":
-        regimes = [
-            Regime(
-                conditions=tuple(
-                    Condition(str(c["column"]), str(c["op"]), float(c["value"]))
-                    for c in reg.get("conditions", ())
-                ),
-                weights=np.asarray(reg["weights"]),
-                biases=np.asarray(reg["biases"]),
-            )
-            for reg in obj.get("regimes", ())
-        ]
-        return PiecewiseLinearBlackBox(classes, columns, regimes)
+    try:
+        classes = tuple(str(c) for c in obj.get("classes", ()))
+        columns = tuple(str(c) for c in obj.get("columns", ()))
+        if obj["type"] == "linear":
+            weights = obj.get("weights", obj.get("coefficients"))
+            biases = obj.get("biases", obj.get("intercepts"))
+            if weights is None or biases is None:
+                raise InputError("linear black box needs weights and biases")
+            return LinearBlackBox(classes, columns, np.asarray(weights), np.asarray(biases))
+        if obj["type"] == "piecewise_linear":
+            regimes = regimes_from_list(obj.get("regimes"))
+            return PiecewiseLinearBlackBox(classes, columns, regimes)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad black-box description: {exc}") from exc
     raise InputError(f"unknown black-box type {obj['type']!r}")
 
 

@@ -51,6 +51,17 @@ from .text import featurize_text
 from .whitebox import WhiteBoxModel, subgroup_loss
 
 _LOSS_REL_TOL = 1e-6
+_NUMBER = (int, float)
+_TEXT_OR_LIST = (str, list)
+_JSON_NAMES = {
+    int: "integer", _NUMBER: "number", str: "string", list: "array", dict: "object",
+    _TEXT_OR_LIST: "string or array",
+}
+
+
+def _is_json(value, kind) -> bool:
+    """Whether value is a JSON value of this kind; a bool is never a number."""
+    return not isinstance(value, bool) and isinstance(value, kind)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -70,17 +81,27 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default, attr: str | None = None):
+def _resolve(
+    args: argparse.Namespace, config: dict, key: str, kind, default, attr: str | None = None
+):
+    """The flag's value if given, else the config's, else the default.
+
+    A config value must be a JSON value of ``kind``; a number is returned
+    as a float.
+    """
     value = getattr(args, attr or key.replace("-", "_"), None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    if not _is_json(value, kind):
+        raise InputError(f"config: {key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is _NUMBER else value
 
 
 def _resolve_threads(args: argparse.Namespace, config: dict) -> int:
-    value = _resolve(args, config, "threads", None)
+    value = _resolve(args, config, "threads", int, None)
     if value is None:
         env = os.environ.get("SD4X_THREADS", "").strip()
         if env:
@@ -90,7 +111,6 @@ def _resolve_threads(args: argparse.Namespace, config: dict) -> int:
                 raise InputError(f"SD4X_THREADS must be an integer, got {env!r}") from exc
         else:
             value = os.cpu_count() or 1
-    value = int(value)
     if value < 1:
         raise InputError(f"threads must be >= 1, got {value}")
     return value
@@ -159,7 +179,7 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _resolve(args, config, "seed", int, 0)
     spec = spec_from_dict(_read_json(args.spec, "synthetic spec"))
     result = generate_synthetic(spec, seed=seed)
     os.makedirs(args.out, exist_ok=True)
@@ -182,7 +202,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    top_n = int(_resolve(args, config, "top-n", 10))
+    top_n = _resolve(args, config, "top-n", int, 10)
     attributes, classes = load_schema(args.schema)
     base, texts = read_dataset(args.data, attributes, classes, text_field=args.field)
     matrix, vocab = featurize_text(texts, top_n)
@@ -215,14 +235,14 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    k = int(_resolve(args, config, "k", 10))
-    z = int(_resolve(args, config, "z", 10))
-    n_synth = int(_resolve(args, config, "n-synth", 250))
-    lam = float(_resolve(args, config, "lambda", 1.0, attr="lam"))
-    min_support = int(_resolve(args, config, "min-support", 2))
-    seed = int(_resolve(args, config, "seed", 0))
+    k = _resolve(args, config, "k", int, 10)
+    z = _resolve(args, config, "z", int, 10)
+    n_synth = _resolve(args, config, "n-synth", int, 250)
+    lam = _resolve(args, config, "lambda", _NUMBER, 1.0, attr="lam")
+    min_support = _resolve(args, config, "min-support", int, 2)
+    seed = _resolve(args, config, "seed", int, 0)
     threads = _resolve_threads(args, config)
-    split_columns = _resolve(args, config, "split-columns", None)
+    split_columns = _resolve(args, config, "split-columns", _TEXT_OR_LIST, None)
     if isinstance(split_columns, str) and split_columns != "non-text":
         split_columns = [s.strip() for s in split_columns.split(",") if s.strip()]
 
@@ -244,7 +264,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
         K=k,
         lam=lam,
         min_support=min_support,
-        threads=threads,
         split_columns=split_columns,
         ns=ns,
     )
@@ -265,8 +284,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_NUMBER = (int, float)
-_JSON_NAMES = {int: "integer", _NUMBER: "number", str: "string", list: "array", dict: "object"}
 # Dumped trace keys in TraceEntry field order.
 _TRACE_FIELDS = (
     ("iter", int), ("subgroup", int), ("column", str),
@@ -280,7 +297,7 @@ def _field(obj: dict, key: str, kind, where: str = ""):
     A number is returned as a float.
     """
     value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if not _is_json(value, kind):
         name = _JSON_NAMES[kind]
         raise InputError(f"partition file: {where}{key} is missing or not a JSON {name}")
     return float(value) if kind is _NUMBER else value

@@ -14,8 +14,8 @@ The objects are built in chunks of about ``_BUILD_CHUNK_ROWS`` rows.
 Within a chunk the worker threads only draw the standard normals, each
 object from its own substream into its own slice of a reused buffer;
 the calling thread then applies the Cholesky factor to the whole chunk
-in one stacked product and discretizes it.  The stacked product makes
-the same per-object BLAS call as a product over one object, and
+in one stacked product and discretizes it in place.  The stacked product
+makes the same per-object BLAS call as a product over one object, and
 discretization works row by row, so the samples are bit-identical for
 any thread count and chunk size.
 """
@@ -37,8 +37,7 @@ from .dataset import AttributeKind, EncodedMatrix
 from .errors import InputError
 
 _LABEL_CHUNK = 65536
-# Neighborhood rows per chunk of build; bounds the draw buffer and the
-# discretize copy.
+# Neighborhood rows per chunk of build; bounds the draw buffer.
 _BUILD_CHUNK_ROWS = 8192
 
 
@@ -92,27 +91,29 @@ def scaled_cholesky(sigma: np.ndarray, z: int) -> np.ndarray:
 
 
 def discretize(samples: np.ndarray, enc: EncodedMatrix) -> np.ndarray:
-    """Snap raw Gaussian rows onto valid encoded rows."""
-    out = np.array(samples, dtype=np.float64, copy=True)
+    """Snap raw Gaussian rows onto valid encoded rows, in place.
+
+    ``samples`` is a 2-D float64 array; it is modified and returned.
+    """
     j = 0
     for attr in enc.attributes:
         if attr.kind is AttributeKind.NUMERIC:
             j += 1
         elif attr.kind is AttributeKind.BOOLEAN:
-            out[:, j] = np.where(out[:, j] >= 0.5, 1.0, 0.0)
+            samples[:, j] = np.where(samples[:, j] >= 0.5, 1.0, 0.0)
             j += 1
         elif attr.kind is AttributeKind.ORDINAL:
             top = float(len(attr.categories) - 1)
-            out[:, j] = np.clip(np.floor(out[:, j] + 0.5), 0.0, top)
+            samples[:, j] = np.clip(np.floor(samples[:, j] + 0.5), 0.0, top)
             j += 1
         else:
             k = len(attr.categories)
-            block = out[:, j : j + k]
+            block = samples[:, j : j + k]
             winner = np.argmin(np.abs(block - 1.0), axis=1)
             block[:] = 0.0
             block[np.arange(block.shape[0]), winner] = 1.0
             j += k
-    return out
+    return samples
 
 
 def build(
@@ -129,6 +130,8 @@ def build(
     """
     if n_synth < 0:
         raise InputError(f"n_synth must be >= 0, got {n_synth}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     sigma = estimate_covariance(enc.values)
     L = scaled_cholesky(sigma, z)
     n, m = enc.n, enc.m
@@ -151,8 +154,7 @@ def build(
             synth = samples[start:stop, 1:]
             np.matmul(g[: stop - start], L.T, out=synth)
             synth += enc.values[start:stop, None, :]
-            rows = samples[start:stop].reshape(-1, m)
-            rows[:] = discretize(rows, enc)
+            discretize(samples[start:stop].reshape(-1, m), enc)
     return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
 
 

@@ -190,39 +190,6 @@ def most_restrictive(
     return Pattern(tuple(out))
 
 
-def _interval_contains_interval(a: Interval, b: Interval) -> bool:
-    lo_ok = a.lo < b.lo or (a.lo == b.lo and (not a.lo_open or b.lo_open))
-    hi_ok = a.hi > b.hi or (a.hi == b.hi and (not a.hi_open or b.hi_open))
-    return lo_ok and hi_ok
-
-
-def is_more_general(
-    c: Pattern, d: Pattern, attributes: tuple[Attribute, ...]
-) -> bool:
-    """True when every restriction of c contains the matching restriction of d."""
-    if len(c.restrictions) != len(d.restrictions):
-        raise InputError("patterns must have equal arity")
-    for rc, rd, attr in zip(c.restrictions, d.restrictions, attributes):
-        if _is_full(rc, attr):
-            continue
-        if _is_full(rd, attr):
-            return False
-        if isinstance(rc, Interval) and isinstance(rd, Interval):
-            if not _interval_contains_interval(rc, rd):
-                return False
-        elif isinstance(rc, CategorySubset) and isinstance(rd, CategorySubset):
-            if not rc.categories >= rd.categories:
-                return False
-        elif isinstance(rc, BoolSubset) and isinstance(rd, BoolSubset):
-            if not rc.values >= rd.values:
-                return False
-        else:
-            raise InputError(
-                f"incomparable restrictions {rc!r} and {rd!r} on {attr.name!r}"
-            )
-    return True
-
-
 def refine(
     pattern: Pattern,
     attributes: tuple[Attribute, ...],

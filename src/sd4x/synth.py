@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackbox import Condition, PiecewiseLinearBlackBox, Regime, blackbox_to_dict
+from .blackbox import PiecewiseLinearBlackBox, Regime, blackbox_to_dict, regimes_from_list
 from .dataset import Attribute, AttributeKind, Dataset, encode, schema_from_dict
 from .errors import InputError
 
@@ -25,18 +25,11 @@ _PROBES = 512
 
 
 @dataclass
-class RegimeSpec:
-    conditions: tuple[Condition, ...]
-    weights: np.ndarray
-    biases: np.ndarray
-
-
-@dataclass
 class SynthSpec:
     attributes: tuple[Attribute, ...]
     classes: tuple[str, ...]
     n: int
-    regimes: list[RegimeSpec]
+    regimes: list[Regime]
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     noise_scale: float = 0.0
 
@@ -53,25 +46,7 @@ def spec_from_dict(obj: dict) -> SynthSpec:
     n = obj.get("n")
     if not isinstance(n, int) or n < 1:
         raise InputError(f"spec needs a positive integer 'n', got {n!r}")
-    raw_regimes = obj.get("regimes")
-    if not raw_regimes or not isinstance(raw_regimes, list):
-        raise InputError("spec needs a non-empty 'regimes' list")
-    regimes = []
-    for k, reg in enumerate(raw_regimes):
-        try:
-            conditions = tuple(
-                Condition(str(c["column"]), str(c["op"]), float(c["value"]))
-                for c in reg.get("conditions", ())
-            )
-            regimes.append(
-                RegimeSpec(
-                    conditions=conditions,
-                    weights=np.asarray(reg["weights"], dtype=np.float64),
-                    biases=np.asarray(reg["biases"], dtype=np.float64),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"regime #{k}: {exc}") from exc
+    regimes = regimes_from_list(obj.get("regimes"))
     ranges = {}
     for name, pair in obj.get("ranges", {}).items():
         if (
@@ -113,11 +88,11 @@ def _draw_rows(spec: SynthSpec, rng: np.random.Generator, n: int) -> list[tuple]
 
 def generate_synthetic(spec: SynthSpec, seed: int = 0) -> SynthResult:
     """Draw the dataset, build the oracle, validate its regime rules."""
-    base = np.random.SeedSequence(entropy=seed)
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rows_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     probe_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
-    del base
 
     rows = _draw_rows(spec, rows_rng, spec.n)
     dataset = Dataset(spec.attributes, spec.classes, rows)
@@ -137,7 +112,7 @@ def generate_synthetic(spec: SynthSpec, seed: int = 0) -> SynthResult:
         if spec.noise_scale > 0.0:
             weights = weights + spec.noise_scale * noise_rng.standard_normal(weights.shape)
             biases = biases + spec.noise_scale * noise_rng.standard_normal(biases.shape)
-        regimes.append(Regime(tuple(reg.conditions), weights, biases))
+        regimes.append(Regime(reg.conditions, weights, biases))
     bb = PiecewiseLinearBlackBox(spec.classes, enc.column_names, regimes)
 
     probe_rows = _draw_rows(spec, probe_rng, _PROBES)

@@ -1,12 +1,15 @@
 """Multi-output ridge surrogates.
 
 One surrogate predicts all class probabilities at once: a coefficient
-matrix of shape (classes, columns) plus per-class intercepts.  Fitting
-solves the penalized normal equations on the augmented design (intercept
-column last, unpenalized), factoring once for all outputs.  The same
-Gram-based path also fits subgroups directly from pooled neighborhoods,
+matrix of shape (classes, columns) plus per-class intercepts.  Every fit
+solves the penalized normal equations of the augmented design [X, 1]
+(intercept column last, unpenalized), factoring once for all outputs,
+and turns the solution into a model with :func:`model_from_solution`.
+:func:`fit_ridge` forms those Gram pieces from one sample matrix.
+:func:`fit_on_neighborhoods` sums precomputed per-object pieces instead,
 so a subgroup fit, the global baseline, and the root of a partition run
-share one code path and produce bit-identical models for equal inputs.
+share one code path and produce bit-identical models for equal inputs;
+on the same rows the two functions agree up to rounding.
 
 The per-object Gram pieces come from batched BLAS products of each
 neighborhood with itself and with its black-box outputs; the intercept
@@ -19,7 +22,6 @@ block of rows at a time.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -52,18 +54,10 @@ def _as_targets(Y: np.ndarray) -> np.ndarray:
     return Y
 
 
-def fit_ridge(
-    X: np.ndarray,
-    Y: np.ndarray,
-    lam: float,
-    fit_intercept: bool = True,
-    standardize: bool = False,
-) -> WhiteBoxModel:
-    """Fit the multi-output ridge model.
+def fit_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> WhiteBoxModel:
+    """Fit the multi-output ridge model on the augmented design [X, 1].
 
-    The penalty applies to coefficients only, never the intercept.  With
-    ``standardize`` the columns are scaled to unit variance before
-    fitting and the solution is mapped back to the original units.  A
+    The penalty applies to coefficients only, never the intercept.  A
     singular system is an error at ``lam == 0``; any positive ``lam``
     makes the system positive definite.
     """
@@ -78,40 +72,13 @@ def fit_ridge(
     if lam < 0:
         raise InputError(f"lambda must be >= 0, got {lam}")
     k, m = X.shape
-    mu = np.zeros(m)
-    sd = np.ones(m)
-    if standardize:
-        mu = X.mean(axis=0)
-        sd = X.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        X = (X - mu) / sd
-    if fit_intercept:
-        Xa = np.concatenate([X, np.ones((k, 1))], axis=1)
-        npen = m
-    else:
-        Xa = X
-        npen = m
-    G = Xa.T @ Xa
-    C = Xa.T @ Y
-    B, chol_ok = kernels.solve_penalized(G, C, lam, npen)
+    Xa = np.concatenate([X, np.ones((k, 1))], axis=1)
+    B, chol_ok = kernels.solve_penalized(Xa.T @ Xa, Xa.T @ Y, lam, m)
     if not chol_ok and lam == 0.0:
         raise SingularSystemError(
             "normal equations are singular at lambda = 0; refit with lambda > 0"
         )
-    if fit_intercept:
-        coef = B[:m].T
-        intercept = B[m].copy()
-    else:
-        coef = B.T
-        intercept = np.zeros(Y.shape[1])
-    if standardize:
-        intercept = intercept - coef @ (mu / sd)
-        coef = coef / sd
-    return WhiteBoxModel(
-        coefficients=np.ascontiguousarray(coef),
-        intercepts=np.ascontiguousarray(intercept),
-        lam=float(lam),
-    )
+    return model_from_solution(B, lam)
 
 
 def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
@@ -212,7 +179,7 @@ def subgroup_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel
 
 
 # ---------------------------------------------------------------------------
-# inspection and persistence
+# inspection and serialization
 # ---------------------------------------------------------------------------
 
 
@@ -244,7 +211,12 @@ def feature_importance(
 def model_to_dict(
     model: WhiteBoxModel, columns: tuple[str, ...], classes: tuple[str, ...]
 ) -> dict:
-    """JSON form; readable by the linear black-box loader for replay."""
+    """JSON form of the model, as dumped per subgroup in ``partition.json``.
+
+    Rows of ``coefficients`` follow ``classes``, columns follow ``columns``.
+    ``sd4x eval`` reads it back from the dump; it has no ``type`` key, so
+    it is not a black-box file.
+    """
     return {
         "columns": list(columns),
         "classes": list(classes),
@@ -252,28 +224,3 @@ def model_to_dict(
         "intercepts": model.intercepts.tolist(),
         "lambda": model.lam,
     }
-
-
-def save_model(
-    path: str, model: WhiteBoxModel, columns: tuple[str, ...], classes: tuple[str, ...]
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, columns, classes), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path: str) -> tuple[WhiteBoxModel, tuple[str, ...], tuple[str, ...]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read model {path}: {exc}") from exc
-    for key in ("columns", "classes", "coefficients", "intercepts", "lambda"):
-        if key not in obj:
-            raise InputError(f"model file is missing {key!r}")
-    model = WhiteBoxModel(
-        coefficients=np.asarray(obj["coefficients"], dtype=np.float64),
-        intercepts=np.asarray(obj["intercepts"], dtype=np.float64),
-        lam=float(obj["lambda"]),
-    )
-    return model, tuple(obj["columns"]), tuple(obj["classes"])

@@ -432,6 +432,108 @@ def test_config_file_defaults_and_flag_override(gen_dir, tmp_path):
     assert json.loads(out_flag.read_text())["config"]["k"] == 3
 
 
+def _no_weights(bb):
+    del bb["regimes"][0]["weights"]
+    return bb
+
+
+def _text_condition_value(bb):
+    bb["regimes"][0]["conditions"][0]["value"] = "abc"
+    return bb
+
+
+def _ragged_linear_weights(bb):
+    return {
+        "type": "linear",
+        "classes": bb["classes"],
+        "columns": bb["columns"],
+        "weights": [[1.0, 0.0, 0.0], [1.0]],
+        "biases": [0.0, 0.0],
+    }
+
+
+def _non_object_regime(bb):
+    bb["regimes"] = [1]
+    return bb
+
+
+@pytest.mark.parametrize(
+    "mangle, fragment",
+    [
+        (_no_weights, "regime #0: missing 'weights'"),
+        (_text_condition_value, "regime #0: "),
+        (_ragged_linear_weights, "bad black-box description: "),
+        (_non_object_regime, "regime #0 is not a JSON object"),
+    ],
+    ids=["no-weights", "value-str", "ragged-linear", "regime-int"],
+)
+def test_explain_rejects_malformed_blackbox_file(gen_dir, tmp_path, capsys, mangle, fragment):
+    bb = mangle(json.loads((gen_dir / "blackbox.json").read_text()))
+    bad = tmp_path / "bad_bb.json"
+    bad.write_text(json.dumps(bb))
+    args = _explain_args(gen_dir, tmp_path / "p.json")
+    args[args.index("--blackbox") + 1] = str(bad)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, key",
+    [
+        ("explain", ("--seed", "-1"), None, "seed"),
+        ("synth", ("--seed", "-1"), None, "seed"),
+        ("explain", (), {"k": "abc"}, "k"),
+        ("explain", (), {"z": 2.5}, "z"),
+        ("explain", (), {"lambda": "x"}, "lambda"),
+        ("explain", (), {"lambda": True}, "lambda"),
+        ("explain", (), {"threads": "x"}, "threads"),
+        ("synth", (), {"seed": "x"}, "seed"),
+        ("featurize", (), {"top-n": "abc"}, "top-n"),
+    ],
+    ids=[
+        "explain-seed-negative",
+        "synth-seed-negative",
+        "k-str",
+        "z-float",
+        "lambda-str",
+        "lambda-bool",
+        "threads-str",
+        "synth-seed-str",
+        "top-n-str",
+    ],
+)
+def test_bad_seed_or_config_value_exits_2(gen_dir, tmp_path, capsys, command, flags, config, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_SPEC))
+    data, schema = str(gen_dir / "data.csv"), str(gen_dir / "schema.json")
+    args = {
+        "explain": [
+            "explain", "--data", data, "--schema", schema,
+            "--blackbox", str(gen_dir / "blackbox.json"),
+            "--n-synth", "5", "--out", str(tmp_path / "p.json"),
+        ],
+        "synth": ["synth", "--spec", str(spec), "--out", str(tmp_path / "gen2")],
+        "featurize": [
+            "featurize", "--data", data, "--schema", schema, "--field", "x0",
+            "--out-data", str(tmp_path / "o.csv"),
+            "--out-schema", str(tmp_path / "o.json"),
+            "--out-vocab", str(tmp_path / "v.json"),
+        ],
+    }[command] + list(flags)
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert err.count("\n") == 1
+
+
 def test_featurize_expands_text_column(tmp_path):
     data = tmp_path / "tickets.csv"
     data.write_text(

@@ -17,7 +17,6 @@ from sd4x.patterns import (
     closed_form,
     covers,
     extent,
-    is_more_general,
     most_restrictive,
     pattern_to_conditions,
     refine,
@@ -66,15 +65,6 @@ def test_extent_matches_manual_filter(toy):
     restrictions[3] = Interval(-math.inf, 0.3, lo_open=True)
     pattern = Pattern(tuple(restrictions))
     assert extent(pattern, toy.rows, toy.attributes).tolist() == [0, 1, 2]
-
-
-def test_generality_ordering(toy):
-    subset = [toy.rows[0], toy.rows[1]]
-    delta = most_restrictive(subset, toy.attributes)
-    top = Pattern.unrestricted(len(toy.attributes))
-    assert is_more_general(top, delta, toy.attributes)
-    assert not is_more_general(delta, top, toy.attributes)
-    assert is_more_general(delta, delta, toy.attributes)
 
 
 def test_refine_numeric_and_boolean(toy, toy_enc):

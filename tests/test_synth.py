@@ -55,6 +55,9 @@ def test_spec_validation_errors():
     unknown_range = dict(base, ranges={"nope": [0.0, 1.0]})
     with pytest.raises(InputError):
         spec_from_dict(unknown_range)
+    non_object_regime = dict(base, regimes=[1])
+    with pytest.raises(InputError):
+        spec_from_dict(non_object_regime)
 
 
 def test_generation_is_deterministic_per_seed():

@@ -12,26 +12,12 @@ from sd4x.whitebox import (
     feature_importance,
     fit_on_neighborhoods,
     fit_ridge,
-    load_model,
-    model_to_dict,
     neighborhood_grams,
     predict,
-    save_model,
     subgroup_loss,
 )
 
 from conftest import mixed_enc, numeric_enc, random_linear_bb
-
-
-def test_ridge_frozen_one_dimensional():
-    # X = [1, 2, 3], Y = 2X, lambda = 14, no intercept:
-    # (X'X + 14) w = X'Y  ->  (14 + 14) w = 28  ->  w = 1
-    X = np.array([[1.0], [2.0], [3.0]])
-    Y = np.array([2.0, 4.0, 6.0])
-    model = fit_ridge(X, Y, lam=14.0, fit_intercept=False)
-    assert model.coefficients.shape == (1, 1)
-    assert model.coefficients[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert model.intercepts[0] == 0.0
 
 
 def test_ridge_single_row_puts_mean_in_intercept():
@@ -65,18 +51,6 @@ def test_ridge_matches_explicit_normal_equations():
         model = fit_ridge(X, Y, lam=lam)
         assert np.allclose(model.coefficients, expected[:-1].T, atol=1e-9)
         assert np.allclose(model.intercepts, expected[-1], atol=1e-9)
-
-
-def test_ridge_standardize_matches_manual_path():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(60, 3)) * np.array([1.0, 10.0, 0.1]) + np.array([0.0, 5.0, -2.0])
-    Y = rng.normal(size=(60, 2))
-    lam = 3.0
-    model = fit_ridge(X, Y, lam=lam, standardize=True)
-    mu, sd = X.mean(axis=0), X.std(axis=0)
-    Xs = (X - mu) / sd
-    ref = fit_ridge(Xs, Y, lam=lam)
-    assert np.allclose(predict(model, X), predict(ref, Xs), atol=1e-9)
 
 
 def test_ridge_singular_at_lambda_zero_raises():
@@ -280,20 +254,3 @@ def test_feature_importance_ties_and_zero_row():
     with pytest.warns(UserWarning):
         empty = feature_importance(model, 1, ("a", "b"))
     assert empty == []
-
-
-def test_model_save_load_round_trip(tmp_path):
-    model = WhiteBoxModel(
-        coefficients=np.array([[0.25, -2.0]]),
-        intercepts=np.array([0.5]),
-        lam=0.75,
-    )
-    path = str(tmp_path / "model.json")
-    save_model(path, model, ("c1", "c2"), ("only",))
-    loaded, columns, classes = load_model(path)
-    assert columns == ("c1", "c2") and classes == ("only",)
-    assert np.array_equal(loaded.coefficients, model.coefficients)
-    assert np.array_equal(loaded.intercepts, model.intercepts)
-    assert loaded.lam == 0.75
-    with pytest.raises(InputError):
-        load_model(str(tmp_path / "missing.json"))
