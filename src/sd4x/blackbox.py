@@ -351,6 +351,8 @@ class ExternalBlackBox:
             shutil.rmtree(workdir, ignore_errors=True)
 
     def _sanitize(self, probs: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(probs)):
+            raise ExternalBlackBoxError("non-finite probability in response")
         if np.any(probs < _NEG_CLIP):
             bad = float(probs.min())
             raise ExternalBlackBoxError(f"negative probability {bad} in response")

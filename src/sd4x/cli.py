@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 import sys
@@ -60,8 +61,14 @@ _JSON_NAMES = {
 
 
 def _is_json(value, kind) -> bool:
-    """Whether value is a JSON value of this kind; a bool is never a number."""
-    return not isinstance(value, bool) and isinstance(value, kind)
+    """Whether value is a JSON value of this kind.
+
+    A bool is never a number, and neither is NaN or an infinity, which
+    Python's ``json`` reads but JSON has no literal for.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -317,7 +324,12 @@ def _array(obj: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarra
         arr = np.asarray(_field(obj, key, list, where))
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != shape:
+    if (
+        arr is None
+        or arr.dtype.kind not in "iuf"
+        or arr.shape != shape
+        or not np.all(np.isfinite(arr))
+    ):
         raise InputError(f"partition file: {where}{key} must be a {shape} array of numbers")
     return arr.astype(np.float64, copy=False)
 
@@ -340,7 +352,8 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
     for key in ("k", "z", "n_synth", "seed"):
         if _field(config, key, int, "config.") < 0:
             raise InputError(f"partition file: config.{key} is negative")
-    _field(config, "lambda", _NUMBER, "config.")
+    if _field(config, "lambda", _NUMBER, "config.") < 0:
+        raise InputError("partition file: config.lambda is negative")
     if config.get("data_hash") != content_hash(enc):
         raise InputError("partition was computed on different data (content hash mismatch)")
     sub_dicts = _entries(dump, "subgroups")

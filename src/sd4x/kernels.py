@@ -17,6 +17,14 @@ systems (always the case for Gram-form normal equations) that solution
 still attains the minimal sum of squared errors.  Each matrix of a
 stack is solved by the same LAPACK call as it would be on its own, so
 batched and single results are bit-identical.
+
+Every stack is built and solved in chunks of at most ``_STACK_BYTES``
+bytes of ``(d, d)`` matrices, so the stack, its penalized copy and its
+Cholesky factor stay bounded however many systems a call solves.  Since
+each matrix still goes through the same LAPACK call, and every reduction
+runs within one matrix, the chunk size never changes a result.  The
+budget is in bytes rather than in matrices so that small systems stay in
+one chunk, where the per-call numpy overhead is paid once.
 """
 from __future__ import annotations
 
@@ -24,6 +32,8 @@ import numpy as np
 
 _EIG_CUTOFF = 1e-12
 _PIVOT_CUTOFF = 1e-12
+# Bytes of one stacked (k, d, d) Gram array; see the module docstring.
+_STACK_BYTES = 1 << 21
 
 
 def backend() -> str:
@@ -67,8 +77,26 @@ def solve_stack(
     ``G`` is (k, d, d) and ``C`` is (k, d, p); mask is 1 on the first
     npen entries.  Returns (B, ok) where ``ok[k]`` says matrix k passed
     the pivot test and was solved directly rather than by pseudoinverse.
+    The stack is penalized, factored and solved a chunk of at most
+    ``_STACK_BYTES`` at a time; the results do not depend on the chunks.
     """
-    A = _penalize(G, float(lam), int(npen))
+    lam, npen = float(lam), int(npen)
+    k, d = G.shape[0], G.shape[1]
+    step = max(1, _STACK_BYTES // (d * d * 8))
+    if k <= step:
+        return _solve_chunk(G, C, lam, npen)
+    B = np.empty(C.shape)
+    ok = np.empty(k, dtype=bool)
+    for start in range(0, k, step):
+        part = slice(start, start + step)
+        B[part], ok[part] = _solve_chunk(G[part], C[part], lam, npen)
+    return B, ok
+
+
+def _solve_chunk(
+    G: np.ndarray, C: np.ndarray, lam: float, npen: int
+) -> tuple[np.ndarray, np.ndarray]:
+    A = _penalize(G, lam, npen)
     ok = _pivots_pass(A)
     if ok.all():
         return np.linalg.solve(A, C), ok
@@ -118,17 +146,27 @@ def scan_sse(
     rows [t, n) (right, the totals minus those prefix sums).  With the
     totals taken as the last row of the same prefix sums, an entry that
     is zero in every row of the right child, such as a one-hot level
-    absent from it, comes out as an exact zero.  Both children of every
-    boundary are stacked and solved in one batched call.
+    absent from it, comes out as an exact zero.  Both children of each
+    boundary are stacked and solved in one batched call per chunk of
+    boundaries; a chunk's stack of Gram matrices takes at most
+    ``_STACK_BYTES``, and the totals are bit-identical for any chunking.
     """
     t = np.asarray(bounds, dtype=np.intp) - 1
     nb = t.shape[0]
-    G = np.empty((2 * nb,) + Gpre.shape[1:])
-    C = np.empty((2 * nb,) + Cpre.shape[1:])
-    np.take(Gpre, t, axis=0, out=G[:nb])
-    np.take(Cpre, t, axis=0, out=C[:nb])
-    np.subtract(Gtot, G[:nb], out=G[nb:])
-    np.subtract(Ctot, C[:nb], out=C[nb:])
-    yyl = yypre[t]
-    sse = _ridge_sse_stack(G, C, np.concatenate([yyl, yytot - yyl]), lam, npen)
-    return sse[:nb] + sse[nb:]
+    d = Gpre.shape[1]
+    step = max(1, min(nb, _STACK_BYTES // (2 * d * d * 8)))
+    G = np.empty((2 * step,) + Gpre.shape[1:])
+    C = np.empty((2 * step,) + Cpre.shape[1:])
+    out = np.empty(nb)
+    for start in range(0, nb, step):
+        tc = t[start : start + step]
+        k = tc.shape[0]
+        Gc, Cc = G[: 2 * k], C[: 2 * k]
+        np.take(Gpre, tc, axis=0, out=Gc[:k])
+        np.take(Cpre, tc, axis=0, out=Cc[:k])
+        np.subtract(Gtot, Gc[:k], out=Gc[k:])
+        np.subtract(Ctot, Cc[:k], out=Cc[k:])
+        yyl = yypre[tc]
+        sse = _ridge_sse_stack(Gc, Cc, np.concatenate([yyl, yytot - yyl]), lam, npen)
+        out[start : start + k] = sse[:k] + sse[k:]
+    return out

@@ -159,15 +159,29 @@ def build(
 
 
 def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
-    """Run the black box over every neighborhood row, in fixed-size chunks."""
+    """Run the black box over every neighborhood row, in fixed-size chunks.
+
+    ``_LABEL_CHUNK`` rows go to the black box per call, which sets the
+    number of external black-box processes.  Each chunk's outputs are
+    written into one preallocated array, so the outputs are held once,
+    plus one chunk.  A chunk whose outputs are not one probability per
+    class and row is bad input.
+    """
     n, S, m = ns.samples.shape
     flat = ns.samples.reshape(n * S, m)
-    parts = [
-        bb.predict_batch(flat[start : start + _LABEL_CHUNK])
-        for start in range(0, flat.shape[0], _LABEL_CHUNK)
-    ]
-    probs = np.concatenate(parts, axis=0) if parts else np.zeros((0, 0))
-    ns.bb_outputs = probs.reshape(n, S, probs.shape[1])
+    p = len(bb.classes)
+    probs = np.empty((n * S, p))
+    for start in range(0, flat.shape[0], _LABEL_CHUNK):
+        rows = flat[start : start + _LABEL_CHUNK]
+        part = bb.predict_batch(rows)
+        if part.shape != (rows.shape[0], p):
+            raise InputError(
+                f"black box returned outputs of shape {part.shape} "
+                f"for {rows.shape[0]} rows and {p} classes"
+            )
+        probs[start : start + rows.shape[0]] = part
+        del part  # free this chunk before the next call allocates its own
+    ns.bb_outputs = probs.reshape(n, S, p)
     return ns
 
 

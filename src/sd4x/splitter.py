@@ -19,6 +19,7 @@ index first, then lower threshold, then lower subgroup id.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,8 +218,8 @@ def run(
     """Greedy partition of the explained objects into at most K subgroups."""
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
-    if lam < 0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InputError(f"lambda must be a finite number >= 0, got {lam}")
     if min_support < 1:
         raise InputError(f"min_support must be >= 1, got {min_support}")
     if enc.n < 1:

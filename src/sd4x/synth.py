@@ -13,6 +13,7 @@ draw, so the returned black box stays deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,26 +48,41 @@ def spec_from_dict(obj: dict) -> SynthSpec:
     if not isinstance(n, int) or n < 1:
         raise InputError(f"spec needs a positive integer 'n', got {n!r}")
     regimes = regimes_from_list(obj.get("regimes"))
+    raw_ranges = obj.get("ranges", {})
+    if not isinstance(raw_ranges, dict):
+        raise InputError("spec 'ranges' must be an object of [lo, hi] pairs")
     ranges = {}
-    for name, pair in obj.get("ranges", {}).items():
+    for name, pair in raw_ranges.items():
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or float(pair[0]) >= float(pair[1])
+            or not all(_is_finite_number(v) for v in pair)
+            or pair[0] >= pair[1]
         ):
-            raise InputError(f"range for {name!r} must be [lo, hi] with lo < hi")
+            raise InputError(f"range for {name!r} must be [lo, hi] numbers with lo < hi")
         ranges[str(name)] = (float(pair[0]), float(pair[1]))
     known = {a.name for a in attributes}
     for name in ranges:
         if name not in known:
             raise InputError(f"range given for unknown attribute {name!r}")
+    noise_scale = obj.get("noise_scale", 0.0)
+    if not _is_finite_number(noise_scale) or noise_scale < 0:
+        raise InputError(f"spec 'noise_scale' must be a number >= 0, got {noise_scale!r}")
     return SynthSpec(
         attributes=attributes,
         classes=classes,
         n=n,
         regimes=regimes,
         ranges=ranges,
-        noise_scale=float(obj.get("noise_scale", 0.0)),
+        noise_scale=float(noise_scale),
+    )
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
     )
 
 

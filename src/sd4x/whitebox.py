@@ -12,16 +12,19 @@ share one code path and produce bit-identical models for equal inputs;
 on the same rows the two functions agree up to rounding.
 
 The per-object Gram pieces come from batched BLAS products of each
-neighborhood with itself and with its black-box outputs; the intercept
-row and column are filled from the column sums, so no augmented copy of
-the neighborhoods is built.  BLAS sums in its own order, so the last bits
-of these pieces, and of every model fitted from them, can differ between
-BLAS builds.  The subgroup loss is still computed from the samples
-themselves, as an independent check on the Gram-based fits, a bounded
-block of rows at a time.
+neighborhood with itself and with its black-box outputs, written straight
+into the Gram arrays; the intercept row and column are filled from the
+column sums, so no augmented copy of the neighborhoods is built.  BLAS
+sums in its own order, so the last bits of these pieces, and of every
+model fitted from them, can differ between BLAS builds.  The subgroup
+loss is still computed from the samples themselves, as an independent
+check on the Gram-based fits.  Its blocks of rows fix the order of
+summation; the samples are gathered a few thousand rows at a time within
+a block, so its temporaries stay small.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -32,8 +35,10 @@ from .errors import InputError, SingularSystemError
 from .neighborhood import NeighborhoodSet
 
 
-# Neighborhood rows per block of subgroup_loss; bounds its temporaries.
+# Neighborhood rows per block of subgroup_loss; fixes its summation order.
 _LOSS_BLOCK_ROWS = 1 << 15
+# Neighborhood rows per sample gather within a block; bounds its temporaries.
+_LOSS_GATHER_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,8 @@ def fit_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> WhiteBoxModel:
         raise InputError(f"{X.shape[0]} rows of X vs {Y.shape[0]} rows of Y")
     if X.shape[0] < 1:
         raise InputError("cannot fit on an empty sample")
-    if lam < 0:
-        raise InputError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InputError(f"lambda must be a finite number >= 0, got {lam}")
     k, m = X.shape
     Xa = np.concatenate([X, np.ones((k, 1))], axis=1)
     B, chol_ok = kernels.solve_penalized(Xa.T @ Xa, Xa.T @ Y, lam, m)
@@ -115,13 +120,13 @@ def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.
     n, S, m = X.shape
     Xt = X.transpose(0, 2, 1)
     G = np.empty((n, m + 1, m + 1))
-    G[:, :m, :m] = Xt @ X
+    np.matmul(Xt, X, out=G[:, :m, :m])
     sx = X.sum(axis=1)
     G[:, :m, m] = sx
     G[:, m, :m] = sx
     G[:, m, m] = S
     C = np.empty((n, m + 1, Y.shape[2]))
-    C[:, :m] = Xt @ Y
+    np.matmul(Xt, Y, out=C[:, :m])
     C[:, m] = Y.sum(axis=1)
     yy = np.einsum("nsp,nsp->n", Y, Y)
     ns.grams = (G, C, yy)
@@ -162,18 +167,24 @@ def subgroup_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel
 
     The members are walked in order, in blocks of about
     ``_LOSS_BLOCK_ROWS`` neighborhood rows, and the block sums are added
-    in that order, so the temporaries stay bounded whatever the subgroup
-    size.
+    in that order; the blocks fix the summation, and so the last bits of
+    the loss.  Within a block the predictions are formed from gathers of
+    about ``_LOSS_GATHER_ROWS`` rows, so the temporaries stay bounded
+    whatever the subgroup size.
     """
     if ns.bb_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
     members = np.asarray(members, dtype=np.int64)
     step = max(1, _LOSS_BLOCK_ROWS // ns.size)
+    gather = max(1, _LOSS_GATHER_ROWS // ns.size)
+    coef_t = model.coefficients.T
     total = 0.0
     for start in range(0, members.size, step):
         block = members[start : start + step]
         diff = ns.bb_outputs[block]
-        diff -= ns.samples[block] @ model.coefficients.T + model.intercepts
+        for lo in range(0, block.size, gather):
+            part = block[lo : lo + gather]
+            diff[lo : lo + gather] -= ns.samples[part] @ coef_t + model.intercepts
         total += float(np.sum(diff * diff))
     return total
 

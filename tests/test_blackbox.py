@@ -258,6 +258,11 @@ def test_external_rejects_bad_probabilities(tmp_path):
     text = _SCRIPT_TEMPLATE_SUM.format(cells='"maybe", "0.5"')
     with pytest.raises(ExternalBlackBoxError):
         _external(tmp_path, text).predict_batch(np.zeros((1, 2)))
+    for cells in ('"nan", "0.5"', '"0.5", "nan"', '"inf", "0.0"', '"1e999", "0.0"'):
+        with pytest.raises(ExternalBlackBoxError, match="non-finite"):
+            _external(tmp_path, _SCRIPT_TEMPLATE_SUM.format(cells=cells)).predict_batch(
+                np.zeros((1, 2))
+            )
 
 
 def test_external_failure_modes(tmp_path):

@@ -323,6 +323,10 @@ def test_exit_codes_for_bad_input(gen_dir, tmp_path):
         ]
     )
     assert nofile == 2
+    for bad in ({"ranges": {"x0": ["a", 1]}}, {"noise_scale": "x"}):
+        spec = tmp_path / "bad_spec.json"
+        spec.write_text(json.dumps(dict(_SPEC, **bad)))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "g")]) == 2
 
 
 def test_external_blackbox_cmd_and_failure_exit_code(gen_dir, tmp_path):
@@ -531,6 +535,53 @@ def test_bad_seed_or_config_value_exits_2(gen_dir, tmp_path, capsys, command, fl
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert err.count("\n") == 1
+
+
+def _lambda_flag(value):
+    def setup(gen_dir, tmp_path):
+        return _explain_args(gen_dir, tmp_path / "p.json", extra=("--lambda", value))
+
+    return setup
+
+
+def _lambda_config(gen_dir, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lambda": float("nan")}))  # json writes NaN
+    args = _explain_args(gen_dir, tmp_path / "p.json") + ["--config", str(cfg)]
+    at = args.index("--lambda")
+    return args[:at] + args[at + 2 :]  # a flag would override the config
+
+
+def _dumped_lambda(value):
+    def setup(gen_dir, tmp_path):
+        partition = tmp_path / "p.json"
+        assert main(_explain_args(gen_dir, partition)) == 0
+        dump = json.loads(partition.read_text())
+        dump["config"]["lambda"] = value
+        partition.write_text(json.dumps(dump))
+        return _eval_args(gen_dir, partition, tmp_path / "r")
+
+    return setup
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        _lambda_flag("nan"),
+        _lambda_flag("inf"),
+        _lambda_config,
+        _dumped_lambda(float("nan")),
+        _dumped_lambda(-1.0),
+    ],
+    ids=["flag-nan", "flag-inf", "config-nan", "dump-nan", "dump-negative"],
+)
+def test_non_finite_or_negative_lambda_exits_2(gen_dir, tmp_path, capsys, setup):
+    args = setup(gen_dir, tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda" in err
     assert err.count("\n") == 1
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,78 @@ def test_scan_sse_is_bit_identical_to_per_boundary_solves(lam, first_scale):
     assert np.array_equal(got, expected)
     if lam == 0.0 and first_scale != 1.0:
         assert not all(flags) and any(flags)
+
+
+def _prefix_problem(first_scale, n=40, S=6, m=3, p=2, seed=17):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, S, m))
+    X[:10, :, 0] *= first_scale
+    Y = rng.random(size=(n, S, p))
+    Xa = np.concatenate([X, np.ones((n, S, 1))], axis=2)
+    G = np.einsum("nsd,nse->nde", Xa, Xa)
+    C = np.einsum("nsd,nsp->ndp", Xa, Y)
+    yy = np.einsum("nsp,nsp->n", Y, Y)
+    return G, C, yy
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, None], ids=["1", "3", "default"])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("first_scale", [1.0, 1e-7, 0.0])
+def test_chunked_scan_sse_equals_per_boundary_solves(monkeypatch, per_chunk, lam, first_scale):
+    # With 1 or 3 boundaries per chunk some chunks hold only children
+    # that fail the pivot test (1e-7) or make the stacked Cholesky raise
+    # (0.0), while others pass; the totals must not depend on that.
+    G, C, yy = _prefix_problem(first_scale)
+    m = G.shape[1] - 1
+    Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
+    Gtot, Ctot, yytot = Gpre[-1], Cpre[-1], yypre[-1]
+    bounds = np.arange(1, G.shape[0], dtype=np.int64)
+    expected = np.array(
+        [
+            kernels.ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
+            + kernels.ridge_sse(
+                Gtot - Gpre[t - 1], Ctot - Cpre[t - 1], yytot - yypre[t - 1], lam, m
+            )
+            for t in bounds
+        ]
+    )
+    if per_chunk is not None:
+        d = G.shape[1]
+        monkeypatch.setattr(kernels, "_STACK_BYTES", per_chunk * 2 * d * d * 8)
+    got = kernels.scan_sse(Gpre, Cpre, yypre, Gtot, Ctot, yytot, bounds, lam, m)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("first_scale", [1.0, 1e-7, 0.0])
+def test_chunked_solve_stack_equals_unchunked(monkeypatch, first_scale):
+    G, C, _ = _prefix_problem(first_scale)
+    G = np.cumsum(G, 0)  # the short prefixes are singular or nearly so
+    C = np.cumsum(C, 0)
+    m = G.shape[1] - 1
+    B, ok = kernels.solve_stack(G, C, 0.0, m)
+    assert not ok.all() or first_scale == 1.0
+    d = G.shape[1]
+    for per_chunk in (1, 3, 7):
+        monkeypatch.setattr(kernels, "_STACK_BYTES", per_chunk * d * d * 8)
+        Bc, okc = kernels.solve_stack(G, C, 0.0, m)
+        assert np.array_equal(okc, ok)
+        assert np.array_equal(Bc, B)
+
+
+def test_scan_sse_peak_memory_stays_within_the_stack_budget():
+    # A root scan at the neighborhood-mixed sizes: 550 objects, d = 36.
+    G, C, yy = _prefix_problem(1.0, n=550, S=4, m=35, p=3, seed=5)
+    m = G.shape[1] - 1
+    Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
+    del G, C
+    bounds = np.arange(2, 549, dtype=np.int64)
+    args = (Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, 1.0, m)
+    kernels.scan_sse(*args)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        kernels.scan_sse(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20

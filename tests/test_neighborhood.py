@@ -210,6 +210,44 @@ def test_label_shapes_and_probability_rows():
     assert np.allclose(ns.bb_outputs[:, 0, :], direct, atol=1e-12)
 
 
+class _FixedWidthBox:
+    """A black box that returns zeros of a given width for every row."""
+
+    def __init__(self, classes, width):
+        self.classes = classes
+        self.width = width
+
+    def predict_batch(self, X):
+        return np.zeros((X.shape[0], self.width))
+
+
+def test_label_peak_memory_is_the_outputs_plus_two_chunks(monkeypatch):
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 1000)
+    rng = np.random.default_rng(12)
+    ns = NeighborhoodSet(samples=rng.normal(size=(40, 500, 4)), z=10, n_synth=499, seed=0)
+    bb = _FixedWidthBox(("a", "b", "c"), 3)
+    label(ns, bb)  # warm up
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        label(ns, bb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = ns.bb_outputs.nbytes
+    chunk = 1000 * 3 * 8
+    assert outputs == 20 * chunk
+    assert peak - base <= outputs + 2 * chunk, (peak - base - outputs) / chunk
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_label_rejects_outputs_of_the_wrong_width(width):
+    rng = np.random.default_rng(13)
+    ns = NeighborhoodSet(samples=rng.normal(size=(3, 5, 2)), z=10, n_synth=4, seed=0)
+    with pytest.raises(InputError, match="shape"):
+        label(ns, _FixedWidthBox(("a", "b", "c"), width))
+
+
 def test_cache_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     enc = numeric_enc(rng.normal(size=(7, 2)))

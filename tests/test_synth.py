@@ -58,6 +58,16 @@ def test_spec_validation_errors():
     non_object_regime = dict(base, regimes=[1])
     with pytest.raises(InputError):
         spec_from_dict(non_object_regime)
+    for bad in (
+        dict(base, ranges={"x0": ["a", 1]}),
+        dict(base, ranges={"x0": [0.0, float("inf")]}),
+        dict(base, ranges=[0.0, 1.0]),
+        dict(base, noise_scale="x"),
+        dict(base, noise_scale=float("nan")),
+        dict(base, noise_scale=-0.5),
+    ):
+        with pytest.raises(InputError):
+            spec_from_dict(bad)
 
 
 def test_generation_is_deterministic_per_seed():

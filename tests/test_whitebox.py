@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,53 @@ def test_subgroup_loss_counts_the_members_rows_in_any_order():
     per_object = sum(subgroup_loss(ns, np.array([i]), model) for i in members)
     for order in (members, members[::-1], np.sort(members), rng.permutation(members)):
         assert subgroup_loss(ns, order, model) == pytest.approx(per_object, rel=1e-12)
+
+
+def _whole_block_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
+    # The block walk with one gather of the whole block's samples.
+    step = max(1, whitebox._LOSS_BLOCK_ROWS // ns.size)
+    total = 0.0
+    for start in range(0, members.size, step):
+        block = members[start : start + step]
+        diff = ns.bb_outputs[block]
+        diff -= ns.samples[block] @ model.coefficients.T + model.intercepts
+        total += float(np.sum(diff * diff))
+    return total
+
+
+@pytest.mark.parametrize("gather_rows", [1, 3 * 101, None], ids=["1", "3", "default"])
+def test_subgroup_loss_gathers_do_not_change_the_loss(monkeypatch, gather_rows):
+    rng = np.random.default_rng(9)
+    ns = _random_ns(rng, n=60, S=101, m=5, p=3)
+    model = WhiteBoxModel(
+        coefficients=rng.normal(size=(3, 5)), intercepts=rng.normal(size=3), lam=1.0
+    )
+    monkeypatch.setattr(whitebox, "_LOSS_BLOCK_ROWS", 17 * 101)  # blocks of 17 objects
+    if gather_rows is not None:
+        monkeypatch.setattr(whitebox, "_LOSS_GATHER_ROWS", gather_rows)
+    for members in (np.arange(60), rng.permutation(60)[:45], np.array([4])):
+        assert subgroup_loss(ns, members, model) == _whole_block_loss(ns, members, model)
+
+
+def test_subgroup_loss_peak_memory_is_a_few_gathers():
+    # neighborhood-mixed sizes: S = 601, m = 35, p = 3, and more objects
+    # than one block holds.
+    rng = np.random.default_rng(10)
+    ns = _random_ns(rng, n=60, S=601, m=35, p=3)
+    assert whitebox._LOSS_BLOCK_ROWS // ns.size < 60
+    model = WhiteBoxModel(
+        coefficients=rng.normal(size=(3, 35)), intercepts=rng.normal(size=3), lam=1.0
+    )
+    members = np.arange(60)
+    subgroup_loss(ns, members, model)  # warm up
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        subgroup_loss(ns, members, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * 2**20, (peak - base) / 2**20
 
 
 def test_fit_on_neighborhoods_equals_stacked_ridge():
