@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import tempfile
@@ -66,6 +67,8 @@ class LinearBlackBox:
             )
         if self.biases.shape != (p,):
             raise InputError(f"biases shape {self.biases.shape} does not match ({p},)")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
+            raise InputError("weights and biases must be finite")
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = _check_batch(X, self.columns)
@@ -83,6 +86,8 @@ class Condition:
     def __post_init__(self) -> None:
         if self.op not in ("le", "gt"):
             raise InputError(f"condition op must be 'le' or 'gt', got {self.op!r}")
+        if not math.isfinite(self.value):
+            raise InputError(f"condition value must be finite, got {self.value!r}")
 
     def mask(self, X: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
         try:
@@ -120,6 +125,8 @@ class PiecewiseLinearBlackBox:
                 raise InputError(f"regime {k}: weights shape {reg.weights.shape}")
             if reg.biases.shape != (p,):
                 raise InputError(f"regime {k}: biases shape {reg.biases.shape}")
+            if not (np.isfinite(reg.weights).all() and np.isfinite(reg.biases).all()):
+                raise InputError(f"regime {k}: weights and biases must be finite")
             for cond in reg.conditions:
                 cond.mask(np.zeros((0, m)), self.columns)
 

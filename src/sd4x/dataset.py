@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,6 +329,18 @@ def encoded_columns(attributes: tuple[Attribute, ...]) -> tuple[EncodedColumn, .
     return tuple(cols)
 
 
+def attribute_slices(attributes: tuple[Attribute, ...]) -> tuple[slice, ...]:
+    """Each attribute's slice of the encoded columns, in attribute order.
+
+    One column per attribute, or one per category of a nominal one.
+    """
+    sources = [c.source for c in encoded_columns(attributes)]
+    return tuple(
+        slice(bisect_left(sources, i), bisect_right(sources, i))
+        for i in range(len(attributes))
+    )
+
+
 def encode(dataset: Dataset) -> EncodedMatrix:
     """Encode all rows to the float design matrix."""
     for i, row in enumerate(dataset.rows, start=1):
@@ -346,47 +359,6 @@ def encode(dataset: Dataset) -> EncodedMatrix:
         else:
             values[:, j] = [1.0 if r[col.source] == col.category else 0.0 for r in dataset.rows]
     return EncodedMatrix(values, cols, dataset.attributes, dataset.classes)
-
-
-def decode_row(vec: np.ndarray, enc: EncodedMatrix) -> tuple:
-    """Map one encoded (discretized) vector back to raw attribute values."""
-    if vec.shape != (len(enc.columns),):
-        raise InputError(
-            f"encoded row has {vec.shape} entries, expected {len(enc.columns)}"
-        )
-    out: list = []
-    j = 0
-    for i, attr in enumerate(enc.attributes):
-        if attr.kind is AttributeKind.NUMERIC:
-            out.append(float(vec[j]))
-            j += 1
-        elif attr.kind is AttributeKind.BOOLEAN:
-            v = vec[j]
-            if v not in (0.0, 1.0):
-                raise InputError(
-                    f"column {attr.name!r}: boolean code {v!r} is not 0 or 1"
-                )
-            out.append(bool(v))
-            j += 1
-        elif attr.kind is AttributeKind.ORDINAL:
-            v = vec[j]
-            if v != int(v) or not 0 <= int(v) < len(attr.categories):
-                raise InputError(
-                    f"column {attr.name!r}: ordinal code {v!r} is out of range"
-                )
-            out.append(attr.categories[int(v)])
-            j += 1
-        else:
-            block = vec[j : j + len(attr.categories)]
-            ones = np.nonzero(block == 1.0)[0]
-            if len(ones) != 1 or not np.all((block == 0.0) | (block == 1.0)):
-                raise InputError(
-                    f"attribute {attr.name!r}: one-hot block {block.tolist()} "
-                    "must contain exactly one 1"
-                )
-            out.append(attr.categories[int(ones[0])])
-            j += len(attr.categories)
-    return tuple(out)
 
 
 def content_hash(enc: EncodedMatrix) -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackbox import BlackBox
-from .dataset import AttributeKind, EncodedMatrix
+from .dataset import AttributeKind, EncodedMatrix, attribute_slices
 from .errors import InputError
 
 _LABEL_CHUNK = 65536
@@ -95,24 +95,17 @@ def discretize(samples: np.ndarray, enc: EncodedMatrix) -> np.ndarray:
 
     ``samples`` is a 2-D float64 array; it is modified and returned.
     """
-    j = 0
-    for attr in enc.attributes:
-        if attr.kind is AttributeKind.NUMERIC:
-            j += 1
-        elif attr.kind is AttributeKind.BOOLEAN:
-            samples[:, j] = np.where(samples[:, j] >= 0.5, 1.0, 0.0)
-            j += 1
+    for attr, sl in zip(enc.attributes, attribute_slices(enc.attributes)):
+        block = samples[:, sl]
+        if attr.kind is AttributeKind.BOOLEAN:
+            block[:] = np.where(block >= 0.5, 1.0, 0.0)
         elif attr.kind is AttributeKind.ORDINAL:
             top = float(len(attr.categories) - 1)
-            samples[:, j] = np.clip(np.floor(samples[:, j] + 0.5), 0.0, top)
-            j += 1
-        else:
-            k = len(attr.categories)
-            block = samples[:, j : j + k]
+            block[:] = np.clip(np.floor(block + 0.5), 0.0, top)
+        elif attr.kind is AttributeKind.NOMINAL:
             winner = np.argmin(np.abs(block - 1.0), axis=1)
             block[:] = 0.0
             block[np.arange(block.shape[0]), winner] = 1.0
-            j += k
     return samples
 
 

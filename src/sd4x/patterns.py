@@ -1,11 +1,13 @@
 """Pattern language over typed attributes.
 
 A pattern holds one restriction per attribute: an interval (numeric
-attributes, and ordinal attributes via their level codes), a category
-subset (nominal), a boolean subset, or the distinct Unrestricted marker.
-Patterns support coverage tests, generality comparison, the most
-restrictive pattern of a set of rows, extent computation, refinement by
-an encoded-column split, rendering, and serialization to JSON-friendly
+attributes, ordinal attributes via their level codes, and boolean
+attributes via their 0/1 codes), a category subset (nominal), a boolean
+subset, or the distinct Unrestricted marker.  Patterns are evaluated on
+the encoded matrix: each restriction reads its attribute's slice of
+encoded columns.  Patterns support extent computation, the most
+restrictive pattern of a set of encoded rows, refinement by an
+encoded-column split, rendering, and serialization to JSON-friendly
 condition lists.
 """
 from __future__ import annotations
@@ -15,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Attribute, AttributeKind, EncodedColumn
+from .dataset import (
+    Attribute,
+    AttributeKind,
+    EncodedColumn,
+    EncodedMatrix,
+    attribute_slices,
+)
 from .errors import InputError, PatternError
 
 
@@ -43,18 +51,11 @@ class Interval:
         ):
             raise PatternError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, v: float) -> bool:
-        if self.lo_open:
-            if v <= self.lo:
-                return False
-        elif v < self.lo:
-            return False
-        if self.hi_open:
-            if v >= self.hi:
-                return False
-        elif v > self.hi:
-            return False
-        return True
+    def contains(self, v):
+        """Whether v lies inside; v is a number or an array of codes."""
+        lo = v > self.lo if self.lo_open else v >= self.lo
+        hi = v < self.hi if self.hi_open else v <= self.hi
+        return lo & hi
 
 
 @dataclass(frozen=True)
@@ -87,22 +88,6 @@ class Pattern:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _code(value, attr: Attribute) -> float:
-    """Numeric code of a raw value under the attribute kind."""
-    if attr.kind is AttributeKind.NUMERIC:
-        return float(value)
-    if attr.kind is AttributeKind.BOOLEAN:
-        return 1.0 if value else 0.0
-    if attr.kind is AttributeKind.ORDINAL:
-        try:
-            return float(attr.categories.index(value))
-        except ValueError:
-            raise InputError(
-                f"{value!r} is not a level of ordinal attribute {attr.name!r}"
-            ) from None
-    raise InputError(f"attribute {attr.name!r} has no numeric code")
 
 
 def _is_full(r: Restriction, attr: Attribute) -> bool:
@@ -144,49 +129,49 @@ def canonical(pattern: Pattern, attributes: tuple[Attribute, ...]) -> Pattern:
 # ---------------------------------------------------------------------------
 
 
-def covers(pattern: Pattern, row: tuple, attributes: tuple[Attribute, ...]) -> bool:
-    """True when every restriction admits the row's value."""
-    if len(pattern.restrictions) != len(attributes) or len(row) != len(attributes):
-        raise InputError("pattern, row, and attributes must have equal arity")
-    for r, value, attr in zip(pattern.restrictions, row, attributes):
-        if isinstance(r, Unrestricted):
-            continue
-        if isinstance(r, Interval):
-            if not r.contains(_code(value, attr)):
-                return False
-        elif isinstance(r, CategorySubset):
-            if value not in r.categories:
-                return False
-        elif isinstance(r, BoolSubset):
-            if int(bool(value)) not in r.values:
-                return False
-    return True
+def _admits(r: Restriction, attr: Attribute, block: np.ndarray) -> np.ndarray:
+    """Rows of an attribute's encoded block that the restriction admits."""
+    kind = attr.kind
+    if isinstance(r, Interval) and kind is not AttributeKind.NOMINAL:
+        return r.contains(block[:, 0])
+    if isinstance(r, BoolSubset) and kind is AttributeKind.BOOLEAN:
+        return np.isin(block[:, 0], list(r.values))
+    if isinstance(r, CategorySubset) and kind is AttributeKind.NOMINAL:
+        keep = [k for k, c in enumerate(attr.categories) if c in r.categories]
+        return (block[:, keep] == 1.0).any(axis=1)
+    raise InputError(
+        f"a {type(r).__name__} cannot restrict {kind.value} attribute {attr.name!r}"
+    )
 
 
-def extent(
-    pattern: Pattern, rows: list[tuple], attributes: tuple[Attribute, ...]
-) -> np.ndarray:
-    """Indices of the rows covered by the pattern."""
-    hits = [i for i, row in enumerate(rows) if covers(pattern, row, attributes)]
-    return np.asarray(hits, dtype=np.int64)
+def extent(pattern: Pattern, enc: EncodedMatrix) -> np.ndarray:
+    """Indices of the encoded rows covered by the pattern."""
+    if len(pattern.restrictions) != len(enc.attributes):
+        raise InputError("pattern and attributes must have equal arity")
+    mask = np.ones(enc.n, dtype=bool)
+    for r, attr, sl in zip(
+        pattern.restrictions, enc.attributes, attribute_slices(enc.attributes)
+    ):
+        if not isinstance(r, Unrestricted):
+            mask &= _admits(r, attr, enc.values[:, sl])
+    return np.flatnonzero(mask)
 
 
-def most_restrictive(
-    rows: list[tuple], attributes: tuple[Attribute, ...]
-) -> Pattern:
-    """Tightest pattern covering all given rows (closed intervals, value sets)."""
-    if not rows:
+def most_restrictive(enc: EncodedMatrix, members: np.ndarray) -> Pattern:
+    """Tightest pattern covering the member rows (closed intervals, value sets)."""
+    if len(members) == 0:
         raise PatternError("most_restrictive of an empty set is undefined")
     out: list[Restriction] = []
-    for i, attr in enumerate(attributes):
-        values = [row[i] for row in rows]
+    for attr, sl in zip(enc.attributes, attribute_slices(enc.attributes)):
+        block = enc.values[members, sl]
         if attr.kind in (AttributeKind.NUMERIC, AttributeKind.ORDINAL):
-            codes = [_code(v, attr) for v in values]
-            out.append(Interval(min(codes), max(codes)))
+            out.append(Interval(float(block.min()), float(block.max())))
         elif attr.kind is AttributeKind.BOOLEAN:
-            out.append(BoolSubset(frozenset(int(bool(v)) for v in values)))
+            out.append(BoolSubset(frozenset(int(v) for v in np.unique(block))))
         else:
-            out.append(CategorySubset(frozenset(str(v) for v in values)))
+            present = (block == 1.0).any(axis=0)
+            cats = frozenset(c for c, p in zip(attr.categories, present) if p)
+            out.append(CategorySubset(cats))
     return Pattern(tuple(out))
 
 
@@ -263,16 +248,14 @@ def refine(
     return Pattern(tuple(restrictions))
 
 
-def closed_form(
-    pattern: Pattern, member_rows: list[tuple], attributes: tuple[Attribute, ...]
-) -> Pattern:
+def closed_form(pattern: Pattern, enc: EncodedMatrix, members: np.ndarray) -> Pattern:
     """Most restrictive pattern of the members, projected onto the
     attributes the split-path pattern actually restricts."""
-    delta = most_restrictive(member_rows, attributes)
-    keep = set(canonical(pattern, attributes).restricted_indices())
+    delta = most_restrictive(enc, members)
+    keep = set(canonical(pattern, enc.attributes).restricted_indices())
     out = tuple(
         delta.restrictions[i] if i in keep else UNRESTRICTED
-        for i in range(len(attributes))
+        for i in range(len(enc.attributes))
     )
     return Pattern(out)
 

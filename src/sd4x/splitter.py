@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dataset import EncodedMatrix, content_hash, decode_row
+from .dataset import EncodedMatrix, content_hash
 from .errors import InputError, InvariantError
 from .neighborhood import NeighborhoodSet, build, label
 from .patterns import (
@@ -355,9 +355,8 @@ def validate_partition(partition: Partition, enc: EncodedMatrix, K: int | None =
     must equal the stored member set exactly.
     """
     check_cover(partition, enc.n, K)
-    rows = [decode_row(enc.values[i], enc) for i in range(enc.n)]
     for sg in partition.subgroups:
-        ext = extent(sg.pattern, rows, enc.attributes)
+        ext = extent(sg.pattern, enc)
         if not np.array_equal(ext, np.sort(sg.members)):
             raise InvariantError(
                 f"subgroup {sg.id}: pattern extent does not match its members"
@@ -381,11 +380,9 @@ def loss_curve(
 
 
 def partition_to_dict(partition: Partition, enc: EncodedMatrix) -> dict:
-    rows = [decode_row(enc.values[i], enc) for i in range(enc.n)]
     subgroups = []
     for sg in partition.subgroups:
-        member_rows = [rows[i] for i in sg.members]
-        closed = closed_form(sg.pattern, member_rows, enc.attributes)
+        closed = closed_form(sg.pattern, enc, sg.members)
         top: dict[str, list[dict]] = {}
         for ci, cls in enumerate(enc.classes):
             ranked = feature_importance(sg.model, ci, enc.column_names)

@@ -55,7 +55,7 @@ def random_linear_bb(rng, enc, scale=1.0) -> LinearBlackBox:
     )
 
 
-def mixed_enc(rng, n=60) -> EncodedMatrix:
+def mixed_dataset(rng, n=60):
     """Numeric + boolean + nominal + ordinal attributes, randomly filled."""
     from sd4x.dataset import Dataset
 
@@ -76,4 +76,9 @@ def mixed_enc(rng, n=60) -> EncodedMatrix:
         )
         for _ in range(n)
     ]
-    return encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
+    return Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows)
+
+
+def mixed_enc(rng, n=60) -> EncodedMatrix:
+    """Encoded mixed_dataset."""
+    return encode(mixed_dataset(rng, n))

@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from sd4x.blackbox import load_blackbox
 from sd4x.cli import main
+from sd4x.errors import InputError
 from sd4x.neighborhood import load_cache
+from sd4x.synth import generate_synthetic, spec_from_dict
 
 from conftest import TOY_CSV, TOY_SCHEMA
 
@@ -482,6 +485,58 @@ def test_explain_rejects_malformed_blackbox_file(gen_dir, tmp_path, capsys, mang
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert err.count("\n") == 1
+
+
+def _linear_nan_weight(bb):
+    return {
+        "type": "linear",
+        "classes": bb["classes"],
+        "columns": bb["columns"],
+        "weights": [[1.0, float("nan"), 0.0], [0.0, 0.0, 0.0]],
+        "biases": [0.0, 0.0],
+    }
+
+
+def _piecewise_inf_bias(bb):
+    bb["regimes"][1]["biases"][0] = float("inf")
+    return bb
+
+
+def _nan_condition_value(bb):
+    bb["regimes"][0]["conditions"][0]["value"] = float("nan")
+    return bb
+
+
+def _spec_nan_weight(spec):
+    spec = json.loads(json.dumps(spec))
+    spec["regimes"][0]["weights"][0][1] = float("nan")
+    return spec
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [_linear_nan_weight, _piecewise_inf_bias, _nan_condition_value, _spec_nan_weight],
+    ids=["linear-nan-weight", "piecewise-inf-bias", "nan-condition", "synth-nan-weight"],
+)
+def test_non_finite_blackbox_parameters_exit_2(gen_dir, tmp_path, capsys, mangle):
+    bad = tmp_path / "bad.json"
+    if mangle is _spec_nan_weight:
+        bad.write_text(json.dumps(mangle(_SPEC)))  # json writes NaN
+        with pytest.raises(InputError):
+            generate_synthetic(spec_from_dict(json.loads(bad.read_text())), seed=11)
+        args = ["synth", "--spec", str(bad), "--out", str(tmp_path / "g")]
+    else:
+        bad.write_text(json.dumps(mangle(json.loads((gen_dir / "blackbox.json").read_text()))))
+        with pytest.raises(InputError):
+            load_blackbox(str(bad))
+        args = _explain_args(gen_dir, tmp_path / "p.json")
+        args[args.index("--blackbox") + 1] = str(bad)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p.json").exists() and not (tmp_path / "g").exists()
 
 
 @pytest.mark.parametrize(

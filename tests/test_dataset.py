@@ -7,8 +7,8 @@ from sd4x.dataset import (
     Attribute,
     AttributeKind,
     Dataset,
+    attribute_slices,
     content_hash,
-    decode_row,
     encode,
     encoded_columns,
     format_value,
@@ -92,27 +92,24 @@ def test_encoding_layout(toy_enc):
     o4 = toy_enc.values[3]
     assert o4[7] == 0.0 and o4[8] == 1.0
     assert o4[9] == 3.0
+    assert toy_enc.values.tolist() == [
+        [0.7, 0.0, 0.4, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 60.0],
+        [0.0, 0.8, 0.3, 0.0, 0.0, 1.0, 3.0, 1.0, 0.0, 4.0, 50.0],
+        [0.5, 0.0, 0.0, 0.0, 0.6, 1.0, 2.0, 0.0, 1.0, 0.0, 60.0],
+        [0.0, 0.5, 0.9, 0.6, 0.0, 1.0, 3.0, 0.0, 1.0, 3.0, 97.0],
+        [0.0, 0.7, 0.6, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 3.0, 96.0],
+        [0.1, 0.0, 0.0, 0.6, 0.6, 0.0, 2.0, 1.0, 0.0, 2.0, 85.0],
+        [0.1, 0.0, 0.0, 0.0, 0.9, 0.0, 1.0, 1.0, 0.0, 0.0, 60.0],
+    ]
 
 
-def test_decode_round_trip(toy, toy_enc):
-    for i, row in enumerate(toy.rows):
-        assert decode_row(toy_enc.values[i], toy_enc) == row
-
-
-def test_decode_rejects_broken_blocks(toy_enc):
-    vec = toy_enc.values[0].copy()
-    vec[7] = 1.0
-    vec[8] = 1.0
-    with pytest.raises(InputError):
-        decode_row(vec, toy_enc)
-    vec = toy_enc.values[0].copy()
-    vec[5] = 0.25
-    with pytest.raises(InputError):
-        decode_row(vec, toy_enc)
-    vec = toy_enc.values[0].copy()
-    vec[9] = 9.0
-    with pytest.raises(InputError):
-        decode_row(vec, toy_enc)
+def test_attribute_slices_follow_encoded_columns(toy_enc):
+    slices = attribute_slices(toy_enc.attributes)
+    assert [(sl.start, sl.stop) for sl in slices] == [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 9), (9, 10), (10, 11)
+    ]
+    for i, sl in enumerate(slices):
+        assert all(c.source == i for c in toy_enc.columns[sl])
 
 
 def test_load_errors_name_row_and_column(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sd4x.dataset import Attribute, AttributeKind, encoded_columns
+from sd4x.dataset import Attribute, AttributeKind, encode, encoded_columns
 from sd4x.errors import InputError, PatternError
 from sd4x.patterns import (
     UNRESTRICTED,
@@ -13,15 +13,18 @@ from sd4x.patterns import (
     CategorySubset,
     Interval,
     Pattern,
+    Unrestricted,
     canonical,
     closed_form,
-    covers,
     extent,
     most_restrictive,
     pattern_to_conditions,
     refine,
     render,
 )
+from sd4x.splitter import candidate_thresholds
+
+from conftest import mixed_dataset
 
 
 def test_interval_validation_and_containment():
@@ -38,9 +41,8 @@ def test_interval_validation_and_containment():
     assert not iv.contains(96.0001)
 
 
-def test_most_restrictive_on_two_objects(toy):
-    subset = [toy.rows[0], toy.rows[1]]
-    delta = most_restrictive(subset, toy.attributes)
+def test_most_restrictive_on_two_objects(toy_enc):
+    delta = most_restrictive(toy_enc, np.array([0, 1]))
     r = delta.restrictions
     assert r[0] == Interval(0.0, 0.7)
     assert r[1] == Interval(0.0, 0.8)
@@ -48,23 +50,23 @@ def test_most_restrictive_on_two_objects(toy):
     assert r[7] == CategorySubset(frozenset({"Sales"}))
     assert r[8] == Interval(0.0, 4.0)
     assert r[9] == Interval(50.0, 60.0)
-    for row in subset:
-        assert covers(delta, row, toy.attributes)
-    assert not covers(delta, toy.rows[4], toy.attributes)
+    covered = extent(delta, toy_enc).tolist()
+    assert 0 in covered and 1 in covered
+    assert 4 not in covered
 
 
-def test_most_restrictive_empty_set_rejected(toy):
+def test_most_restrictive_empty_set_rejected(toy_enc):
     with pytest.raises(PatternError):
-        most_restrictive([], toy.attributes)
+        most_restrictive(toy_enc, np.array([], dtype=np.int64))
 
 
-def test_extent_matches_manual_filter(toy):
-    m = len(toy.attributes)
+def test_extent_matches_manual_filter(toy_enc):
+    m = len(toy_enc.attributes)
     restrictions = [UNRESTRICTED] * m
     restrictions[5] = BoolSubset(frozenset({1}))
     restrictions[3] = Interval(-math.inf, 0.3, lo_open=True)
     pattern = Pattern(tuple(restrictions))
-    assert extent(pattern, toy.rows, toy.attributes).tolist() == [0, 1, 2]
+    assert extent(pattern, toy_enc).tolist() == [0, 1, 2]
 
 
 def test_refine_numeric_and_boolean(toy, toy_enc):
@@ -76,7 +78,7 @@ def test_refine_numeric_and_boolean(toy, toy_enc):
     p2 = refine(p1, toy.attributes, cols[3], "le", 0.3)
     iv = p2.restrictions[3]
     assert isinstance(iv, Interval) and iv.hi == 0.3 and not iv.hi_open
-    assert extent(p2, toy.rows, toy.attributes).tolist() == [0, 1, 2]
+    assert extent(p2, toy_enc).tolist() == [0, 1, 2]
     # further tightening from the right keeps the stricter bound
     p3 = refine(p2, toy.attributes, cols[3], "le", 0.9)
     assert p3.restrictions[3] == iv
@@ -100,7 +102,7 @@ def test_refine_one_hot_and_ordinal(toy, toy_enc):
     mem = cols[9]
     assert mem.name == "Memory usage"
     low = refine(top, toy.attributes, mem, "le", 2.5)
-    assert extent(low, toy.rows, toy.attributes).tolist() == [0, 2, 5, 6]
+    assert extent(low, toy_enc).tolist() == [0, 2, 5, 6]
     with pytest.raises(PatternError):
         refine(low, toy.attributes, mem, "gt", 3.5)
 
@@ -116,8 +118,7 @@ def test_closed_form_projects_onto_split_path(toy, toy_enc):
         "le",
         0.3,
     )
-    members = [toy.rows[i] for i in (0, 1, 2)]
-    closed = closed_form(path, members, toy.attributes)
+    closed = closed_form(path, toy_enc, np.array([0, 1, 2]))
     assert closed.restricted_indices() == (3, 5)
     assert closed.restrictions[3] == Interval(0.0, 0.0)
     assert closed.restrictions[5] == BoolSubset(frozenset({1}))
@@ -216,17 +217,161 @@ def test_multi_category_subset_serializes_as_in():
     assert pattern_to_conditions(full, attrs) == []
 
 
-def test_covers_respects_open_bounds(toy):
-    m = len(toy.attributes)
+def test_covers_respects_open_bounds(toy_enc):
+    m = len(toy_enc.attributes)
     restrictions = [UNRESTRICTED] * m
     restrictions[9] = Interval(50.0, 96.0, lo_open=True)
     pattern = Pattern(tuple(restrictions))
+    covered = extent(pattern, toy_enc).tolist()
     # o2 sits exactly on the open lower bound (50) and is excluded
-    assert not covers(pattern, toy.rows[1], toy.attributes)
-    assert covers(pattern, toy.rows[4], toy.attributes)
+    assert 1 not in covered
+    assert 4 in covered
+    restrictions[9] = Interval(50.0, 96.0, hi_open=True)
+    covered = extent(Pattern(tuple(restrictions)), toy_enc).tolist()
+    # o5 sits exactly on the open upper bound (96) and is excluded
+    assert 1 in covered
+    assert 4 not in covered
 
 
 def test_refine_rejects_bad_side(toy, toy_enc):
     top = Pattern.unrestricted(len(toy.attributes))
     with pytest.raises(InputError):
         refine(top, toy.attributes, toy_enc.columns[0], "ge", 0.5)
+
+
+# ---------------------------------------------------------------------------
+# reference: patterns evaluated on raw (decoded) rows
+# ---------------------------------------------------------------------------
+
+
+def _ref_code(value, attr):
+    if attr.kind is AttributeKind.NUMERIC:
+        return float(value)
+    if attr.kind is AttributeKind.BOOLEAN:
+        return 1.0 if value else 0.0
+    if attr.kind is AttributeKind.ORDINAL:
+        return float(attr.categories.index(value))
+    raise InputError(f"attribute {attr.name!r} has no numeric code")
+
+
+def _ref_covers(pattern, row, attributes):
+    for r, value, attr in zip(pattern.restrictions, row, attributes):
+        if isinstance(r, Unrestricted):
+            continue
+        if isinstance(r, Interval):
+            if not r.contains(_ref_code(value, attr)):
+                return False
+        elif isinstance(r, CategorySubset):
+            if value not in r.categories:
+                return False
+        elif isinstance(r, BoolSubset):
+            if int(bool(value)) not in r.values:
+                return False
+    return True
+
+
+def _ref_most_restrictive(rows, attributes):
+    out = []
+    for i, attr in enumerate(attributes):
+        values = [row[i] for row in rows]
+        if attr.kind in (AttributeKind.NUMERIC, AttributeKind.ORDINAL):
+            codes = [_ref_code(v, attr) for v in values]
+            out.append(Interval(min(codes), max(codes)))
+        elif attr.kind is AttributeKind.BOOLEAN:
+            out.append(BoolSubset(frozenset(int(bool(v)) for v in values)))
+        else:
+            out.append(CategorySubset(frozenset(str(v) for v in values)))
+    return Pattern(tuple(out))
+
+
+def _ref_closed_form(pattern, member_rows, attributes):
+    delta = _ref_most_restrictive(member_rows, attributes)
+    keep = set(canonical(pattern, attributes).restricted_indices())
+    return Pattern(
+        tuple(
+            delta.restrictions[i] if i in keep else UNRESTRICTED
+            for i in range(len(attributes))
+        )
+    )
+
+
+def test_encoded_patterns_equal_the_row_reference_on_random_refine_chains():
+    rng = np.random.default_rng(2024)
+    ds = mixed_dataset(rng, n=80)
+    enc = encode(ds)
+    attrs = enc.attributes
+    seen_kinds, seen_sides, chains = set(), set(), 0
+    while chains < 240:
+        pattern = Pattern.unrestricted(len(attrs))
+        for _ in range(int(rng.integers(1, 5))):
+            j = int(rng.integers(enc.m))
+            col = enc.columns[j]
+            side = ("le", "gt")[int(rng.integers(2))]
+            # data values too, so that open and closed bounds both matter
+            vals = enc.values[:, j]
+            threshold = float(rng.choice(np.append(vals, candidate_thresholds(vals))))
+            try:
+                pattern = refine(pattern, attrs, col, side, threshold)
+            except PatternError:
+                continue
+            seen_kinds.add(col.kind)
+            seen_sides.add(side)
+        ext = extent(pattern, enc)
+        ref = [i for i, row in enumerate(ds.rows) if _ref_covers(pattern, row, attrs)]
+        assert ext.tolist() == ref
+        if not ref:
+            continue
+        chains += 1
+        got = closed_form(pattern, enc, ext)
+        assert got == _ref_closed_form(pattern, [ds.rows[i] for i in ref], attrs)
+        assert most_restrictive(enc, ext) == _ref_most_restrictive(
+            [ds.rows[i] for i in ref], attrs
+        )
+    assert seen_kinds == set(AttributeKind)
+    assert seen_sides == {"le", "gt"}
+
+
+def test_interval_on_a_boolean_reads_its_codes():
+    rng = np.random.default_rng(3)
+    ds = mixed_dataset(rng, n=30)
+    enc = encode(ds)
+    for iv in (Interval(0.5, math.inf, True, True), Interval(-math.inf, 0.0, True)):
+        pattern = Pattern((UNRESTRICTED, UNRESTRICTED, iv, UNRESTRICTED, UNRESTRICTED))
+        ref = [i for i, row in enumerate(ds.rows) if _ref_covers(pattern, row, enc.attributes)]
+        assert extent(pattern, enc).tolist() == ref
+
+
+@pytest.mark.parametrize(
+    "index, restriction",
+    [
+        (0, BoolSubset(frozenset({1}))),
+        (0, CategorySubset(frozenset({"red"}))),
+        (2, CategorySubset(frozenset({"red"}))),
+        (3, Interval(0.5, math.inf, True, True)),
+        (3, BoolSubset(frozenset({1}))),
+        (4, BoolSubset(frozenset({0}))),
+        (4, CategorySubset(frozenset({"low"}))),
+    ],
+    ids=[
+        "bools-on-numeric",
+        "categories-on-numeric",
+        "categories-on-boolean",
+        "interval-on-nominal",
+        "bools-on-nominal",
+        "bools-on-ordinal",
+        "categories-on-ordinal",
+    ],
+)
+def test_extent_rejects_a_restriction_of_the_wrong_kind(index, restriction):
+    enc = encode(mixed_dataset(np.random.default_rng(4), n=10))
+    restrictions = [UNRESTRICTED] * len(enc.attributes)
+    restrictions[index] = restriction
+    with pytest.raises(InputError):
+        extent(Pattern(tuple(restrictions)), enc)
+
+
+def test_extent_rejects_a_pattern_of_the_wrong_arity(toy_enc):
+    m = len(toy_enc.attributes)
+    for arity in (m - 1, m + 1):
+        with pytest.raises(InputError):
+            extent(Pattern.unrestricted(arity), toy_enc)

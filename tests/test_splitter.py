@@ -73,10 +73,10 @@ def test_children_partition_parent_members(toy_enc):
     assert np.array_equal(all_members, np.arange(toy_enc.n))
 
 
-def test_patterns_describe_exactly_their_members(toy, toy_enc):
+def test_patterns_describe_exactly_their_members(toy_enc):
     partition, _ = _toy_run(toy_enc)
     for sg in partition.subgroups:
-        ext = extent(sg.pattern, toy.rows, toy_enc.attributes)
+        ext = extent(sg.pattern, toy_enc)
         assert np.array_equal(ext, np.sort(sg.members))
 
 
