@@ -103,6 +103,28 @@ def test_encoding_layout(toy_enc):
     ]
 
 
+def test_decode_round_trip(toy, toy_enc):
+    """Each raw row reads back from its encoded row, one attribute slice at a time."""
+    slices = attribute_slices(toy_enc.attributes)
+    for i, row in enumerate(toy.rows):
+        vec = toy_enc.values[i]
+        back = []
+        for attr, sl in zip(toy_enc.attributes, slices):
+            block = vec[sl]
+            if attr.kind is AttributeKind.NUMERIC:
+                back.append(float(block[0]))
+            elif attr.kind is AttributeKind.BOOLEAN:
+                assert block[0] in (0.0, 1.0)
+                back.append(bool(block[0]))
+            elif attr.kind is AttributeKind.ORDINAL:
+                back.append(attr.categories[int(block[0])])
+            else:
+                assert sorted(block.tolist()) == [0.0] * (len(block) - 1) + [1.0]
+                hot = toy_enc.columns[sl][int(np.argmax(block))]
+                back.append(hot.category)
+        assert tuple(back) == row
+
+
 def test_attribute_slices_follow_encoded_columns(toy_enc):
     slices = attribute_slices(toy_enc.attributes)
     assert [(sl.start, sl.stop) for sl in slices] == [
