@@ -397,7 +397,7 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
 
 
 def _check_dump_invariants(partition: Partition, enc, ns) -> None:
-    """Cover and budget, then an independent sample-form recomputation of the loss."""
+    """Cover and budget, then the dumped models' loss recomputed from the Gram pieces."""
     splitter.check_cover(partition, enc.n)
     recomputed = 0.0
     for sg in partition.subgroups:

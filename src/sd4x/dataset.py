@@ -131,6 +131,10 @@ def schema_from_dict(obj: dict) -> tuple[tuple[Attribute, ...], tuple[str, ...]]
     names = [a.name for a in attrs]
     if len(set(names)) != len(names):
         raise InputError("duplicate attribute names in schema")
+    columns = [c.name for c in encoded_columns(tuple(attrs))]
+    for j, name in enumerate(columns):
+        if name in columns[:j]:
+            raise InputError(f"two attributes encode to the same column {name!r}")
     classes = tuple(str(c) for c in raw_classes)
     if len(set(classes)) != len(classes):
         raise InputError("duplicate class names in schema")

@@ -18,7 +18,6 @@ from .errors import InputError
 from .neighborhood import NeighborhoodSet
 from .splitter import Partition
 from .whitebox import (
-    _LOSS_BLOCK_ROWS,
     WhiteBoxModel,
     fit_on_neighborhoods,
     model_from_solution,
@@ -45,26 +44,18 @@ def fit_global_wb(ns: NeighborhoodSet, lam: float) -> tuple[WhiteBoxModel, float
 def fit_local_wb(ns: NeighborhoodSet, lam: float) -> tuple[list[WhiteBoxModel], float]:
     """One model per explained object; returns (models, total loss).
 
-    All objects are solved in one batched call; each model equals what
-    ``fit_on_neighborhoods`` returns for that object alone.  The residuals
-    are computed a block of objects at a time, with one stacked product
-    per block, and the per-object SSEs are added in object order, so the
-    total equals the sum of the objects' ``subgroup_loss`` values.
+    All objects are solved in one batched call, and their losses come
+    from one :func:`kernels.residual_sse` call on the same Gram pieces;
+    each model and loss equals what ``fit_on_neighborhoods`` and
+    ``subgroup_loss`` give for that object alone.  The per-object losses
+    are added in object order.
     """
-    G_all, C_all, _ = neighborhood_grams(ns)
-    m = ns.samples.shape[2]
-    B, _ = kernels.solve_stack(G_all, C_all, lam, m)
-    models = [model_from_solution(B[i], lam) for i in range(ns.n_objects)]
-    # The same (m, p) layout as model.coefficients.T, so each product is
-    # the BLAS call subgroup_loss makes.
-    coef_t = np.stack([model.coefficients for model in models]).transpose(0, 2, 1)
-    step = max(1, _LOSS_BLOCK_ROWS // ns.size)
+    G_all, C_all, yy_all = neighborhood_grams(ns)
+    B, _ = kernels.solve_stack(G_all, C_all, lam, G_all.shape[1] - 1)
+    models = [model_from_solution(b, lam) for b in B]
     total = 0.0
-    for start in range(0, ns.n_objects, step):
-        blk = slice(start, start + step)
-        diff = ns.bb_outputs[blk] - (ns.samples[blk] @ coef_t[blk] + B[blk, m][:, None])
-        for sse in np.sum((diff * diff).reshape(diff.shape[0], -1), axis=1):
-            total += float(sse)
+    for sse in kernels.residual_sse(G_all, C_all, yy_all, B):
+        total += float(sse)
     return models, total
 
 

@@ -116,12 +116,24 @@ def solve_penalized(
     return B[0], bool(ok[0])
 
 
+def residual_sse(G: np.ndarray, C: np.ndarray, yy: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Residual SSE of each solution ``B[k]`` of a stack, from Gram-form inputs.
+
+    For rows with augmented design ``Xa`` and targets ``Y`` the SSE of
+    ``Xa @ B`` is ``yy + sum(B * (G @ B - 2 C))``.  That sum cancels
+    against ``yy``, so its rounding noise is of order 1e-16 * yy and of
+    either sign; each result is clamped at 0, the least possible SSE.
+    ``G`` is (k, d, d), ``C`` and ``B`` are (k, d, p), ``yy`` is (k,).
+    """
+    R = B * (G @ B - 2.0 * C)
+    return np.maximum(yy + np.sum(R.reshape(R.shape[0], -1), axis=1), 0.0)
+
+
 def _ridge_sse_stack(
     G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: float, npen: int
 ) -> np.ndarray:
     B, _ = solve_stack(G, C, lam, npen)
-    R = B * (G @ B - 2.0 * C)
-    return yy + np.sum(R.reshape(R.shape[0], -1), axis=1)
+    return residual_sse(G, C, yy, B)
 
 
 def ridge_sse(G: np.ndarray, C: np.ndarray, yy: float, lam: float, npen: int) -> float:

@@ -230,9 +230,10 @@ def save_cache(path: str, ns: NeighborhoodSet) -> None:
 def load_cache(path: str) -> NeighborhoodSet | None:
     """Neighborhoods from a cache file, or None if it is missing or corrupt.
 
-    A file that is not a readable ``.npz``, lacks an array, or holds arrays
-    of the wrong dtype or rank is treated as corrupt.  Whether the shapes
-    fit the current data is the caller's check.
+    A file that is not a readable ``.npz``, lacks an array, holds arrays
+    of the wrong dtype or rank, or holds a non-finite sample or output is
+    treated as corrupt.  Whether the shapes fit the current data is the
+    caller's check.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -249,6 +250,8 @@ def load_cache(path: str) -> NeighborhoodSet | None:
         or outputs.shape[:2] != samples.shape[:2]
         or meta.shape != (3,)
         or meta.dtype.kind != "i"
+        or not np.isfinite(samples).all()
+        or not np.isfinite(outputs).all()
     ):
         return None
     return NeighborhoodSet(

@@ -13,9 +13,12 @@ prefix sums, and both children of every candidate boundary are solved
 straight from those sums, the right child as the total minus the
 prefix.  The scan only ranks candidates; the winning split's children
 are refitted through the canonical pooled-fit path, and a split is
-applied only when the children's summed loss actually improves on the
-parent's.  All reductions break ties deterministically: lower column
-index first, then lower threshold, then lower subgroup id.
+applied only when the children's summed loss improves on the parent's
+by more than ``_GAIN_GUARD`` times the parent's summed squared outputs:
+losses come from Gram pieces that cancel against those outputs, so
+smaller gains are rounding noise.  All reductions break ties
+deterministically: lower column index first, then lower threshold, then
+lower subgroup id.
 """
 from __future__ import annotations
 
@@ -265,8 +268,8 @@ def run(
         if best is None:
             break
         parent = active[best.subgroup_id]
-        guard = _GAIN_GUARD * parent.loss if parent.loss > 0.0 else 0.0
-        if best.gain <= guard:
+        parent_yy = float(engine.grams[2][parent.members].sum())
+        if best.gain <= _GAIN_GUARD * parent_yy:
             break
         col = enc.columns[best.column]
         left = Subgroup(

@@ -16,11 +16,10 @@ neighborhood with itself and with its black-box outputs, written straight
 into the Gram arrays; the intercept row and column are filled from the
 column sums, so no augmented copy of the neighborhoods is built.  BLAS
 sums in its own order, so the last bits of these pieces, and of every
-model fitted from them, can differ between BLAS builds.  The subgroup
-loss is still computed from the samples themselves, as an independent
-check on the Gram-based fits.  Its blocks of rows fix the order of
-summation; the samples are gathered a few thousand rows at a time within
-a block, so its temporaries stay small.
+model fitted from them, can differ between BLAS builds.  Losses come
+from the same pieces: :func:`subgroup_loss` sums the members' pieces and
+evaluates the residual with :func:`kernels.residual_sse`, the formula the
+split scan uses, so no loss reads the neighborhood rows.
 """
 from __future__ import annotations
 
@@ -33,12 +32,6 @@ import numpy as np
 from . import kernels
 from .errors import InputError, SingularSystemError
 from .neighborhood import NeighborhoodSet
-
-
-# Neighborhood rows per block of subgroup_loss; fixes its summation order.
-_LOSS_BLOCK_ROWS = 1 << 15
-# Neighborhood rows per sample gather within a block; bounds its temporaries.
-_LOSS_GATHER_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -144,12 +137,15 @@ def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -
     members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise InputError("cannot fit on an empty subgroup")
-    G_all, C_all, _ = neighborhood_grams(ns)
-    G = G_all[members].sum(axis=0)
-    C = C_all[members].sum(axis=0)
-    m = ns.samples.shape[2]
-    B, _ = kernels.solve_penalized(G, C, lam, m)
+    G, C, _ = _pooled_grams(ns, members)
+    B, _ = kernels.solve_penalized(G, C, lam, G.shape[0] - 1)
     return model_from_solution(B, lam)
+
+
+def _pooled_grams(ns: NeighborhoodSet, members: np.ndarray) -> tuple:
+    """The members' Gram pieces summed in member order: (G, C, yy)."""
+    G_all, C_all, yy_all = neighborhood_grams(ns)
+    return G_all[members].sum(axis=0), C_all[members].sum(axis=0), yy_all[members].sum()
 
 
 def model_from_solution(B: np.ndarray, lam: float) -> WhiteBoxModel:
@@ -165,28 +161,12 @@ def model_from_solution(B: np.ndarray, lam: float) -> WhiteBoxModel:
 def subgroup_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
     """Sum of squared errors of the model over the members' neighborhoods.
 
-    The members are walked in order, in blocks of about
-    ``_LOSS_BLOCK_ROWS`` neighborhood rows, and the block sums are added
-    in that order; the blocks fix the summation, and so the last bits of
-    the loss.  Within a block the predictions are formed from gathers of
-    about ``_LOSS_GATHER_ROWS`` rows, so the temporaries stay bounded
-    whatever the subgroup size.
+    Evaluated by :func:`kernels.residual_sse` on the members' summed Gram
+    pieces, with the model stacked back into its (m + 1, p) solution.
     """
-    if ns.bb_outputs is None:
-        raise InputError("neighborhoods are missing cached black-box outputs")
-    members = np.asarray(members, dtype=np.int64)
-    step = max(1, _LOSS_BLOCK_ROWS // ns.size)
-    gather = max(1, _LOSS_GATHER_ROWS // ns.size)
-    coef_t = model.coefficients.T
-    total = 0.0
-    for start in range(0, members.size, step):
-        block = members[start : start + step]
-        diff = ns.bb_outputs[block]
-        for lo in range(0, block.size, gather):
-            part = block[lo : lo + gather]
-            diff[lo : lo + gather] -= ns.samples[part] @ coef_t + model.intercepts
-        total += float(np.sum(diff * diff))
-    return total
+    G, C, yy = _pooled_grams(ns, np.asarray(members, dtype=np.int64))
+    B = np.vstack([model.coefficients.T, model.intercepts])
+    return float(kernels.residual_sse(G[None], C[None], np.asarray([yy]), B[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -173,10 +173,17 @@ def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
             meta=np.array([10, 25, 2], dtype=np.int64),
         )
 
+    def nan_output(fh):
+        outputs = good.bb_outputs.copy()
+        outputs[1, 2, 0] = np.nan
+        meta = np.array([good.z, good.n_synth, good.seed])
+        np.savez(fh, samples=good.samples, bb_outputs=outputs, meta=meta)
+
     for spoil in (
         lambda fh: fh.write(blob[: len(blob) // 2]),
         lambda fh: fh.write(blob[:10]),
         wrong_shapes,
+        nan_output,
     ):
         with open(path, "wb") as fh:
             spoil(fh)
@@ -188,6 +195,41 @@ def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
         assert rewritten is not None
         assert np.array_equal(rewritten.samples, good.samples)
         assert np.array_equal(rewritten.bb_outputs, good.bb_outputs)
+
+
+def test_explain_rejects_a_schema_with_repeated_encoded_columns(tmp_path, capsys):
+    # numeric "color=red" and nominal "color" with category "red" both
+    # encode to a column named "color=red"
+    schema = {
+        "attributes": [
+            {"name": "color=red", "kind": "numeric"},
+            {"name": "color", "kind": "nominal", "categories": ["red", "blue"]},
+        ],
+        "classes": ["c0", "c1"],
+    }
+    bb = {
+        "type": "linear",
+        "classes": ["c0", "c1"],
+        "columns": ["color=red", "color=red", "color=blue"],
+        "weights": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        "biases": [0.0, 0.0],
+    }
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "bb.json").write_text(json.dumps(bb))
+    (tmp_path / "data.csv").write_text(
+        "color=red,color,class\n1.5,red,c0\n0.5,blue,c1\n2.5,blue,c0\n"
+    )
+    args = [
+        "explain", "--data", str(tmp_path / "data.csv"),
+        "--schema", str(tmp_path / "schema.json"),
+        "--blackbox", str(tmp_path / "bb.json"),
+        "--k", "1", "--n-synth", "5", "--out", str(tmp_path / "p.json"),
+    ]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'color=red'" in err
+    assert err.count("\n") == 1
 
 
 def _overlap(dump):

@@ -293,12 +293,22 @@ def test_cache_rejects_truncated_and_malformed_files(tmp_path):
         "bb_outputs": np.zeros((6, 41, 2)),
         "meta": np.array([10, 40, 3], dtype=np.int64),
     }
+
+    def one_entry(value):
+        out = np.zeros((6, 41, 2))
+        out[2, 5, 1] = value
+        return out
+
     for key, value in (
         ("samples", np.zeros((6, 41))),
         ("samples", np.zeros((6, 41, 2), dtype=np.int64)),
         ("bb_outputs", np.zeros((6, 40, 2))),
         ("meta", good["meta"][:2]),
         ("bb_outputs", None),
+        ("samples", one_entry(np.nan)),
+        ("samples", one_entry(-np.inf)),
+        ("bb_outputs", one_entry(np.nan)),
+        ("bb_outputs", one_entry(np.inf)),
     ):
         arrays = {k: v for k, v in {**good, key: value}.items() if v is not None}
         with open(malformed, "wb") as fh:

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sd4x import evaluation, splitter
+from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, SingularSystemError
 from sd4x.neighborhood import NeighborhoodSet, build, label
-from sd4x import whitebox
 from sd4x.whitebox import (
     WhiteBoxModel,
     feature_importance,
@@ -146,6 +147,8 @@ def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2) -> NeighborhoodSet:
 
 
 def _one_shot_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
+    # Reference loss from the neighborhood rows, against which the
+    # Gram-form subgroup_loss is checked.
     pred = ns.samples[members] @ model.coefficients.T + model.intercepts
     diff = ns.bb_outputs[members] - pred
     return float(np.sum(diff * diff))
@@ -157,7 +160,6 @@ def test_subgroup_loss_over_several_blocks_matches_one_shot_sum():
     model = WhiteBoxModel(
         coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
     )
-    assert whitebox._LOSS_BLOCK_ROWS // ns.size < 80  # the members span blocks
     for members in (np.arange(80), np.arange(79, -1, -2), rng.permutation(80)[:50]):
         expected = _one_shot_loss(ns, members, model)
         assert subgroup_loss(ns, members, model) == pytest.approx(expected, rel=1e-12)
@@ -176,38 +178,10 @@ def test_subgroup_loss_counts_the_members_rows_in_any_order():
         assert subgroup_loss(ns, order, model) == pytest.approx(per_object, rel=1e-12)
 
 
-def _whole_block_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
-    # The block walk with one gather of the whole block's samples.
-    step = max(1, whitebox._LOSS_BLOCK_ROWS // ns.size)
-    total = 0.0
-    for start in range(0, members.size, step):
-        block = members[start : start + step]
-        diff = ns.bb_outputs[block]
-        diff -= ns.samples[block] @ model.coefficients.T + model.intercepts
-        total += float(np.sum(diff * diff))
-    return total
-
-
-@pytest.mark.parametrize("gather_rows", [1, 3 * 101, None], ids=["1", "3", "default"])
-def test_subgroup_loss_gathers_do_not_change_the_loss(monkeypatch, gather_rows):
-    rng = np.random.default_rng(9)
-    ns = _random_ns(rng, n=60, S=101, m=5, p=3)
-    model = WhiteBoxModel(
-        coefficients=rng.normal(size=(3, 5)), intercepts=rng.normal(size=3), lam=1.0
-    )
-    monkeypatch.setattr(whitebox, "_LOSS_BLOCK_ROWS", 17 * 101)  # blocks of 17 objects
-    if gather_rows is not None:
-        monkeypatch.setattr(whitebox, "_LOSS_GATHER_ROWS", gather_rows)
-    for members in (np.arange(60), rng.permutation(60)[:45], np.array([4])):
-        assert subgroup_loss(ns, members, model) == _whole_block_loss(ns, members, model)
-
-
 def test_subgroup_loss_peak_memory_is_a_few_gathers():
-    # neighborhood-mixed sizes: S = 601, m = 35, p = 3, and more objects
-    # than one block holds.
+    # neighborhood-mixed sizes: S = 601, m = 35, p = 3.
     rng = np.random.default_rng(10)
     ns = _random_ns(rng, n=60, S=601, m=35, p=3)
-    assert whitebox._LOSS_BLOCK_ROWS // ns.size < 60
     model = WhiteBoxModel(
         coefficients=rng.normal(size=(3, 35)), intercepts=rng.normal(size=3), lam=1.0
     )
@@ -221,6 +195,44 @@ def test_subgroup_loss_peak_memory_is_a_few_gathers():
     finally:
         tracemalloc.stop()
     assert peak - base <= 4 * 2**20, (peak - base) / 2**20
+
+
+def test_subgroup_loss_matches_the_reference_on_criterion_3_runs():
+    # The twenty runs of acceptance criterion 3, with their neighborhoods.
+    for seed in range(20):
+        rng = np.random.default_rng(300 + seed)
+        enc = numeric_enc(rng.random((40, 4)))
+        bb = random_linear_bb(rng, enc, scale=2.0)
+        ns = label(build(enc, z=10, n_synth=15, seed=seed), bb)
+        partition = splitter.run(enc, K=6, lam=1.0, ns=ns)
+        for sg in partition.subgroups:
+            expected = _one_shot_loss(ns, sg.members, sg.model)
+            assert subgroup_loss(ns, sg.members, sg.model) == pytest.approx(expected, rel=1e-9)
+
+
+def test_losses_of_a_constant_blackbox_are_never_negative():
+    # Every fit at lambda = 0 is exact, so each loss is rounding noise
+    # around 0; the noise must not make a loss negative.
+    rng = np.random.default_rng(13)
+    enc = numeric_enc(rng.normal(size=(30, 3)))
+    bb = LinearBlackBox(
+        classes=enc.classes,
+        columns=enc.column_names,
+        weights=np.zeros((2, 3)),
+        biases=np.array([1.0, 0.0]),
+    )
+    ns = label(build(enc, z=10, n_synth=10, seed=4), bb)
+    subsets = [np.arange(enc.n)] + [
+        np.sort(rng.choice(enc.n, size=int(rng.integers(1, enc.n)), replace=False))
+        for _ in range(50)
+    ]
+    for members in subsets:
+        model = fit_on_neighborhoods(ns, members, 0.0)
+        assert subgroup_loss(ns, members, model) >= 0.0
+    models, total = evaluation.fit_local_wb(ns, 0.0)
+    assert total >= 0.0
+    for i, model in enumerate(models):
+        assert subgroup_loss(ns, np.array([i]), model) >= 0.0
 
 
 def test_fit_on_neighborhoods_equals_stacked_ridge():
