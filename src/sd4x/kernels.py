@@ -8,23 +8,29 @@ augmented design ``Xa`` (intercept column last) and stacked targets
 
 Every solve goes through one batched path, :func:`solve_stack`, which
 works on a stack of systems at once: one ``np.linalg.cholesky`` call
-tests every matrix, one ``np.linalg.solve`` call solves every matrix
-that passes.  A matrix fails the test when Cholesky fails or any pivot
-``L[i, i]**2`` is at most ``1e-12`` times its largest diagonal entry;
-a failed matrix falls back to an eigendecomposition pseudoinverse,
-which returns the minimum-norm least-squares solution.  On consistent
-systems (always the case for Gram-form normal equations) that solution
-still attains the minimal sum of squared errors.  Each matrix of a
-stack is solved by the same LAPACK call as it would be on its own, so
-batched and single results are bit-identical.
+factors and tests every matrix, and a forward and back substitution on
+that same factor solves every matrix that passes.  numpy has no batched
+triangular solve, so the substitution runs with the stack index
+innermost: each of its ``2 d`` steps is one vectorised operation over
+all matrices of the stack.  A matrix fails the test when Cholesky fails
+or any pivot ``L[i, i]**2`` is at most ``1e-12`` times its largest
+diagonal entry; a failed matrix falls back to an eigendecomposition
+pseudoinverse, which returns the minimum-norm least-squares solution.
+On consistent systems (always the case for Gram-form normal equations)
+that solution still attains the minimal sum of squared errors.  Each
+matrix of a stack is factored by the same LAPACK call as it would be on
+its own, and every substitution step is elementwise within one matrix,
+so batched and single results are bit-identical.
 
 Every stack is built and solved in chunks of at most ``_STACK_BYTES``
-bytes of ``(d, d)`` matrices, so the stack, its penalized copy and its
-Cholesky factor stay bounded however many systems a call solves.  Since
-each matrix still goes through the same LAPACK call, and every reduction
-runs within one matrix, the chunk size never changes a result.  The
-budget is in bytes rather than in matrices so that small systems stay in
-one chunk, where the per-call numpy overhead is paid once.
+bytes of ``(d, d)`` matrices, so the stack, its penalized copy, its
+Cholesky factor and that factor's transposed copy stay bounded however
+many systems a call solves.  The penalized copy is dropped once the
+stack is factored, and the factor once it is transposed, so besides the
+stack at most two chunk-sized arrays are alive at a time.  Since no step
+mixes two matrices, the chunk size never changes a result.  The budget
+is in bytes rather than in matrices so that small systems stay in one
+chunk, where the per-call numpy overhead is paid once.
 """
 from __future__ import annotations
 
@@ -56,17 +62,51 @@ def _penalize(G: np.ndarray, lam: float, npen: int) -> np.ndarray:
     return A
 
 
-def _pivots_pass(A: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack: does Cholesky succeed with every pivot above the cutoff?"""
+def _pivots_pass(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky-factor every matrix of the stack and test its pivots.
+
+    Returns (ok, L): ``ok[k]`` says Cholesky succeeds on ``A[k]`` with
+    every pivot above the cutoff, and ``L[k]`` is that factor where
+    ``ok[k]`` holds and the identity elsewhere, so that a substitution
+    over the whole stack stays finite.
+    """
     tol = _PIVOT_CUTOFF * np.maximum(np.diagonal(A, axis1=1, axis2=2).max(axis=1), 0.0)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         if A.shape[0] == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_pivots_pass(A[k : k + 1]) for k in range(A.shape[0])])
+            return np.zeros(1, dtype=bool), np.eye(A.shape[1])[None]
+        ok, L = np.empty(A.shape[0], dtype=bool), np.empty(A.shape)
+        for k in range(A.shape[0]):
+            ok[k : k + 1], L[k : k + 1] = _pivots_pass(A[k : k + 1])
+        return ok, L
     piv = np.diagonal(L, axis1=1, axis2=2)
-    return np.all(piv * piv > tol[:, None], axis=1)
+    ok = np.all(piv * piv > tol[:, None], axis=1)
+    if not ok.all():
+        L[~ok] = np.eye(A.shape[1])
+    return ok, L
+
+
+def _cholesky_solve(Lt: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve L[k] L[k].T B[k] = C[k] for every k of a stack.
+
+    ``Lt`` holds the factors stack index innermost, ``Lt[i, j, k] =
+    L[k, i, j]``, and the right-hand sides are copied to (d, p, k) the
+    same way, so each step of the forward and back substitutions is one
+    vectorised operation over every matrix.  Every operation is
+    elementwise within one matrix, so a matrix gets the same bits
+    whatever stack it is solved in.  Returns a (k, d, p) view of a fresh
+    array; ``C`` is never written.
+    """
+    d = Lt.shape[0]
+    W = C.transpose(1, 2, 0).copy()
+    for i in range(d):
+        W[i] /= Lt[i, i]
+        W[i + 1 :] -= Lt[i + 1 :, i, None] * W[i]
+    for i in range(d - 1, -1, -1):
+        W[i] /= Lt[i, i]
+        W[:i] -= Lt[i, :i, None] * W[i]
+    return W.transpose(2, 0, 1)
 
 
 def solve_stack(
@@ -76,9 +116,10 @@ def solve_stack(
 
     ``G`` is (k, d, d) and ``C`` is (k, d, p); mask is 1 on the first
     npen entries.  Returns (B, ok) where ``ok[k]`` says matrix k passed
-    the pivot test and was solved directly rather than by pseudoinverse.
-    The stack is penalized, factored and solved a chunk of at most
-    ``_STACK_BYTES`` at a time; the results do not depend on the chunks.
+    the pivot test and was solved from its Cholesky factor rather than
+    by pseudoinverse.  The stack is penalized, factored and solved a
+    chunk of at most ``_STACK_BYTES`` at a time; the results do not
+    depend on the chunks.  ``G`` and ``C`` are never written.
     """
     lam, npen = float(lam), int(npen)
     k, d = G.shape[0], G.shape[1]
@@ -96,15 +137,12 @@ def solve_stack(
 def _solve_chunk(
     G: np.ndarray, C: np.ndarray, lam: float, npen: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    A = _penalize(G, lam, npen)
-    ok = _pivots_pass(A)
-    if ok.all():
-        return np.linalg.solve(A, C), ok
-    B = np.empty(C.shape)
-    if ok.any():
-        B[ok] = np.linalg.solve(A[ok], C[ok])
+    ok, L = _pivots_pass(_penalize(G, lam, npen))
+    Lt = np.ascontiguousarray(L.transpose(1, 2, 0))
+    del L  # at most two chunk-sized arrays at a time; see the module docstring
+    B = _cholesky_solve(Lt, C)
     for k in np.flatnonzero(~ok):
-        B[k] = _pinv_solve(A[k], C[k])
+        B[k] = _pinv_solve(_penalize(G[k], lam, npen), C[k])
     return B, ok
 
 

@@ -130,7 +130,51 @@ def test_tiny_pivot_fails_the_relative_pivot_test():
     C = np.ones((2, 4, 2))
     B, ok = kernels.solve_stack(G, C, 0.0, 3)
     assert ok.tolist() == [False, True]
-    assert np.array_equal(B[1], np.linalg.solve(G[1], C[1]))
+    alone, ok_alone = kernels.solve_stack(G[1:], C[1:], 0.0, 3)
+    assert ok_alone.tolist() == [True]
+    assert np.array_equal(B[1], alone[0])
+    np.testing.assert_allclose(B[1], np.linalg.solve(G[1], C[1]), rtol=1e-15, atol=0)
+
+
+def _spd_stack(rng, k, d, p):
+    M = rng.normal(size=(k, d, 2 * d))
+    return M @ M.transpose(0, 2, 1), rng.normal(size=(k, d, p))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 9, 13, 36])
+def test_solve_stack_agrees_with_per_matrix_lu_solves(d, p, lam):
+    rng = np.random.default_rng(1000 * d + 10 * p + int(lam))
+    G, C = _spd_stack(rng, 7, d, p)
+    npen = d - 1
+    B, ok = kernels.solve_stack(G, C, lam, npen)
+    assert ok.all()
+    pen = np.diag([lam] * npen + [0.0])
+    for k in range(G.shape[0]):
+        expected = np.linalg.solve(G[k] + pen, C[k])
+        np.testing.assert_allclose(B[k], expected, rtol=1e-10, atol=0)
+        alone, _ = kernels.solve_stack(G[k : k + 1], C[k : k + 1], lam, npen)
+        assert np.array_equal(alone[0], B[k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 300])
+def test_solve_stack_never_writes_into_its_inputs(k):
+    # The last matrix is singular at lambda = 0, so both the substitution
+    # and the pseudoinverse fallback run.  At k = 1 a transposed view of
+    # C is already contiguous, so a solve that skipped the copy would
+    # write straight into C.
+    rng = np.random.default_rng(k)
+    G, C = _spd_stack(rng, k, 5, 3)
+    G[-1, :, 0] = G[-1, 0, :] = 0.0
+    G0, C0 = G.copy(), C.copy()
+    for lam in (0.0, 1.0):
+        B, ok = kernels.solve_stack(G, C, lam, 4)
+        assert ok[-1] == (lam > 0.0)
+        assert np.array_equal(G, G0) and np.array_equal(C, C0)
+    kernels.ridge_sse(G[0], C[0], 1.0, 0.0, 4)
+    kernels.solve_penalized(G[-1], C[-1], 0.0, 4)
+    assert np.array_equal(G, G0) and np.array_equal(C, C0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -240,3 +284,20 @@ def test_scan_sse_peak_memory_stays_within_the_stack_budget():
     finally:
         tracemalloc.stop()
     assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
+
+
+def test_solve_stack_peak_memory_stays_within_the_stack_budget():
+    # 1000 matrices with d = 36 take five chunks of the stack budget.
+    rng = np.random.default_rng(9)
+    G, C = _spd_stack(rng, 1000, 36, 3)
+    kernels.solve_stack(G[:2], C[:2], 1.0, 35)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        B, ok = kernels.solve_stack(G, C, 1.0, 35)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    extra = peak - base - B.nbytes - ok.nbytes
+    assert extra <= 4 * kernels._STACK_BYTES, extra / 2**20
