@@ -7,18 +7,31 @@ loss of a subgroup is the sum of squared errors of its fitted surrogate
 over the pooled neighborhoods of its members; the loss of a partition
 is the sum over its subgroups.
 
-Candidate generation scans every allowed column of a subgroup: members
-are sorted by column value, per-object Gram pieces are accumulated as
-prefix sums, and both children of every candidate boundary are solved
-straight from those sums, the right child as the total minus the
-prefix.  The scan only ranks candidates; the winning split's children
-are refitted through the canonical pooled-fit path, and a split is
-applied only when the children's summed loss improves on the parent's
-by more than ``_GAIN_GUARD`` times the parent's summed squared outputs:
-losses come from Gram pieces that cancel against those outputs, so
-smaller gains are rounding noise.  All reductions break ties
-deterministically: lower column index first, then lower threshold, then
-lower subgroup id.
+Candidate generation scores every allowed column of a subgroup in one of
+two ways.  A numeric column is scanned: members are sorted by column
+value, per-object Gram pieces are accumulated as prefix sums, and both
+children of every candidate boundary are solved straight from those
+sums, the right child as the total minus the prefix.  A coded column
+(boolean, ordinal, or one category of a nominal) has a handful of
+distinct values, so its candidates are scored without a sort: each child
+of each candidate is a 0/1 indicator row over the members, and one
+product of those rows with the members' Gram pieces sums every child of
+every coded column at once, in bounded blocks of children and members.
+Each child is summed from its own rows, so an entry that is zero on all
+of them, such as a one-hot level absent from the child, is an exact zero.
+Both ways take their thresholds from one midpoint rule.
+
+The search only ranks candidates; the winning split's children are
+refitted through the canonical pooled-fit path, and a split is applied
+only when the children's summed loss improves on the parent's by more
+than ``_GAIN_GUARD`` times the parent's summed squared outputs: losses
+come from Gram pieces that cancel against those outputs, so smaller
+gains are rounding noise.  Child losses are never negative, so a split's
+gain never exceeds its subgroup's loss: each step visits subgroups by
+decreasing loss, searches a subgroup only the first time it is visited,
+and stops once a subgroup's loss is below the best gain found.  All
+reductions break ties deterministically: lower column index first, then
+lower threshold, then lower subgroup id.
 """
 from __future__ import annotations
 
@@ -28,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .dataset import EncodedMatrix, content_hash
+from .dataset import AttributeKind, EncodedMatrix, content_hash
 from .errors import InputError, InvariantError
 from .neighborhood import NeighborhoodSet, build, label
 from .patterns import (
@@ -98,12 +111,20 @@ class Partition:
         return [(1, self.root_loss)] + [(t.iteration + 1, t.loss_after) for t in self.trace]
 
 
+def _midpoints(lo, hi):
+    """Split threshold between consecutive distinct column values lo < hi."""
+    return (lo + hi) / 2.0
+
+
 def candidate_thresholds(values: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive distinct sorted values of a column."""
     sv = np.unique(np.asarray(values, dtype=np.float64))
     if sv.size < 2:
         return np.empty(0)
-    return (sv[:-1] + sv[1:]) / 2.0
+    return _midpoints(sv[:-1], sv[1:])
+
+
+_CODED_KINDS = (AttributeKind.BOOLEAN, AttributeKind.ORDINAL, AttributeKind.NOMINAL)
 
 
 class _Engine:
@@ -120,6 +141,7 @@ class _Engine:
         self.lam = lam
         self.min_support = min_support
         self.columns = columns
+        self.coded = [j for j in columns if enc.columns[j].kind in _CODED_KINDS]
         self.grams = neighborhood_grams(ns)
         self.npen = enc.m
 
@@ -142,17 +164,93 @@ class _Engine:
         )
         best = int(np.argmin(sses))
         t = int(jumps[best])
-        threshold = (sv[t - 1] + sv[t]) / 2.0
-        return float(sses[best]), float(threshold)
+        return float(sses[best]), float(_midpoints(sv[t - 1], sv[t]))
+
+    def _coded_splits(self, members: np.ndarray) -> dict[int, tuple[float, float] | None]:
+        """Best (SSE, threshold) of every coded column; None without a candidate.
+
+        A candidate keeps both children at ``min_support`` members or
+        more.  Its SSE is the sum of its two children's ridge SSEs, each
+        child solved from Gram pieces summed over its own members by an
+        indicator product; see the module docstring.
+        """
+        best = dict.fromkeys(self.coded)
+        if not self.coded:
+            return best
+        V = self.enc.values[np.ix_(members, self.coded)]
+        n = members.size
+        cols, thrs = [], []
+        for c in range(len(self.coded)):
+            thr = candidate_thresholds(V[:, c])
+            left = np.searchsorted(np.sort(V[:, c]), thr, side="right")
+            thr = thr[(left >= self.min_support) & (left <= n - self.min_support)]
+            cols.append(np.full(thr.size, c))
+            thrs.append(thr)
+        col, thr = np.concatenate(cols), np.concatenate(thrs)
+        if thr.size == 0:
+            return best
+        sse = self._indicator_sse(members, V, col, thr)
+        for c in np.unique(col):
+            idx = np.flatnonzero(col == c)
+            b = idx[np.argmin(sse[idx])]
+            best[self.coded[c]] = (float(sse[b]), float(thr[b]))
+        return best
+
+    def _indicator_sse(
+        self, members: np.ndarray, V: np.ndarray, col: np.ndarray, thr: np.ndarray
+    ) -> np.ndarray:
+        """Child-SSE totals of the candidates ``V[:, col] <= thr`` over the members.
+
+        Candidates go in groups of k: rows [0, k) of a group's indicator
+        are the left children and rows [k, 2k) the right ones.  The
+        members' Gram pieces are gathered into one (rows, d*d + d*p + 1)
+        buffer a block at a time, and one product per block adds every
+        child's share of (G, C, yy).  A group's summed pieces and a
+        member block each take at most ``kernels._STACK_BYTES``.
+        """
+        G_all, C_all, yy_all = self.grams
+        N, d, p = C_all.shape
+        dd, dp = d * d, d * p
+        G_flat, C_flat = G_all.reshape(N, dd), C_all.reshape(N, dp)
+        width = dd + dp + 1
+        per_group = max(1, kernels._STACK_BYTES // (2 * width * 8))
+        rows = max(1, kernels._STACK_BYTES // (width * 8))
+        out = np.empty(thr.size)
+        for g in range(0, thr.size, per_group):
+            cg, tg = col[g : g + per_group], thr[g : g + per_group]
+            k = tg.size
+            acc = np.zeros((2 * k, width))
+            for start in range(0, members.size, rows):
+                mb = members[start : start + rows]
+                buf = np.empty((mb.size, width))
+                np.take(G_flat, mb, axis=0, out=buf[:, :dd])
+                np.take(C_flat, mb, axis=0, out=buf[:, dd:-1])
+                np.take(yy_all, mb, out=buf[:, -1])
+                ind = np.empty((2 * k, mb.size))
+                np.less_equal(V[start : start + rows, cg].T, tg[:, None], out=ind[:k])
+                np.subtract(1.0, ind[:k], out=ind[k:])
+                acc += ind @ buf
+                del buf  # free the block before the next one is gathered
+            G = acc[:, :dd].reshape(2 * k, d, d)
+            C = acc[:, dd:-1].reshape(2 * k, d, p)
+            B, _ = kernels.solve_stack(G, C, self.lam, self.npen)
+            sse = kernels.residual_sse(G, C, acc[:, -1], B)
+            out[g : g + k] = sse[:k] + sse[k:]
+        return out
 
     def best_split(self, sg: Subgroup) -> CandidateSplit | None:
-        """Best candidate split of a subgroup, or None when no split exists."""
+        """Best candidate split of a subgroup, or None when no split exists.
+
+        Coded columns are scored together by :meth:`_coded_splits`, every
+        other column by its own boundary scan.
+        """
         if sg.members.size < 2 * self.min_support:
             return None
 
+        coded = self._coded_splits(sg.members)
         best: tuple[float, int, float] | None = None
         for j in self.columns:
-            res = self._scan_column(sg.members, j)
+            res = coded[j] if j in coded else self._scan_column(sg.members, j)
             if res is None:
                 continue
             sse, threshold = res
@@ -201,6 +299,37 @@ def _resolve_columns(enc: EncodedMatrix, split_columns) -> list[int]:
     if not out:
         raise InputError("split column filter selected no columns")
     return sorted(set(out))
+
+
+def _next_split(
+    engine: _Engine,
+    active: dict[int, Subgroup],
+    candidates: dict[int, CandidateSplit | None],
+) -> CandidateSplit | None:
+    """Highest-gain candidate over the active subgroups; lower id on equal gains.
+
+    A gain never exceeds its subgroup's loss, so subgroups are visited
+    by decreasing loss and the visit stops at the first one whose loss
+    is below the best gain found: none after it can win.  A subgroup's
+    best split is searched on its first visit and kept in
+    ``candidates``, keyed by subgroup id.
+    """
+    best: CandidateSplit | None = None
+    for sg in sorted(active.values(), key=lambda sg: (-sg.loss, sg.id)):
+        if best is not None and sg.loss < best.gain:
+            break
+        if sg.id not in candidates:
+            candidates[sg.id] = engine.best_split(sg)
+        cand = candidates[sg.id]
+        if cand is None:
+            continue
+        if (
+            best is None
+            or cand.gain > best.gain
+            or (cand.gain == best.gain and cand.subgroup_id < best.subgroup_id)
+        ):
+            best = cand
+    return best
 
 
 def run(
@@ -252,19 +381,11 @@ def run(
     )
     active: dict[int, Subgroup] = {0: root}
     candidates: dict[int, CandidateSplit | None] = {}
-    if K > 1:
-        candidates[0] = engine.best_split(root)
     next_id = 1
     trace: list[TraceEntry] = []
 
     while len(active) < K:
-        best: CandidateSplit | None = None
-        for sid in sorted(active):
-            cand = candidates.get(sid)
-            if cand is None:
-                continue
-            if best is None or cand.gain > best.gain:
-                best = cand
+        best = _next_split(engine, active, candidates)
         if best is None:
             break
         parent = active[best.subgroup_id]
@@ -291,9 +412,6 @@ def run(
         candidates.pop(parent.id, None)
         active[left.id] = left
         active[right.id] = right
-        if len(active) < K:
-            candidates[left.id] = engine.best_split(left)
-            candidates[right.id] = engine.best_split(right)
         loss_after = float(sum(active[sid].loss for sid in sorted(active)))
         trace.append(
             TraceEntry(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,3 +376,330 @@ def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
         assert np.all(right_G[1] == 0.0) == red_free
         assert np.all(right_G[:, 1] == 0.0) == red_free
         assert np.all(right_C[1] == 0.0) == red_free
+
+
+# ---------------------------------------------------------------------------
+# coded columns: one indicator product instead of a sorted scan
+# ---------------------------------------------------------------------------
+
+
+def _coded_problem(seed, n=40, n_synth=15, scale=1.0):
+    """Numeric, boolean, 3-category nominal and 4-level ordinal attributes."""
+    rng = np.random.default_rng(seed)
+    hues, sizes = ("r", "g", "b"), ("xs", "s", "m", "l")
+    attrs = (
+        Attribute("x", AttributeKind.NUMERIC),
+        Attribute("flag", AttributeKind.BOOLEAN),
+        Attribute("hue", AttributeKind.NOMINAL, categories=hues),
+        Attribute("size", AttributeKind.ORDINAL, categories=sizes),
+    )
+    rows = [
+        (
+            float(rng.normal()),
+            bool(rng.integers(2)),
+            hues[int(rng.integers(3))],
+            sizes[int(rng.integers(4))],
+        )
+        for _ in range(n)
+    ]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1", "c2"), rows=rows))
+    bb = random_linear_bb(rng, enc, scale=scale)
+    ns = label(build(enc, z=10, n_synth=n_synth, seed=seed), bb)
+    return enc, ns, rng
+
+
+def _coded_inputs(engine, members):
+    """Every coded candidate of the members as (V, col, thr), min_support applied."""
+    V = engine.enc.values[np.ix_(members, engine.coded)]
+    cols, thrs = [], []
+    for c in range(V.shape[1]):
+        for thr in candidate_thresholds(V[:, c]):
+            left = int(np.count_nonzero(V[:, c] <= thr))
+            if engine.min_support <= left <= members.size - engine.min_support:
+                cols.append(c)
+                thrs.append(thr)
+    return V, np.array(cols, dtype=np.intp), np.array(thrs)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("stack_rows", [None, 3])
+def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
+    # Each coded candidate's SSE must match kernels.scan_sse on the same
+    # column's sorted prefix sums, also when tiny stacks split the members
+    # into blocks of 3 rows and the children into groups of one pair.
+    enc, ns, rng = _coded_problem(31)
+    engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
+    if stack_rows is not None:
+        d, p = engine.grams[1].shape[1:]
+        monkeypatch.setattr(kernels, "_STACK_BYTES", stack_rows * (d * d + d * p + 1) * 8)
+    assert [enc.columns[j].kind for j in engine.coded] == [
+        AttributeKind.BOOLEAN,
+        AttributeKind.NOMINAL,
+        AttributeKind.NOMINAL,
+        AttributeKind.NOMINAL,
+        AttributeKind.ORDINAL,
+    ]
+    G_all, C_all, yy_all = engine.grams
+    checked = 0
+    for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 29, replace=False))):
+        V, col, thr = _coded_inputs(engine, members)
+        got = engine._indicator_sse(members, V, col, thr)
+        for c, j in enumerate(engine.coded):
+            vals = V[:, c]
+            order = np.argsort(vals, kind="stable")
+            mo = members[order]
+            Gpre, Cpre, yypre = (np.cumsum(a[mo], axis=0) for a in (G_all, C_all, yy_all))
+            bounds = np.array(
+                [np.count_nonzero(vals <= t) for t in thr[col == c]], dtype=np.int64
+            )
+            want = kernels.scan_sse(
+                Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, enc.m
+            )
+            np.testing.assert_allclose(got[col == c], want, rtol=1e-12, atol=0)
+            checked += bounds.size
+    assert checked >= 12
+
+
+def _brute_force_split(engine, members):
+    """(sse, column, threshold) of every candidate, refitted the canonical way."""
+    table = []
+    for j in engine.columns:
+        vals = engine.enc.values[members, j]
+        for thr in candidate_thresholds(vals):
+            left, right = members[vals <= thr], members[vals > thr]
+            if min(left.size, right.size) < engine.min_support:
+                continue
+            sse = sum(
+                subgroup_loss(engine.ns, part, fit_on_neighborhoods(engine.ns, part, engine.lam))
+                for part in (left, right)
+            )
+            table.append((sse, j, float(thr)))
+    return table
+
+
+def test_best_split_agrees_with_a_brute_force_refit_search():
+    compared = 0
+    for seed in range(8):
+        enc, ns, rng = _coded_problem(400 + seed, n=30, n_synth=8, scale=2.0)
+        for lam in (0.0, 1.0):
+            engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
+            for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 17, replace=False))):
+                table = _brute_force_split(engine, members)
+                ranked = sorted(s for s, _, _ in table)
+                if ranked[1] - ranked[0] < 1e-9 * max(1.0, ranked[0]):
+                    continue  # a tie below arithmetic resolution, as in criterion 7
+                sse, column, threshold = min(table)
+                sg = splitter.Subgroup(0, members, None, None, float("inf"))
+                cand = engine.best_split(sg)
+                assert (cand.column, cand.threshold) == (column, threshold), (seed, lam)
+                compared += 1
+    assert compared >= 24
+
+
+def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
+    # Columns: x, flag, then the one-hot block hue=r, hue=g, hue=b.  Every
+    # red object has flag set and every blue one has it clear, so besides
+    # the one-hot children themselves the flag children lack a level too.
+    # A child's row and column of a level none of its members has must be
+    # exact zeros, as in a direct sum over its rows.
+    rng = np.random.default_rng(29)
+    n, S, p = 24, 5, 2
+    hues = ["r"] * 6 + ["b"] * 6 + ["g"] * 12
+    flags = [True] * 6 + [False] * 6 + [bool(k) for k in rng.integers(2, size=12)]
+    attrs = (
+        Attribute("x", AttributeKind.NUMERIC),
+        Attribute("flag", AttributeKind.BOOLEAN),
+        Attribute("hue", AttributeKind.NOMINAL, categories=("r", "g", "b")),
+    )
+    order = rng.permutation(n)
+    rows = [(float(rng.normal()), flags[i], hues[i]) for i in order]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
+    samples = np.repeat(enc.values[:, None, :], S, axis=1)
+    samples[:, 1:, 0] += rng.normal(scale=0.01, size=(n, S - 1))
+    ns = NeighborhoodSet(
+        samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=rng.random(size=(n, S, p))
+    )
+    seen = []
+    original = kernels.solve_stack
+
+    def capture(G, C, lam, npen):
+        seen.append((G.copy(), C.copy()))
+        return original(G, C, lam, npen)
+
+    monkeypatch.setattr(kernels, "solve_stack", capture)
+    engine = splitter._Engine(enc, ns, 0.0, 2, [1, 2, 3, 4])
+    members = np.arange(n, dtype=np.int64)
+    V, col, thr = _coded_inputs(engine, members)
+    assert col.tolist() == [0, 1, 2, 3]
+    engine._indicator_sse(members, V, col, thr)
+    ((G, C),) = seen
+    k = thr.size
+    lacking = 0
+    for i in range(2 * k):
+        left = V[:, col[i % k]] <= thr[i % k]
+        child = members[left if i < k else ~left]
+        for level in (2, 3, 4):
+            absent = not np.any(enc.values[child, level])
+            assert np.all(G[i][level] == 0.0) == absent
+            assert np.all(G[i][:, level] == 0.0) == absent
+            assert np.all(C[i][level] == 0.0) == absent
+            lacking += absent
+    assert lacking == 3 * 3 + 2  # 3 per one-hot pair, 1 per flag child
+
+
+def test_coded_path_peak_memory_stays_within_the_stack_budget():
+    # 1000 objects with d = 36: gathering every member's Gram pieces at
+    # once would take 10.4 MB, above the 8 MB bound.
+    rng = np.random.default_rng(37)
+    n = 1000
+    cats = tuple(f"k{i}" for i in range(30))
+    attrs = (
+        Attribute("a", AttributeKind.NUMERIC),
+        Attribute("b", AttributeKind.NUMERIC),
+        Attribute("c", AttributeKind.NUMERIC),
+        Attribute("flag", AttributeKind.BOOLEAN),
+        Attribute("cat", AttributeKind.NOMINAL, categories=cats),
+        Attribute("level", AttributeKind.ORDINAL, categories=("lo", "mid", "hi", "top")),
+    )
+    rows = [
+        (
+            *(float(v) for v in rng.normal(size=3)),
+            bool(rng.integers(2)),
+            cats[int(rng.integers(30))],
+            ("lo", "mid", "hi", "top")[int(rng.integers(4))],
+        )
+        for _ in range(n)
+    ]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1", "c2"), rows=rows))
+    assert enc.m == 35
+    ns = label(build(enc, z=10, n_synth=2, seed=1), random_linear_bb(rng, enc))
+    engine = splitter._Engine(enc, ns, 1.0, 2, list(range(enc.m)))
+    members = np.arange(n, dtype=np.int64)
+    assert members.size * engine.grams[0][0].nbytes > 4 * kernels._STACK_BYTES
+    first = engine._coded_splits(members)  # warm up lazy imports
+    assert len(first) == 32
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        engine._coded_splits(members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
+
+
+def test_scan_sse_runs_for_numeric_columns_only(monkeypatch):
+    enc, ns, _ = _coded_problem(43, n=50, n_synth=10, scale=2.0)
+    scanning = []
+    scanned = []
+    scan_column = splitter._Engine._scan_column
+    scan_sse = kernels.scan_sse
+
+    def traced_scan_column(self, members, j):
+        scanning.append(j)
+        try:
+            return scan_column(self, members, j)
+        finally:
+            scanning.pop()
+
+    def traced_scan_sse(*args):
+        scanned.append(scanning[-1])
+        return scan_sse(*args)
+
+    monkeypatch.setattr(splitter._Engine, "_scan_column", traced_scan_column)
+    monkeypatch.setattr(kernels, "scan_sse", traced_scan_sse)
+    partition = run(enc, K=4, lam=1.0, ns=ns)
+    assert len(partition.trace) == 3
+    assert scanned and {enc.columns[j].kind for j in scanned} == {AttributeKind.NUMERIC}
+
+
+# ---------------------------------------------------------------------------
+# lazy candidates: a split's gain never exceeds its subgroup's loss
+# ---------------------------------------------------------------------------
+
+
+def _eager_next_split(engine, active, candidates):
+    """The reference rule: search every active subgroup, keep the first best gain by id."""
+    best = None
+    for sid in sorted(active):
+        if sid not in candidates:
+            candidates[sid] = engine.best_split(active[sid])
+        cand = candidates[sid]
+        if cand is not None and (best is None or cand.gain > best.gain):
+            best = cand
+    return best
+
+
+def _counted_runs(monkeypatch, enc, ns, **params):
+    """(lazy dict, lazy best_split calls, eager dict, eager best_split calls)."""
+    calls = []
+    best_split = splitter._Engine.best_split
+
+    def counted(self, sg):
+        calls.append(sg.id)
+        return best_split(self, sg)
+
+    monkeypatch.setattr(splitter._Engine, "best_split", counted)
+    out = []
+    for rule in (splitter._next_split, _eager_next_split):
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(splitter, "_next_split", rule)
+            partition = run(enc, ns=ns, **params)
+        out += [json.dumps(partition_to_dict(partition, enc), sort_keys=True), len(calls)]
+    return tuple(out)
+
+
+def test_lazy_candidates_give_the_eager_partition_with_fewer_searches(monkeypatch, toy_enc):
+    rng = np.random.default_rng(47)
+    mixed = mixed_enc(rng, n=60)
+    problems = [
+        (toy_enc, build(toy_enc, z=10, n_synth=30, seed=7), 0.03, 1),
+        (mixed, build(mixed, z=10, n_synth=15, seed=8), 1.0, 2),
+    ]
+    fewer = 0
+    for enc, ns, scale, min_support in problems:
+        ns = label(ns, random_linear_bb(rng, enc, scale=scale))
+        for K in (2, 4, 8):
+            for lam in (0.0, 1.0):
+                lazy, lazy_calls, eager, eager_calls = _counted_runs(
+                    monkeypatch, enc, ns, K=K, lam=lam, min_support=min_support
+                )
+                assert lazy == eager, (enc.n, K, lam)
+                assert lazy_calls <= eager_calls
+                fewer += lazy_calls < eager_calls
+    assert fewer >= 1
+
+
+class _FixedEngine:
+    """Stands in for _Engine: fixed gains per subgroup id, and a call log."""
+
+    def __init__(self, gains):
+        self.gains = gains
+        self.calls = []
+
+    def best_split(self, sg):
+        self.calls.append(sg.id)
+        return splitter.CandidateSplit(
+            sg.id, 0, 0.5, sg.members, sg.members, None, None, 0.0, 0.0, self.gains[sg.id]
+        )
+
+
+def test_lazy_selection_breaks_equal_gains_by_lower_id_and_skips_small_losses():
+    members = np.arange(2)
+    active = {
+        sid: splitter.Subgroup(sid, members, None, None, loss)
+        for sid, loss in ((1, 6.0), (2, 7.0), (3, 1.0), (4, 3.0))
+    }
+    engine = _FixedEngine({1: 3.0, 2: 3.0, 3: 0.5, 4: 3.0})
+    candidates = {}
+    best = splitter._next_split(engine, active, candidates)
+    # Subgroup 2 has the largest loss and is searched first; 1 then ties
+    # with it and wins on its lower id; 4's loss equals the best gain, so
+    # it could still tie and is searched; 3's loss is below it and is not.
+    assert best.subgroup_id == 1
+    assert engine.calls == [2, 1, 4]
+    assert sorted(candidates) == [1, 2, 4]
+    assert splitter._next_split(engine, active, candidates) is best
+    assert engine.calls == [2, 1, 4]
+    assert _eager_next_split(_FixedEngine(engine.gains), active, {}).subgroup_id == 1
