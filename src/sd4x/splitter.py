@@ -8,18 +8,18 @@ over the pooled neighborhoods of its members; the loss of a partition
 is the sum over its subgroups.
 
 Candidate generation scores every allowed column of a subgroup in one of
-two ways.  A numeric column is scanned: members are sorted by column
-value, per-object Gram pieces are accumulated as prefix sums, and both
-children of every candidate boundary are solved straight from those
-sums, the right child as the total minus the prefix.  A coded column
-(boolean, ordinal, or one category of a nominal) has a handful of
-distinct values, so its candidates are scored without a sort: each child
-of each candidate is a 0/1 indicator row over the members, and one
-product of those rows with the members' Gram pieces sums every child of
-every coded column at once, in bounded blocks of children and members.
-Each child is summed from its own rows, so an entry that is zero on all
-of them, such as a one-hot level absent from the child, is an exact zero.
-Both ways take their thresholds from one midpoint rule.
+two ways.  A numeric or ordinal column is scanned: members are sorted by
+column value, per-object Gram pieces are accumulated as prefix sums, and
+both children of every candidate boundary are solved straight from those
+sums, the right child as the total minus the prefix.  A coded column (a
+boolean, or one category of a nominal) holds 0 or 1, so it has one
+candidate and is scored without a sort: each child of each coded column
+is a 0/1 indicator row over the members, and one product of those rows
+with the members' Gram pieces sums every child of every coded column at
+once, in bounded blocks of children and members.  Each child is summed
+from its own rows, so an entry that is zero on all of them, such as a
+one-hot level absent from the child, is an exact zero.  Both ways take
+their thresholds from one midpoint rule.
 
 The search only ranks candidates; the winning split's children are
 refitted through the canonical pooled-fit path, and a split is applied
@@ -124,7 +124,10 @@ def candidate_thresholds(values: np.ndarray) -> np.ndarray:
     return _midpoints(sv[:-1], sv[1:])
 
 
-_CODED_KINDS = (AttributeKind.BOOLEAN, AttributeKind.ORDINAL, AttributeKind.NOMINAL)
+# Boolean and one-hot columns hold 0 or 1 (see ``dataset.encode``), so
+# each has one candidate threshold.
+_CODED_KINDS = (AttributeKind.BOOLEAN, AttributeKind.NOMINAL)
+_CODED_THRESHOLD = float(_midpoints(0.0, 1.0))
 
 
 class _Engine:
@@ -167,76 +170,58 @@ class _Engine:
         return float(sses[best]), float(_midpoints(sv[t - 1], sv[t]))
 
     def _coded_splits(self, members: np.ndarray) -> dict[int, tuple[float, float] | None]:
-        """Best (SSE, threshold) of every coded column; None without a candidate.
+        """(SSE, threshold) of every coded column's candidate; None without one.
 
-        A candidate keeps both children at ``min_support`` members or
-        more.  Its SSE is the sum of its two children's ridge SSEs, each
-        child solved from Gram pieces summed over its own members by an
-        indicator product; see the module docstring.
+        A coded column holds 0 or 1, so its one candidate splits at
+        ``_CODED_THRESHOLD`` and is kept when both children have
+        ``min_support`` members or more.  Its SSE is the sum of its two
+        children's ridge SSEs, each child solved from Gram pieces summed
+        over its own members: rows [0, k) of a group's 0/1 indicator are
+        the left children of its k columns and rows [k, 2k) the right
+        ones.  The members' Gram pieces are gathered into one
+        (rows, d*d + d*p + 1) buffer a block at a time, and one product
+        per block adds every child's share of (G, C, yy).  A group's
+        summed pieces take at most ``kernels._STACK_BYTES``, and so do a
+        member block's buffer, indicator and coded values together.
         """
-        best = dict.fromkeys(self.coded)
-        if not self.coded:
-            return best
-        V = self.enc.values[np.ix_(members, self.coded)]
-        n = members.size
-        cols, thrs = [], []
-        for c in range(len(self.coded)):
-            thr = candidate_thresholds(V[:, c])
-            left = np.searchsorted(np.sort(V[:, c]), thr, side="right")
-            thr = thr[(left >= self.min_support) & (left <= n - self.min_support)]
-            cols.append(np.full(thr.size, c))
-            thrs.append(thr)
-        col, thr = np.concatenate(cols), np.concatenate(thrs)
-        if thr.size == 0:
-            return best
-        sse = self._indicator_sse(members, V, col, thr)
-        for c in np.unique(col):
-            idx = np.flatnonzero(col == c)
-            b = idx[np.argmin(sse[idx])]
-            best[self.coded[c]] = (float(sse[b]), float(thr[b]))
-        return best
-
-    def _indicator_sse(
-        self, members: np.ndarray, V: np.ndarray, col: np.ndarray, thr: np.ndarray
-    ) -> np.ndarray:
-        """Child-SSE totals of the candidates ``V[:, col] <= thr`` over the members.
-
-        Candidates go in groups of k: rows [0, k) of a group's indicator
-        are the left children and rows [k, 2k) the right ones.  The
-        members' Gram pieces are gathered into one (rows, d*d + d*p + 1)
-        buffer a block at a time, and one product per block adds every
-        child's share of (G, C, yy).  A group's summed pieces and a
-        member block each take at most ``kernels._STACK_BYTES``.
-        """
+        best: dict[int, tuple[float, float] | None] = dict.fromkeys(self.coded)
         G_all, C_all, yy_all = self.grams
         N, d, p = C_all.shape
         dd, dp = d * d, d * p
         G_flat, C_flat = G_all.reshape(N, dd), C_all.reshape(N, dp)
         width = dd + dp + 1
+        n = members.size
         per_group = max(1, kernels._STACK_BYTES // (2 * width * 8))
-        rows = max(1, kernels._STACK_BYTES // (width * 8))
-        out = np.empty(thr.size)
-        for g in range(0, thr.size, per_group):
-            cg, tg = col[g : g + per_group], thr[g : g + per_group]
-            k = tg.size
+        for g in range(0, len(self.coded), per_group):
+            cols = self.coded[g : g + per_group]
+            k = len(cols)
+            rows = max(1, kernels._STACK_BYTES // ((width + 3 * k) * 8))
             acc = np.zeros((2 * k, width))
-            for start in range(0, members.size, rows):
+            n_left = np.zeros(k, dtype=np.int64)
+            for start in range(0, n, rows):
                 mb = members[start : start + rows]
                 buf = np.empty((mb.size, width))
                 np.take(G_flat, mb, axis=0, out=buf[:, :dd])
                 np.take(C_flat, mb, axis=0, out=buf[:, dd:-1])
                 np.take(yy_all, mb, out=buf[:, -1])
                 ind = np.empty((2 * k, mb.size))
-                np.less_equal(V[start : start + rows, cg].T, tg[:, None], out=ind[:k])
-                np.subtract(1.0, ind[:k], out=ind[k:])
+                coded = self.enc.values[np.ix_(mb, cols)]
+                np.less_equal(coded.T, _CODED_THRESHOLD, out=ind[:k])
+                np.greater(coded.T, _CODED_THRESHOLD, out=ind[k:])
+                n_left += np.count_nonzero(ind[:k], axis=1)
                 acc += ind @ buf
-                del buf  # free the block before the next one is gathered
-            G = acc[:, :dd].reshape(2 * k, d, d)
-            C = acc[:, dd:-1].reshape(2 * k, d, p)
+                del buf, ind, coded  # free the block before the next one is gathered
+            keep = np.flatnonzero((n_left >= self.min_support) & (n_left <= n - self.min_support))
+            if keep.size == 0:
+                continue
+            acc = acc[np.concatenate([keep, k + keep])]
+            G = acc[:, :dd].reshape(-1, d, d)
+            C = acc[:, dd:-1].reshape(-1, d, p)
             B, _ = kernels.solve_stack(G, C, self.lam, self.npen)
             sse = kernels.residual_sse(G, C, acc[:, -1], B)
-            out[g : g + k] = sse[:k] + sse[k:]
-        return out
+            for c, total in zip(keep, sse[: keep.size] + sse[keep.size :]):
+                best[cols[c]] = (float(total), _CODED_THRESHOLD)
+        return best
 
     def best_split(self, sg: Subgroup) -> CandidateSplit | None:
         """Best candidate split of a subgroup, or None when no split exists.

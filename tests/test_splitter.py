@@ -379,7 +379,7 @@ def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# coded columns: one indicator product instead of a sorted scan
+# boolean and one-hot columns: one indicator product instead of a sorted scan
 # ---------------------------------------------------------------------------
 
 
@@ -408,25 +408,12 @@ def _coded_problem(seed, n=40, n_synth=15, scale=1.0):
     return enc, ns, rng
 
 
-def _coded_inputs(engine, members):
-    """Every coded candidate of the members as (V, col, thr), min_support applied."""
-    V = engine.enc.values[np.ix_(members, engine.coded)]
-    cols, thrs = [], []
-    for c in range(V.shape[1]):
-        for thr in candidate_thresholds(V[:, c]):
-            left = int(np.count_nonzero(V[:, c] <= thr))
-            if engine.min_support <= left <= members.size - engine.min_support:
-                cols.append(c)
-                thrs.append(thr)
-    return V, np.array(cols, dtype=np.intp), np.array(thrs)
-
-
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("stack_rows", [None, 3])
 def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
-    # Each coded candidate's SSE must match kernels.scan_sse on the same
+    # Each coded column's SSE must match kernels.scan_sse on the same
     # column's sorted prefix sums, also when tiny stacks split the members
-    # into blocks of 3 rows and the children into groups of one pair.
+    # into blocks of 2 rows and the children into groups of one pair.
     enc, ns, rng = _coded_problem(31)
     engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
     if stack_rows is not None:
@@ -437,27 +424,37 @@ def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
         AttributeKind.NOMINAL,
         AttributeKind.NOMINAL,
         AttributeKind.NOMINAL,
-        AttributeKind.ORDINAL,
     ]
     G_all, C_all, yy_all = engine.grams
     checked = 0
     for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 29, replace=False))):
-        V, col, thr = _coded_inputs(engine, members)
-        got = engine._indicator_sse(members, V, col, thr)
-        for c, j in enumerate(engine.coded):
-            vals = V[:, c]
+        got = engine._coded_splits(members)
+        assert sorted(got) == engine.coded
+        for j in engine.coded:
+            vals = enc.values[members, j]
+            (thr,) = candidate_thresholds(vals)
             order = np.argsort(vals, kind="stable")
             mo = members[order]
             Gpre, Cpre, yypre = (np.cumsum(a[mo], axis=0) for a in (G_all, C_all, yy_all))
-            bounds = np.array(
-                [np.count_nonzero(vals <= t) for t in thr[col == c]], dtype=np.int64
-            )
+            bounds = np.array([np.count_nonzero(vals <= thr)], dtype=np.int64)
             want = kernels.scan_sse(
                 Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, enc.m
             )
-            np.testing.assert_allclose(got[col == c], want, rtol=1e-12, atol=0)
-            checked += bounds.size
-    assert checked >= 12
+            sse, threshold = got[j]
+            assert threshold == thr
+            np.testing.assert_allclose(sse, want[0], rtol=1e-12, atol=0)
+            checked += 1
+    assert checked == 8
+
+
+def test_coded_column_under_min_support_has_no_candidate():
+    enc, ns, rng = _coded_problem(33)
+    flag = next(j for j, c in enumerate(enc.columns) if c.kind is AttributeKind.BOOLEAN)
+    members = np.arange(enc.n)
+    ones = int(np.count_nonzero(enc.values[members, flag]))
+    for min_support, kept in ((min(ones, enc.n - ones), True), (min(ones, enc.n - ones) + 1, False)):
+        engine = splitter._Engine(enc, ns, 1.0, min_support, list(range(enc.m)))
+        assert (engine._coded_splits(members)[flag] is not None) == kept
 
 
 def _brute_force_split(engine, members):
@@ -529,14 +526,13 @@ def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
     monkeypatch.setattr(kernels, "solve_stack", capture)
     engine = splitter._Engine(enc, ns, 0.0, 2, [1, 2, 3, 4])
     members = np.arange(n, dtype=np.int64)
-    V, col, thr = _coded_inputs(engine, members)
-    assert col.tolist() == [0, 1, 2, 3]
-    engine._indicator_sse(members, V, col, thr)
+    assert all(res is not None for res in engine._coded_splits(members).values())
     ((G, C),) = seen
-    k = thr.size
+    k = len(engine.coded)
+    assert k == 4
     lacking = 0
     for i in range(2 * k):
-        left = V[:, col[i % k]] <= thr[i % k]
+        left = enc.values[members, engine.coded[i % k]] <= 0.5
         child = members[left if i < k else ~left]
         for level in (2, 3, 4):
             absent = not np.any(enc.values[child, level])
@@ -547,37 +543,66 @@ def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
     assert lacking == 3 * 3 + 2  # 3 per one-hot pair, 1 per flag child
 
 
-def test_coded_path_peak_memory_stays_within_the_stack_budget():
-    # 1000 objects with d = 36: gathering every member's Gram pieces at
-    # once would take 10.4 MB, above the 8 MB bound.
-    rng = np.random.default_rng(37)
-    n = 1000
+def _wide_coded_problem(rng, n):
+    """d = 36: three numerics, a flag, a 30-category nominal and an ordinal."""
     cats = tuple(f"k{i}" for i in range(30))
+    levels = ("lo", "mid", "hi", "top")
     attrs = (
         Attribute("a", AttributeKind.NUMERIC),
         Attribute("b", AttributeKind.NUMERIC),
         Attribute("c", AttributeKind.NUMERIC),
         Attribute("flag", AttributeKind.BOOLEAN),
         Attribute("cat", AttributeKind.NOMINAL, categories=cats),
-        Attribute("level", AttributeKind.ORDINAL, categories=("lo", "mid", "hi", "top")),
+        Attribute("level", AttributeKind.ORDINAL, categories=levels),
     )
     rows = [
         (
             *(float(v) for v in rng.normal(size=3)),
             bool(rng.integers(2)),
             cats[int(rng.integers(30))],
-            ("lo", "mid", "hi", "top")[int(rng.integers(4))],
+            levels[int(rng.integers(4))],
         )
         for _ in range(n)
     ]
     enc = encode(Dataset(attributes=attrs, classes=("c0", "c1", "c2"), rows=rows))
     assert enc.m == 35
-    ns = label(build(enc, z=10, n_synth=2, seed=1), random_linear_bb(rng, enc))
+    return enc, label(build(enc, z=10, n_synth=2, seed=1), random_linear_bb(rng, enc))
+
+
+def _narrow_coded_problem(rng, n):
+    """d = 4: a flag and a 2-category nominal, many members."""
+    attrs = (
+        Attribute("flag", AttributeKind.BOOLEAN),
+        Attribute("cat", AttributeKind.NOMINAL, categories=("u", "v")),
+    )
+    rows = [(bool(rng.integers(2)), ("u", "v")[int(rng.integers(2))]) for _ in range(n)]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
+    assert enc.m == 3
+    samples = np.repeat(enc.values[:, None, :], 2, axis=1)
+    samples[:, 1, 0] = 1.0 - samples[:, 1, 0]
+    ns = NeighborhoodSet(
+        samples=samples, z=1, n_synth=1, seed=0, bb_outputs=rng.random(size=(n, 2, 2))
+    )
+    return enc, ns
+
+
+@pytest.mark.parametrize(
+    "make, n, n_coded", [(_wide_coded_problem, 1000, 31), (_narrow_coded_problem, 50_000, 3)]
+)
+def test_coded_path_peak_memory_stays_within_the_stack_budget(make, n, n_coded):
+    # Gathering every member's Gram pieces at once would take 10.4 MB at
+    # d = 36 and n = 1000, and 10.0 MB at d = 4 and n = 50,000: both above
+    # the 8 MB bound.  The narrow case has short Gram rows and so long
+    # member blocks, 7,710 rows of 25 floats each.
+    rng = np.random.default_rng(37)
+    enc, ns = make(rng, n)
     engine = splitter._Engine(enc, ns, 1.0, 2, list(range(enc.m)))
     members = np.arange(n, dtype=np.int64)
-    assert members.size * engine.grams[0][0].nbytes > 4 * kernels._STACK_BYTES
+    G_all, C_all, yy_all = engine.grams
+    gathered = members.size * (G_all[0].nbytes + C_all[0].nbytes + yy_all[0].nbytes)
+    assert gathered > 4 * kernels._STACK_BYTES
     first = engine._coded_splits(members)  # warm up lazy imports
-    assert len(first) == 32
+    assert len(first) == n_coded and None not in first.values()
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -588,7 +613,7 @@ def test_coded_path_peak_memory_stays_within_the_stack_budget():
     assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
 
 
-def test_scan_sse_runs_for_numeric_columns_only(monkeypatch):
+def test_scan_sse_runs_for_numeric_and_ordinal_columns_only(monkeypatch):
     enc, ns, _ = _coded_problem(43, n=50, n_synth=10, scale=2.0)
     scanning = []
     scanned = []
@@ -610,7 +635,8 @@ def test_scan_sse_runs_for_numeric_columns_only(monkeypatch):
     monkeypatch.setattr(kernels, "scan_sse", traced_scan_sse)
     partition = run(enc, K=4, lam=1.0, ns=ns)
     assert len(partition.trace) == 3
-    assert scanned and {enc.columns[j].kind for j in scanned} == {AttributeKind.NUMERIC}
+    kinds = {enc.columns[j].kind for j in scanned}
+    assert kinds == {AttributeKind.NUMERIC, AttributeKind.ORDINAL}
 
 
 # ---------------------------------------------------------------------------
