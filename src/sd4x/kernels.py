@@ -21,6 +21,8 @@ that solution still attains the minimal sum of squared errors.  Each
 matrix of a stack is factored by the same LAPACK call as it would be on
 its own, and every substitution step is elementwise within one matrix,
 so batched and single results are bit-identical.
+:func:`least_squares_sse` runs the same path unpenalized and without the
+fallback, for the split search's lower bounds: a failed matrix gets -inf.
 
 Every stack is built and solved in chunks of at most ``_STACK_BYTES``
 bytes of ``(d, d)`` matrices, so the stack, its penalized copy, its
@@ -121,28 +123,34 @@ def solve_stack(
     chunk of at most ``_STACK_BYTES`` at a time; the results do not
     depend on the chunks.  ``G`` and ``C`` are never written.
     """
-    lam, npen = float(lam), int(npen)
+    return _solve(G, C, float(lam), int(npen), pinv=True)
+
+
+def _solve(
+    G: np.ndarray, C: np.ndarray, lam: float, npen: int, pinv: bool
+) -> tuple[np.ndarray, np.ndarray]:
     k, d = G.shape[0], G.shape[1]
     step = max(1, _STACK_BYTES // (d * d * 8))
     if k <= step:
-        return _solve_chunk(G, C, lam, npen)
+        return _solve_chunk(G, C, lam, npen, pinv)
     B = np.empty(C.shape)
     ok = np.empty(k, dtype=bool)
     for start in range(0, k, step):
         part = slice(start, start + step)
-        B[part], ok[part] = _solve_chunk(G[part], C[part], lam, npen)
+        B[part], ok[part] = _solve_chunk(G[part], C[part], lam, npen, pinv)
     return B, ok
 
 
 def _solve_chunk(
-    G: np.ndarray, C: np.ndarray, lam: float, npen: int
+    G: np.ndarray, C: np.ndarray, lam: float, npen: int, pinv: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     ok, L = _pivots_pass(_penalize(G, lam, npen))
     Lt = np.ascontiguousarray(L.transpose(1, 2, 0))
     del L  # at most two chunk-sized arrays at a time; see the module docstring
     B = _cholesky_solve(Lt, C)
-    for k in np.flatnonzero(~ok):
-        B[k] = _pinv_solve(_penalize(G[k], lam, npen), C[k])
+    if pinv:
+        for k in np.flatnonzero(~ok):
+            B[k] = _pinv_solve(_penalize(G[k], lam, npen), C[k])
     return B, ok
 
 
@@ -165,6 +173,19 @@ def residual_sse(G: np.ndarray, C: np.ndarray, yy: np.ndarray, B: np.ndarray) ->
     """
     R = B * (G @ B - 2.0 * C)
     return np.maximum(yy + np.sum(R.reshape(R.shape[0], -1), axis=1), 0.0)
+
+
+def least_squares_sse(G: np.ndarray, C: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    """Unpenalized least-squares SSE of every system of a stack, or -inf.
+
+    Each matrix is factored, tested and solved as by :func:`solve_stack`
+    with ``lam = 0``, but a matrix that fails the pivot test gets -inf
+    rather than a pseudoinverse solve: the result is used as a lower
+    bound, and -inf bounds nothing.  ``G`` is (k, d, d), ``C`` is
+    (k, d, p) and ``yy`` is (k,).
+    """
+    B, ok = _solve(G, C, 0.0, 0, pinv=False)
+    return np.where(ok, residual_sse(G, C, yy, B), -np.inf)
 
 
 def _ridge_sse_stack(

@@ -21,6 +21,28 @@ from its own rows, so an entry that is zero on all of them, such as a
 one-hot level absent from the child, is an exact zero.  Both ways take
 their thresholds from one midpoint rule.
 
+Scanned columns are searched with an exact bound, in the manner of
+optimistic estimates in subgroup discovery and of "leaps and bounds"
+for least squares.  The unpenalized least-squares SSE of a set of rows
+never decreases when rows are added, and the ridge SSE that the scan
+ranks is never below it.  At boundary t the left child contains the
+left child of every boundary a < t, and the right child contains the
+right child of every boundary b > t, so OLS_left(a) + OLS_right(b)
+bounds the SSE of every boundary strictly between a and b.  Each
+scanned column first solves a grid of ``_GRID`` evenly spaced
+boundaries (all of them when it has no more), plus the least-squares
+SSE of both children at each grid point but the two ends, where the
+smallest children are bounded by 0; the bounds of a group of columns
+come from one solve.  Then only the intervals between grid
+points whose bound does not exceed the best SSE found so far, coded
+columns included, by more than ``_BOUND_MARGIN`` times the subgroup's
+summed squared outputs are scanned.  The margin is far above the
+rounding of either SSE, so no boundary that could win is skipped, and
+every boundary that is solved gets the same bits as in a full scan:
+the same prefix sums, totals and kernel.  One-hot blocks would make the
+bound solves singular, so they drop one column per nominal block; see
+:func:`_bound_design`.
+
 The search only ranks candidates; the winning split's children are
 refitted through the canonical pooled-fit path, and a split is applied
 only when the children's summed loss improves on the parent's by more
@@ -36,12 +58,13 @@ lower threshold, then lower subgroup id.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .dataset import AttributeKind, EncodedMatrix, content_hash
+from .dataset import AttributeKind, EncodedMatrix, attribute_slices, content_hash
 from .errors import InputError, InvariantError
 from .neighborhood import NeighborhoodSet, build, label
 from .patterns import (
@@ -129,6 +152,70 @@ def candidate_thresholds(values: np.ndarray) -> np.ndarray:
 _CODED_KINDS = (AttributeKind.BOOLEAN, AttributeKind.NOMINAL)
 _CODED_THRESHOLD = float(_midpoints(0.0, 1.0))
 
+# Grid boundaries solved first in each scanned column, and the share of a
+# subgroup's summed squared outputs by which an interval's least-squares
+# bound must exceed the best SSE before the interval is skipped; see the
+# module docstring.
+_GRID = 16
+_BOUND_MARGIN = 1e-4
+
+
+def _grid(n: int) -> np.ndarray:
+    """Positions of the grid among a column's n candidate boundaries.
+
+    ``_GRID`` evenly spaced positions, the first and the last included,
+    or all n when n is at most ``_GRID``.
+    """
+    if n <= _GRID:
+        return np.arange(n)
+    return np.arange(_GRID) * (n - 1) // (_GRID - 1)
+
+
+def _inside(grid: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Positions strictly between grid points i and i + 1, for each listed i."""
+    return np.concatenate([np.arange(grid[i] + 1, grid[i + 1]) for i in intervals])
+
+
+def _bound_design(enc: EncodedMatrix, G_all: np.ndarray) -> np.ndarray | None:
+    """Design columns of the least-squares bound solves; None keeps them all.
+
+    A nominal attribute's one-hot block J sums to the intercept column
+    on every row that is one-hot in J, which makes the full design
+    singular: its bound solves would all fail the pivot test.  Dropping
+    the block's last column leaves the column space, and with it every
+    least-squares SSE, unchanged, but only if every neighborhood row is
+    one-hot in J, that is if ``|X_J 1 - 1|^2 = 1'G_JJ 1 - 2 1'G_Jm + G_mm``
+    is 0 for every object (m is the intercept).  On 0/1 entries every
+    term is an integer count, so the test is exact.  ``discretize``
+    guarantees it for built neighborhoods; a cache file or a
+    caller-supplied set might not, and then the full design is kept.
+    """
+    m = G_all.shape[1] - 1
+    drop = []
+    for attr, sl in zip(enc.attributes, attribute_slices(enc.attributes)):
+        if attr.kind is not AttributeKind.NOMINAL:
+            continue
+        gap = G_all[:, sl, sl].sum(axis=(1, 2)) - 2.0 * G_all[:, sl, m].sum(axis=1)
+        if np.any(gap + G_all[:, m, m] != 0.0):
+            return None
+        drop.append(sl.stop - 1)
+    return np.delete(np.arange(m + 1), drop) if drop else None
+
+
+@dataclass
+class _ColumnScan:
+    """Lowest SSE among the solved boundaries of one column scan.
+
+    ``children`` holds the Gram pieces (G, C, yy) of both children at
+    every solved boundary but the first and the last, left children
+    first, in the bound design.
+    """
+
+    sse: float
+    threshold: float
+    n_candidates: int
+    children: tuple | None = None
+
 
 class _Engine:
     def __init__(
@@ -145,10 +232,34 @@ class _Engine:
         self.min_support = min_support
         self.columns = columns
         self.coded = [j for j in columns if enc.columns[j].kind in _CODED_KINDS]
+        self.scanned = [j for j in columns if enc.columns[j].kind not in _CODED_KINDS]
         self.grams = neighborhood_grams(ns)
         self.npen = enc.m
+        G_all, C_all, _ = self.grams
+        self.bound_cols = _bound_design(enc, G_all)
+        d = G_all.shape[1] if self.bound_cols is None else self.bound_cols.size
+        width = d * d + d * C_all.shape[2] + 1
+        # Columns whose grid children are held and bounded together.
+        self.bound_group = max(1, kernels._STACK_BYTES // (2 * _GRID * width * 8))
 
-    def _scan_column(self, members: np.ndarray, j: int) -> tuple[float, float] | None:
+    def _scan_column(
+        self,
+        members: np.ndarray,
+        j: int,
+        pick: Callable[[int], np.ndarray] | None = None,
+        children: bool = False,
+    ) -> _ColumnScan | None:
+        """Boundary scan of a numeric or ordinal column over the members.
+
+        The members are sorted by column j and their Gram pieces summed
+        into prefix sums, whose last row is the column's totals.  Of the
+        column's n candidate boundaries, those that leave ``min_support``
+        members on each side, ``pick(n)`` gives the positions to solve;
+        by default every one.  With ``children``, when some candidate is
+        left unsolved, the scan also keeps the children's Gram pieces at
+        each solved boundary but the first and the last, for the bound
+        solves.  Returns None when the column has no candidate boundary.
+        """
         vals = self.enc.values[members, j]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
@@ -158,16 +269,98 @@ class _Engine:
         jumps = jumps[(jumps >= self.min_support) & (jumps <= n - self.min_support)]
         if jumps.size == 0:
             return None
+        ts = jumps if pick is None else jumps[pick(jumps.size)]
         G_all, C_all, yy_all = self.grams
         Gpre, Cpre, yypre = G_all[mo], C_all[mo], yy_all[mo]
         for a in (Gpre, Cpre, yypre):
             np.cumsum(a, axis=0, out=a)
         sses = kernels.scan_sse(
-            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], jumps, self.lam, self.npen
+            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], ts, self.lam, self.npen
         )
         best = int(np.argmin(sses))
-        t = int(jumps[best])
-        return float(sses[best]), float(_midpoints(sv[t - 1], sv[t]))
+        t = int(ts[best])
+        scan = _ColumnScan(float(sses[best]), float(_midpoints(sv[t - 1], sv[t])), jumps.size)
+        if children and ts.size < jumps.size:
+            inner = ts[1:-1] - 1
+            k = inner.size
+            pieces = []
+            for pre in (Gpre, Cpre, yypre):
+                both = np.empty((2 * k,) + pre.shape[1:])
+                np.take(pre, inner, axis=0, out=both[:k])
+                np.subtract(pre[-1], both[:k], out=both[k:])
+                pieces.append(both)
+            if self.bound_cols is not None:
+                keep = self.bound_cols
+                pieces[0] = pieces[0][:, keep[:, None], keep]
+                pieces[1] = pieces[1][:, keep]
+            scan.children = tuple(pieces)
+        return scan
+
+    def _grid_scans(
+        self, members: np.ndarray, cols: list[int]
+    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray]]]:
+        """Grid scans of a group of columns, then their intervals' bounds.
+
+        Returns each scanned column's lowest (SSE, column, threshold) on
+        its grid, and for each column with boundaries off the grid the
+        lower bound of every grid interval: interval i, strictly between
+        grid points a and b, is bounded by OLS_left(a) + OLS_right(b);
+        an interval with no boundary inside gets +inf.  The bounds of all
+        the group's columns come from one least-squares solve.  The
+        smallest children, left of the first grid point and right of the
+        last, are bounded by 0 instead: with a few members they are often
+        rank-deficient and would bound nothing, and one failed factor
+        makes numpy refactor the whole stack in parts.
+        """
+        found, held = [], []
+        for j in cols:
+            scan = self._scan_column(members, j, _grid, children=True)
+            if scan is not None:
+                found.append((scan.sse, j, scan.threshold))
+                if scan.children is not None:
+                    held.append((j, scan))
+        if not held:
+            return found, []
+        G, C, yy = (np.concatenate([s.children[i] for _, s in held]) for i in range(3))
+        sizes = [(j, s.n_candidates) for j, s in held]
+        del held, scan  # the stacked copy is the only one kept through the solve
+        ols = kernels.least_squares_sse(G, C, yy)
+        bounds, start = [], 0
+        for j, n in sizes:
+            grid = _grid(n)
+            k = grid.size - 2
+            left, right = ols[start : start + k], ols[start + k : start + 2 * k]
+            lo = np.concatenate([[0.0], left]) + np.concatenate([right, [0.0]])
+            lo[np.diff(grid) == 1] = np.inf
+            bounds.append((j, lo))
+            start += 2 * k
+        return found, bounds
+
+    def _scanned_split(
+        self, members: np.ndarray, best: tuple[float, int, float] | None
+    ) -> tuple[float, int, float] | None:
+        """Lowest (SSE, column, threshold) over ``best`` and every scanned column.
+
+        Every grid is solved first; then an interval is scanned unless
+        its bound exceeds the lowest SSE found so far by more than
+        ``_BOUND_MARGIN`` times the members' summed squared outputs.
+        Columns are visited by their lowest interval bound.
+        """
+        found, bounds = ([] if best is None else [best]), []
+        for g in range(0, len(self.scanned), self.bound_group):
+            grid_best, group = self._grid_scans(members, self.scanned[g : g + self.bound_group])
+            found += grid_best
+            bounds += group
+        if not found:
+            return None
+        best = min(found)
+        margin = _BOUND_MARGIN * float(self.grams[2][members].sum())
+        for j, lo in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
+            live = np.flatnonzero(~(lo > best[0] + margin))
+            if live.size:
+                scan = self._scan_column(members, j, lambda n: _inside(_grid(n), live))
+                best = min(best, (scan.sse, j, scan.threshold))
+        return best
 
     def _coded_splits(self, members: np.ndarray) -> dict[int, tuple[float, float] | None]:
         """(SSE, threshold) of every coded column's candidate; None without one.
@@ -227,20 +420,17 @@ class _Engine:
         """Best candidate split of a subgroup, or None when no split exists.
 
         Coded columns are scored together by :meth:`_coded_splits`, every
-        other column by its own boundary scan.
+        other column by the bounded boundary scan of :meth:`_scanned_split`.
         """
         if sg.members.size < 2 * self.min_support:
             return None
 
-        coded = self._coded_splits(sg.members)
-        best: tuple[float, int, float] | None = None
-        for j in self.columns:
-            res = coded[j] if j in coded else self._scan_column(sg.members, j)
-            if res is None:
-                continue
-            sse, threshold = res
-            if best is None or sse < best[0]:
-                best = (sse, j, threshold)
+        coded = [
+            (res[0], j, res[1])
+            for j, res in self._coded_splits(sg.members).items()
+            if res is not None
+        ]
+        best = self._scanned_split(sg.members, min(coded, default=None))
         if best is None:
             return None
         _, column, threshold = best

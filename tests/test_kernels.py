@@ -141,6 +141,25 @@ def _spd_stack(rng, k, d, p):
     return M @ M.transpose(0, 2, 1), rng.normal(size=(k, d, p))
 
 
+def test_least_squares_sse_is_the_unpenalized_sse_or_minus_inf():
+    # Where the pivot test passes, the same bits as the lam = 0 ridge SSE;
+    # a singular matrix gets -inf, not a pseudoinverse solve.
+    rng = np.random.default_rng(77)
+    X = rng.normal(size=(6, 40, 4))
+    X[2, :, 3] = X[2, :, 0] + X[2, :, 1]  # rank 3
+    Y = rng.normal(size=(6, 40, 2))
+    G, C = X.transpose(0, 2, 1) @ X, X.transpose(0, 2, 1) @ Y
+    yy = np.einsum("kij,kij->k", Y, Y)
+    got = kernels.least_squares_sse(G, C, yy)
+    ridge = kernels._ridge_sse_stack(G, C, yy, 0.0, 3)
+    solved = np.arange(6) != 2
+    assert np.array_equal(got[solved], ridge[solved])
+    assert got[2] == -np.inf
+    for k in np.flatnonzero(solved):
+        W = np.linalg.lstsq(X[k], Y[k], rcond=None)[0]
+        assert got[k] == pytest.approx(np.sum((X[k] @ W - Y[k]) ** 2), rel=1e-10)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("p", [1, 3])
 @pytest.mark.parametrize("d", [1, 2, 9, 13, 36])

@@ -620,10 +620,10 @@ def test_scan_sse_runs_for_numeric_and_ordinal_columns_only(monkeypatch):
     scan_column = splitter._Engine._scan_column
     scan_sse = kernels.scan_sse
 
-    def traced_scan_column(self, members, j):
+    def traced_scan_column(self, members, j, *args, **kwargs):
         scanning.append(j)
         try:
-            return scan_column(self, members, j)
+            return scan_column(self, members, j, *args, **kwargs)
         finally:
             scanning.pop()
 
@@ -729,3 +729,189 @@ def test_lazy_selection_breaks_equal_gains_by_lower_id_and_skips_small_losses():
     assert splitter._next_split(engine, active, candidates) is best
     assert engine.calls == [2, 1, 4]
     assert _eager_next_split(_FixedEngine(engine.gains), active, {}).subgroup_id == 1
+
+
+# ---------------------------------------------------------------------------
+# bounded boundary scan: grid first, then only intervals that can win
+# ---------------------------------------------------------------------------
+
+
+def _searches(monkeypatch, enc, ns, **params):
+    """(partition JSON, each search's (column, threshold, SSE bits), boundaries solved)."""
+    found, solved = [], []
+    scanned_split = splitter._Engine._scanned_split
+    scan_sse = kernels.scan_sse
+
+    def recorded(self, members, best):
+        res = scanned_split(self, members, best)
+        found.append(None if res is None else (res[1], res[2], res[0].hex()))
+        return res
+
+    def counted(*args):
+        solved.append(len(args[6]))
+        return scan_sse(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(splitter._Engine, "_scanned_split", recorded)
+        m.setattr(kernels, "scan_sse", counted)
+        partition = run(enc, ns=ns, **params)
+    return json.dumps(partition_to_dict(partition, enc), sort_keys=True), found, sum(solved)
+
+
+def _bounded_and_full(monkeypatch, enc, ns, **params):
+    bounded = _searches(monkeypatch, enc, ns, **params)
+    with monkeypatch.context() as m:
+        m.setattr(splitter, "_GRID", 1 << 40)  # every boundary is a grid point
+        full = _searches(monkeypatch, enc, ns, **params)
+    return bounded, full
+
+
+def test_bounded_search_gives_the_full_search_result(monkeypatch):
+    rng = np.random.default_rng(53)
+    numeric = numeric_enc(rng.normal(size=(200, 3)))
+    mixed = mixed_enc(rng, n=220)
+    solved = {}
+    for enc in (numeric, mixed):
+        ns = label(build(enc, z=10, n_synth=8, seed=9), random_linear_bb(rng, enc, scale=1.5))
+        solved[enc.m] = [0, 0]
+        for K in (2, 6):
+            for lam in (0.0, 1.0):
+                for min_support in (1, 5):
+                    params = dict(K=K, lam=lam, min_support=min_support)
+                    (got, got_found, got_solved), (want, want_found, want_solved) = (
+                        _bounded_and_full(monkeypatch, enc, ns, **params)
+                    )
+                    assert got_found == want_found, (enc.m, params)
+                    assert got == want, (enc.m, params)
+                    solved[enc.m][0] += got_solved
+                    solved[enc.m][1] += want_solved
+    # The bounds prune on both schemas, one-hot blocks included.
+    for got_solved, want_solved in solved.values():
+        assert 2 * got_solved < want_solved, solved
+
+
+def test_an_interval_whose_bound_is_within_the_margin_is_scanned(monkeypatch):
+    # One numeric column whose best boundary is off the grid.  Every
+    # interval is given the bound best + margin, the most the rule lets
+    # through: each must be scanned, so the winner is found.  One ulp
+    # more and each must be skipped, leaving the grid's best.
+    rng = np.random.default_rng(59)
+    enc = numeric_enc(rng.normal(size=(120, 1)))
+    ns = label(build(enc, z=10, n_synth=6, seed=4), random_linear_bb(rng, enc, scale=2.0))
+    engine = splitter._Engine(enc, ns, 1.0, 1, [0])
+    members = np.arange(enc.n, dtype=np.int64)
+    full = engine._scan_column(members, 0)
+    grid = engine._scan_column(members, 0, splitter._grid)
+    assert full.sse < grid.sse
+    edge = grid.sse + splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
+    grid_scans = splitter._Engine._grid_scans
+    for bound, want in ((edge, full), (np.nextafter(edge, np.inf), grid)):
+
+        def fixed_bounds(self, members, cols, b=bound):
+            found, bounds = grid_scans(self, members, cols)
+            assert bounds and all(np.all(lo < np.inf) for _, lo in bounds)
+            return found, [(j, np.full(lo.shape, b)) for j, lo in bounds]
+
+        with monkeypatch.context() as m:
+            m.setattr(splitter._Engine, "_grid_scans", fixed_bounds)
+            assert engine._scanned_split(members, None) == (want.sse, 0, want.threshold)
+
+
+def test_least_squares_bound_is_monotone_and_below_the_ridge_sse():
+    # Adding rows never lowers a least-squares SSE, and a ridge fit never
+    # beats it: on nested prefixes and suffixes of random member orders.
+    rng = np.random.default_rng(61)
+    enc = numeric_enc(rng.normal(size=(50, 3)))
+    ns = label(build(enc, z=10, n_synth=5, seed=3), random_linear_bb(rng, enc, scale=2.0))
+    G_all, C_all, yy_all = splitter.neighborhood_grams(ns)
+    tol = 1e-10 * float(yy_all.sum())
+    for _ in range(4):
+        order = rng.permutation(enc.n)
+        Gpre, Cpre, yypre = (np.cumsum(a[order], axis=0) for a in (G_all, C_all, yy_all))
+        prefix = (Gpre[:-1], Cpre[:-1], yypre[:-1])
+        suffix = (Gpre[-1] - Gpre[:-1], Cpre[-1] - Cpre[:-1], yypre[-1] - yypre[:-1])
+        for pieces, step in ((prefix, 1.0), (suffix, -1.0)):
+            ols = kernels.least_squares_sse(*pieces)
+            solved = np.isfinite(ols)
+            assert solved.sum() >= enc.n - 3
+            assert np.all(step * np.diff(ols[solved]) >= -tol)
+            for lam in (0.0, 1.0):
+                ridge = kernels._ridge_sse_stack(*pieces, lam, enc.m)
+                assert np.all(ols <= ridge + tol)
+
+
+def _pooled_lstsq_sse(ns, members):
+    X = ns.samples[members].reshape(-1, ns.samples.shape[2])
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    Y = ns.bb_outputs[members].reshape(-1, ns.bb_outputs.shape[2])
+    return float(np.sum((Xa @ (np.linalg.pinv(Xa) @ Y) - Y) ** 2))
+
+
+def test_reduced_design_bound_matches_a_pseudoinverse_fit_on_one_hot_data():
+    rng = np.random.default_rng(67)
+    enc = mixed_enc(rng, n=60)
+    ns = label(build(enc, z=10, n_synth=6, seed=5), random_linear_bb(rng, enc))
+    engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
+    keep = engine.bound_cols
+    assert keep is not None and keep.size == enc.m  # one color column dropped
+    G_all, C_all, yy_all = engine.grams
+    for size in (5, 20, 60):
+        members = np.sort(rng.choice(enc.n, size, replace=False))
+        G, C, yy = G_all[members].sum(0), C_all[members].sum(0), yy_all[members].sum()
+        (full,) = kernels.least_squares_sse(G[None], C[None], np.array([yy]))
+        assert full == -np.inf  # the one-hot block sums to the intercept
+        (got,) = kernels.least_squares_sse(
+            G[np.ix_(keep, keep)][None], C[keep][None], np.array([yy])
+        )
+        assert got == pytest.approx(_pooled_lstsq_sse(ns, members), rel=1e-9)
+
+
+def test_a_nominal_row_with_two_ones_keeps_the_full_design(monkeypatch):
+    # A tampered cache could hold rows that are not one-hot.  Here half
+    # the synthetic rows also set the last color, which the black box
+    # weighs heavily: dropping that column would raise the bounds above
+    # the SSEs they must bound.
+    rng = np.random.default_rng(71)
+    enc = mixed_enc(rng, n=200)
+    color = splitter.attribute_slices(enc.attributes)[3]
+    blue = color.stop - 1
+    ns = build(enc, z=10, n_synth=8, seed=6)
+    tampered = rng.random(ns.samples.shape[:2]) < 0.5
+    tampered[:, 0] = False  # the objects' own rows stay as encoded
+    ns.samples[..., blue][tampered] = 1.0
+    assert np.any(ns.samples[..., color].sum(axis=2) == 2.0)
+    bb = random_linear_bb(rng, enc, scale=1.0)
+    bb.weights[:, blue] = [6.0, -6.0]
+    ns = label(ns, bb)
+    assert splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m))).bound_cols is None
+    for K in (2, 6):
+        for min_support in (1, 5):
+            (got, got_found, _), (want, want_found, _) = _bounded_and_full(
+                monkeypatch, enc, ns, K=K, lam=1.0, min_support=min_support
+            )
+            assert got_found == want_found
+            assert got == want
+
+
+def test_bounded_search_peak_memory_stays_within_the_stack_budget():
+    # 60 numeric columns, d = 61: holding every column's grid children at
+    # once would take about 59 MB, far above the 8 MB bound.
+    rng = np.random.default_rng(73)
+    n = 48
+    enc = numeric_enc(rng.normal(size=(n, 60)))
+    ns = label(build(enc, z=10, n_synth=70, seed=7), random_linear_bb(rng, enc, scale=0.3))
+    engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
+    _, C_all, _ = engine.grams
+    d, p = C_all.shape[1:]
+    held = enc.m * 2 * splitter._GRID * (d * d + d * p + 1) * 8
+    assert held > 4 * kernels._STACK_BYTES
+    sg = splitter.Subgroup(0, np.arange(n, dtype=np.int64), None, None, float("inf"))
+    engine.best_split(sg)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        engine.best_split(sg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
