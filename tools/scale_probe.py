@@ -23,7 +23,8 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sd4x import dataset, kernels, splitter, synth  # noqa: E402
 from sd4x.neighborhood import build, label  # noqa: E402
