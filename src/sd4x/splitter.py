@@ -7,41 +7,43 @@ loss of a subgroup is the sum of squared errors of its fitted surrogate
 over the pooled neighborhoods of its members; the loss of a partition
 is the sum over its subgroups.
 
-Candidate generation scores every allowed column of a subgroup in one of
-two ways.  A numeric or ordinal column is scanned: members are sorted by
-column value, per-object Gram pieces are accumulated as prefix sums, and
-both children of every candidate boundary are solved straight from those
-sums, the right child as the total minus the prefix.  A coded column (a
-boolean, or one category of a nominal) holds 0 or 1, so it has one
-candidate and is scored without a sort: each child of each coded column
-is a 0/1 indicator row over the members, and one product of those rows
-with the members' Gram pieces sums every child of every coded column at
-once, in bounded blocks of children and members.  Each child is summed
-from its own rows, so an entry that is zero on all of them, such as a
-one-hot level absent from the child, is an exact zero.  Both ways take
-their thresholds from one midpoint rule.
+Every allowed column of a subgroup is searched the same way.  Its
+candidate boundaries lie between consecutive distinct member values and
+leave ``min_support`` members on each side; a boundary's threshold is
+the midpoint of those two values (see :func:`_midpoints`).  A boolean
+or one-hot column holds 0 or 1, so it has at most one candidate, and an
+ordinal has at most one per pair of adjacent levels.
 
-Scanned columns are searched with an exact bound, in the manner of
-optimistic estimates in subgroup discovery and of "leaps and bounds"
-for least squares.  The unpenalized least-squares SSE of a set of rows
-never decreases when rows are added, and the ridge SSE that the scan
-ranks is never below it.  At boundary t the left child contains the
-left child of every boundary a < t, and the right child contains the
-right child of every boundary b > t, so OLS_left(a) + OLS_right(b)
-bounds the SSE of every boundary strictly between a and b.  Each
-scanned column first solves a grid of ``_GRID`` evenly spaced
-boundaries (all of them when it has no more), plus the least-squares
-SSE of both children at each grid point but the two ends, where the
-smallest children are bounded by 0; the bounds of a group of columns
-come from one solve.  Then only the intervals between grid
-points whose bound does not exceed the best SSE found so far, coded
-columns included, by more than ``_BOUND_MARGIN`` times the subgroup's
-summed squared outputs are scanned.  The margin is far above the
-rounding of either SSE, so no boundary that could win is skipped, and
-every boundary that is solved gets the same bits as in a full scan:
-the same prefix sums, totals and kernel.  One-hot blocks would make the
-bound solves singular, so they drop one column per nominal block; see
-:func:`_bound_design`.
+Each column first solves a grid of ``_GRID`` evenly spaced candidates,
+all of them when it has no more.  Both children of a grid boundary are
+0/1 indicator rows over the members, ``value <= threshold`` and
+``value > threshold``, and one product of those rows with the members'
+Gram pieces sums every child of a group of grid boundaries, in bounded
+blocks of boundaries and members; one stacked solve gives their ridge
+SSEs.  Each child is summed from its own rows, so an entry that is zero
+on all of them, such as a one-hot level absent from the child, is an
+exact zero.
+
+A column with candidates off its grid is searched further with an exact
+bound, in the manner of optimistic estimates in subgroup discovery and
+of "leaps and bounds" for least squares.  The unpenalized least-squares
+SSE of a set of rows never decreases when rows are added, and the ridge
+SSE that the search ranks is never below it.  At boundary t the left
+child contains the left child of every boundary a < t, and the right
+child contains the right child of every boundary b > t, so
+OLS_left(a) + OLS_right(b) bounds the SSE of every boundary strictly
+between a and b.  The least-squares SSEs of both children at each grid
+point but the two ends, where the smallest children are bounded by 0,
+come from the same indicator sums, one solve per group.  Then only the
+intervals whose bound does not exceed the best SSE found so far, over
+every column, by more than ``_BOUND_MARGIN`` times the subgroup's
+summed squared outputs are scanned: the members are sorted by the
+column once, their Gram pieces are accumulated as prefix sums, and
+both children of every boundary inside a live interval are solved from
+those sums, the right child as the total minus the prefix.  The margin
+is far above the rounding of either SSE, so no boundary that could win
+is skipped.  One-hot blocks would make the bound solves singular, so
+they drop one column per nominal block; see :func:`_bound_design`.
 
 The search only ranks candidates; the winning split's children are
 refitted through the canonical pooled-fit path, and a split is applied
@@ -135,8 +137,14 @@ class Partition:
 
 
 def _midpoints(lo, hi):
-    """Split threshold between consecutive distinct column values lo < hi."""
-    return (lo + hi) / 2.0
+    """Split threshold between consecutive distinct column values lo < hi.
+
+    The midpoint, or lo where rounding puts the midpoint outside
+    [lo, hi), as it does for some adjacent floats: a split at the
+    threshold must send lo left and hi right.
+    """
+    mid = (lo + hi) / 2.0
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def candidate_thresholds(values: np.ndarray) -> np.ndarray:
@@ -147,12 +155,7 @@ def candidate_thresholds(values: np.ndarray) -> np.ndarray:
     return _midpoints(sv[:-1], sv[1:])
 
 
-# Boolean and one-hot columns hold 0 or 1 (see ``dataset.encode``), so
-# each has one candidate threshold.
-_CODED_KINDS = (AttributeKind.BOOLEAN, AttributeKind.NOMINAL)
-_CODED_THRESHOLD = float(_midpoints(0.0, 1.0))
-
-# Grid boundaries solved first in each scanned column, and the share of a
+# Grid boundaries solved first in each column, and the share of a
 # subgroup's summed squared outputs by which an interval's least-squares
 # bound must exceed the best SSE before the interval is skipped; see the
 # module docstring.
@@ -202,21 +205,6 @@ def _bound_design(enc: EncodedMatrix, G_all: np.ndarray) -> np.ndarray | None:
     return np.delete(np.arange(m + 1), drop) if drop else None
 
 
-@dataclass
-class _ColumnScan:
-    """Lowest SSE among the solved boundaries of one column scan.
-
-    ``children`` holds the Gram pieces (G, C, yy) of both children at
-    every solved boundary but the first and the last, left children
-    first, in the bound design.
-    """
-
-    sse: float
-    threshold: float
-    n_candidates: int
-    children: tuple | None = None
-
-
 class _Engine:
     def __init__(
         self,
@@ -231,45 +219,49 @@ class _Engine:
         self.lam = lam
         self.min_support = min_support
         self.columns = columns
-        self.coded = [j for j in columns if enc.columns[j].kind in _CODED_KINDS]
-        self.scanned = [j for j in columns if enc.columns[j].kind not in _CODED_KINDS]
         self.grams = neighborhood_grams(ns)
         self.npen = enc.m
         G_all, C_all, _ = self.grams
         self.bound_cols = _bound_design(enc, G_all)
-        d = G_all.shape[1] if self.bound_cols is None else self.bound_cols.size
-        width = d * d + d * C_all.shape[2] + 1
-        # Columns whose grid children are held and bounded together.
-        self.bound_group = max(1, kernels._STACK_BYTES // (2 * _GRID * width * 8))
+        d, p = C_all.shape[1:]
+        # Grid boundaries summed and solved together.  Their children's
+        # pieces take at most half of the stack budget, which leaves room
+        # for the bound solves' copy and the solves' temporaries.
+        self.grid_group = max(1, kernels._STACK_BYTES // (4 * (d * d + d * p + 1) * 8))
+
+    def _boundaries(self, sv: np.ndarray) -> np.ndarray:
+        """Candidate boundaries of sorted member values ``sv``.
+
+        Boundary t splits ``sv[:t]`` from ``sv[t:]``.  It is a candidate
+        when ``sv[t - 1] < sv[t]`` and both sides hold ``min_support``
+        members or more.
+        """
+        jumps = np.flatnonzero(sv[1:] > sv[:-1]) + 1
+        return jumps[(jumps >= self.min_support) & (jumps <= sv.size - self.min_support)]
 
     def _scan_column(
         self,
         members: np.ndarray,
         j: int,
         pick: Callable[[int], np.ndarray] | None = None,
-        children: bool = False,
-    ) -> _ColumnScan | None:
-        """Boundary scan of a numeric or ordinal column over the members.
+    ) -> tuple[float, float] | None:
+        """Lowest (SSE, threshold) of a boundary scan of column j.
 
         The members are sorted by column j and their Gram pieces summed
         into prefix sums, whose last row is the column's totals.  Of the
-        column's n candidate boundaries, those that leave ``min_support``
-        members on each side, ``pick(n)`` gives the positions to solve;
-        by default every one.  With ``children``, when some candidate is
-        left unsolved, the scan also keeps the children's Gram pieces at
-        each solved boundary but the first and the last, for the bound
-        solves.  Returns None when the column has no candidate boundary.
+        column's n candidate boundaries, ``pick(n)`` gives the positions
+        to solve; by default every one.  Returns None when the column
+        has no candidate boundary.
         """
         vals = self.enc.values[members, j]
         order = np.argsort(vals, kind="stable")
         sv = vals[order]
-        mo = members[order]
-        n = members.size
-        jumps = np.nonzero(sv[1:] > sv[:-1])[0] + 1
-        jumps = jumps[(jumps >= self.min_support) & (jumps <= n - self.min_support)]
-        if jumps.size == 0:
+        ts = self._boundaries(sv)
+        if ts.size == 0:
             return None
-        ts = jumps if pick is None else jumps[pick(jumps.size)]
+        if pick is not None:
+            ts = ts[pick(ts.size)]
+        mo = members[order]
         G_all, C_all, yy_all = self.grams
         Gpre, Cpre, yypre = G_all[mo], C_all[mo], yy_all[mo]
         for a in (Gpre, Cpre, yypre):
@@ -279,78 +271,118 @@ class _Engine:
         )
         best = int(np.argmin(sses))
         t = int(ts[best])
-        scan = _ColumnScan(float(sses[best]), float(_midpoints(sv[t - 1], sv[t])), jumps.size)
-        if children and ts.size < jumps.size:
-            inner = ts[1:-1] - 1
-            k = inner.size
-            pieces = []
-            for pre in (Gpre, Cpre, yypre):
-                both = np.empty((2 * k,) + pre.shape[1:])
-                np.take(pre, inner, axis=0, out=both[:k])
-                np.subtract(pre[-1], both[:k], out=both[k:])
-                pieces.append(both)
-            if self.bound_cols is not None:
-                keep = self.bound_cols
-                pieces[0] = pieces[0][:, keep[:, None], keep]
-                pieces[1] = pieces[1][:, keep]
-            scan.children = tuple(pieces)
-        return scan
+        return float(sses[best]), float(_midpoints(sv[t - 1], sv[t]))
 
-    def _grid_scans(
-        self, members: np.ndarray, cols: list[int]
-    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray]]]:
-        """Grid scans of a group of columns, then their intervals' bounds.
+    def _grid_sse(
+        self, members: np.ndarray, cols: np.ndarray, thresholds: np.ndarray, inner: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Ridge SSEs of a group of grid boundaries, and bounds of some children.
 
-        Returns each scanned column's lowest (SSE, column, threshold) on
-        its grid, and for each column with boundaries off the grid the
-        lower bound of every grid interval: interval i, strictly between
-        grid points a and b, is bounded by OLS_left(a) + OLS_right(b);
-        an interval with no boundary inside gets +inf.  The bounds of all
-        the group's columns come from one least-squares solve.  The
-        smallest children, left of the first grid point and right of the
-        last, are bounded by 0 instead: with a few members they are often
-        rank-deficient and would bound nothing, and one failed factor
-        makes numpy refactor the whole stack in parts.
+        Boundary i splits the members at ``thresholds[i]`` on column
+        ``cols[i]``.  Rows [0, k) of a 0/1 indicator are the left
+        children of the k boundaries, ``value <= threshold``, and rows
+        [k, 2k) the right ones.  The members' Gram pieces are gathered
+        into one (rows, d*d + d*p + 1) buffer a block at a time, and one
+        product per block adds every child's share of (G, C, yy); a
+        block's buffer, indicator and column values take at most
+        ``kernels._STACK_BYTES`` together.  Returns the summed ridge SSE
+        of both children of every boundary, and the least-squares SSEs,
+        in the bound design, of the left and then the right children of
+        the boundaries listed in ``inner``.
         """
-        found, held = [], []
-        for j in cols:
-            scan = self._scan_column(members, j, _grid, children=True)
-            if scan is not None:
-                found.append((scan.sse, j, scan.threshold))
-                if scan.children is not None:
-                    held.append((j, scan))
-        if not held:
-            return found, []
-        G, C, yy = (np.concatenate([s.children[i] for _, s in held]) for i in range(3))
-        sizes = [(j, s.n_candidates) for j, s in held]
-        del held, scan  # the stacked copy is the only one kept through the solve
-        ols = kernels.least_squares_sse(G, C, yy)
-        bounds, start = [], 0
-        for j, n in sizes:
-            grid = _grid(n)
-            k = grid.size - 2
-            left, right = ols[start : start + k], ols[start + k : start + 2 * k]
-            lo = np.concatenate([[0.0], left]) + np.concatenate([right, [0.0]])
-            lo[np.diff(grid) == 1] = np.inf
-            bounds.append((j, lo))
-            start += 2 * k
+        G_all, C_all, yy_all = self.grams
+        N, d, p = C_all.shape
+        dd, dp = d * d, d * p
+        G_flat, C_flat = G_all.reshape(N, dd), C_all.reshape(N, dp)
+        width = dd + dp + 1
+        k = cols.size
+        rows = max(1, kernels._STACK_BYTES // ((width + 3 * k) * 8))
+        acc = np.zeros((2 * k, width))
+        for start in range(0, members.size, rows):
+            mb = members[start : start + rows]
+            buf = np.empty((mb.size, width))
+            np.take(G_flat, mb, axis=0, out=buf[:, :dd])
+            np.take(C_flat, mb, axis=0, out=buf[:, dd:-1])
+            np.take(yy_all, mb, out=buf[:, -1])
+            vals = self.enc.values[np.ix_(mb, cols)].T
+            ind = np.empty((2 * k, mb.size))
+            np.less_equal(vals, thresholds[:, None], out=ind[:k])
+            np.greater(vals, thresholds[:, None], out=ind[k:])
+            acc += ind @ buf
+            del buf, ind, vals  # free the block before the next one is gathered
+        G = acc[:, :dd].reshape(-1, d, d)
+        C = acc[:, dd:-1].reshape(-1, d, p)
+        yy = acc[:, -1]
+        B, _ = kernels.solve_stack(G, C, self.lam, self.npen)
+        sse = kernels.residual_sse(G, C, yy, B)
+        ols = np.empty(0)
+        if inner.size:
+            both = np.concatenate([inner, k + inner])
+            keep = np.arange(d) if self.bound_cols is None else self.bound_cols
+            ols = kernels.least_squares_sse(
+                G[np.ix_(both, keep, keep)], C[np.ix_(both, keep)], yy[both]
+            )
+        return sse[:k] + sse[k:], ols
+
+    def _grid_splits(
+        self, members: np.ndarray
+    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray]]]:
+        """Each column's best grid split, and the bounds of its grid intervals.
+
+        Returns (found, bounds).  ``found`` holds each column's lowest
+        (SSE, column, threshold) on its grid, for every column with a
+        candidate.  ``bounds`` holds (column, lo) for every column with
+        candidates off its grid: interval i, strictly between grid
+        points a and b, is bounded by OLS_left(a) + OLS_right(b), and an
+        interval with no boundary inside gets +inf.  The smallest
+        children, left of the first grid point and right of the last,
+        are bounded by 0 instead: with a few members they are often
+        rank-deficient and would bound nothing, and one failed factor
+        makes numpy refactor the whole stack in parts.  The grids of all
+        columns are solved ``grid_group`` boundaries at a time.
+        """
+        spans, cols, thresholds, bounded = [], [], [], []
+        for j in self.columns:
+            sv = np.sort(self.enc.values[members, j])
+            ts = self._boundaries(sv)
+            if ts.size == 0:
+                continue
+            t = ts[_grid(ts.size)]
+            spans.append((j, ts.size, len(cols), t.size))
+            cols += [j] * t.size
+            thresholds.append(_midpoints(sv[t - 1], sv[t]))
+            has_bound = np.zeros(t.size, dtype=bool)
+            has_bound[1:-1] = ts.size > t.size
+            bounded.append(has_bound)
+        if not spans:
+            return [], []
+        cols = np.array(cols)
+        thresholds, bounded = np.concatenate(thresholds), np.concatenate(bounded)
+        sse, left, right = np.empty(cols.size), np.zeros(cols.size), np.zeros(cols.size)
+        for g in range(0, cols.size, self.grid_group):
+            part = slice(g, g + self.grid_group)
+            inner = np.flatnonzero(bounded[part])
+            sse[part], ols = self._grid_sse(members, cols[part], thresholds[part], inner)
+            left[g + inner], right[g + inner] = ols[: inner.size], ols[inner.size :]
+        found, bounds = [], []
+        for j, n, a, k in spans:
+            i = a + int(np.argmin(sse[a : a + k]))
+            found.append((float(sse[i]), j, float(thresholds[i])))
+            if n > k:
+                lo = left[a : a + k - 1] + right[a + 1 : a + k]
+                lo[np.diff(_grid(n)) == 1] = np.inf
+                bounds.append((j, lo))
         return found, bounds
 
-    def _scanned_split(
-        self, members: np.ndarray, best: tuple[float, int, float] | None
-    ) -> tuple[float, int, float] | None:
-        """Lowest (SSE, column, threshold) over ``best`` and every scanned column.
+    def _search(self, members: np.ndarray) -> tuple[float, int, float] | None:
+        """Lowest (SSE, column, threshold) over every candidate split, or None.
 
         Every grid is solved first; then an interval is scanned unless
         its bound exceeds the lowest SSE found so far by more than
         ``_BOUND_MARGIN`` times the members' summed squared outputs.
         Columns are visited by their lowest interval bound.
         """
-        found, bounds = ([] if best is None else [best]), []
-        for g in range(0, len(self.scanned), self.bound_group):
-            grid_best, group = self._grid_scans(members, self.scanned[g : g + self.bound_group])
-            found += grid_best
-            bounds += group
+        found, bounds = self._grid_splits(members)
         if not found:
             return None
         best = min(found)
@@ -358,79 +390,15 @@ class _Engine:
         for j, lo in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
             live = np.flatnonzero(~(lo > best[0] + margin))
             if live.size:
-                scan = self._scan_column(members, j, lambda n: _inside(_grid(n), live))
-                best = min(best, (scan.sse, j, scan.threshold))
-        return best
-
-    def _coded_splits(self, members: np.ndarray) -> dict[int, tuple[float, float] | None]:
-        """(SSE, threshold) of every coded column's candidate; None without one.
-
-        A coded column holds 0 or 1, so its one candidate splits at
-        ``_CODED_THRESHOLD`` and is kept when both children have
-        ``min_support`` members or more.  Its SSE is the sum of its two
-        children's ridge SSEs, each child solved from Gram pieces summed
-        over its own members: rows [0, k) of a group's 0/1 indicator are
-        the left children of its k columns and rows [k, 2k) the right
-        ones.  The members' Gram pieces are gathered into one
-        (rows, d*d + d*p + 1) buffer a block at a time, and one product
-        per block adds every child's share of (G, C, yy).  A group's
-        summed pieces take at most ``kernels._STACK_BYTES``, and so do a
-        member block's buffer, indicator and coded values together.
-        """
-        best: dict[int, tuple[float, float] | None] = dict.fromkeys(self.coded)
-        G_all, C_all, yy_all = self.grams
-        N, d, p = C_all.shape
-        dd, dp = d * d, d * p
-        G_flat, C_flat = G_all.reshape(N, dd), C_all.reshape(N, dp)
-        width = dd + dp + 1
-        n = members.size
-        per_group = max(1, kernels._STACK_BYTES // (2 * width * 8))
-        for g in range(0, len(self.coded), per_group):
-            cols = self.coded[g : g + per_group]
-            k = len(cols)
-            rows = max(1, kernels._STACK_BYTES // ((width + 3 * k) * 8))
-            acc = np.zeros((2 * k, width))
-            n_left = np.zeros(k, dtype=np.int64)
-            for start in range(0, n, rows):
-                mb = members[start : start + rows]
-                buf = np.empty((mb.size, width))
-                np.take(G_flat, mb, axis=0, out=buf[:, :dd])
-                np.take(C_flat, mb, axis=0, out=buf[:, dd:-1])
-                np.take(yy_all, mb, out=buf[:, -1])
-                ind = np.empty((2 * k, mb.size))
-                coded = self.enc.values[np.ix_(mb, cols)]
-                np.less_equal(coded.T, _CODED_THRESHOLD, out=ind[:k])
-                np.greater(coded.T, _CODED_THRESHOLD, out=ind[k:])
-                n_left += np.count_nonzero(ind[:k], axis=1)
-                acc += ind @ buf
-                del buf, ind, coded  # free the block before the next one is gathered
-            keep = np.flatnonzero((n_left >= self.min_support) & (n_left <= n - self.min_support))
-            if keep.size == 0:
-                continue
-            acc = acc[np.concatenate([keep, k + keep])]
-            G = acc[:, :dd].reshape(-1, d, d)
-            C = acc[:, dd:-1].reshape(-1, d, p)
-            B, _ = kernels.solve_stack(G, C, self.lam, self.npen)
-            sse = kernels.residual_sse(G, C, acc[:, -1], B)
-            for c, total in zip(keep, sse[: keep.size] + sse[keep.size :]):
-                best[cols[c]] = (float(total), _CODED_THRESHOLD)
+                sse, threshold = self._scan_column(members, j, lambda n: _inside(_grid(n), live))
+                best = min(best, (sse, j, threshold))
         return best
 
     def best_split(self, sg: Subgroup) -> CandidateSplit | None:
-        """Best candidate split of a subgroup, or None when no split exists.
-
-        Coded columns are scored together by :meth:`_coded_splits`, every
-        other column by the bounded boundary scan of :meth:`_scanned_split`.
-        """
+        """Best candidate split of a subgroup, or None when no split exists."""
         if sg.members.size < 2 * self.min_support:
             return None
-
-        coded = [
-            (res[0], j, res[1])
-            for j, res in self._coded_splits(sg.members).items()
-            if res is not None
-        ]
-        best = self._scanned_split(sg.members, min(coded, default=None))
+        best = self._search(sg.members)
         if best is None:
             return None
         _, column, threshold = best

@@ -33,6 +33,23 @@ def test_candidate_thresholds_frozen():
     assert candidate_thresholds(np.array([4.0])).size == 0
 
 
+def test_adjacent_floats_split_at_the_lower_value():
+    # (lo + hi) / 2 rounds to hi for these adjacent floats.  A threshold
+    # of hi would send every row left and leave the right child empty.
+    lo = 1.0000000000000002
+    hi = float(np.nextafter(lo, np.inf))
+    assert (lo + hi) / 2.0 == hi
+    assert candidate_thresholds(np.array([hi, lo])).tolist() == [lo]
+    rng = np.random.default_rng(0)
+    attrs = (Attribute("a", AttributeKind.NUMERIC), Attribute("b", AttributeKind.NUMERIC))
+    rows = [(lo if i < 10 else hi, float(rng.normal())) for i in range(20)]
+    enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
+    bb = random_linear_bb(rng, enc)
+    partition = run(enc, bb, K=2, n_synth=10, min_support=1, split_columns=["a"])
+    assert [t.threshold for t in partition.trace] == [lo]
+    assert [sg.members.size for sg in partition.subgroups] == [10, 10]
+
+
 def _toy_run(toy_enc, **kw):
     # At a larger scale the softmax saturates on the toy data: every
     # output is 0 or 1, the loss is rounding noise, and nothing splits.
@@ -379,19 +396,26 @@ def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# boolean and one-hot columns: one indicator product instead of a sorted scan
+# grid boundaries: one indicator product instead of a sorted scan
 # ---------------------------------------------------------------------------
 
 
 def _coded_problem(seed, n=40, n_synth=15, scale=1.0):
-    """Numeric, boolean, 3-category nominal and 4-level ordinal attributes."""
+    """Numeric, boolean, 3-category nominal, 4- and 40-level ordinal attributes.
+
+    The second numeric attribute takes 8 distinct values, so its grid
+    holds every candidate boundary.
+    """
     rng = np.random.default_rng(seed)
     hues, sizes = ("r", "g", "b"), ("xs", "s", "m", "l")
+    ranks = tuple(f"r{i}" for i in range(40))
     attrs = (
         Attribute("x", AttributeKind.NUMERIC),
         Attribute("flag", AttributeKind.BOOLEAN),
         Attribute("hue", AttributeKind.NOMINAL, categories=hues),
         Attribute("size", AttributeKind.ORDINAL, categories=sizes),
+        Attribute("rank", AttributeKind.ORDINAL, categories=ranks),
+        Attribute("step", AttributeKind.NUMERIC),
     )
     rows = [
         (
@@ -399,6 +423,8 @@ def _coded_problem(seed, n=40, n_synth=15, scale=1.0):
             bool(rng.integers(2)),
             hues[int(rng.integers(3))],
             sizes[int(rng.integers(4))],
+            ranks[int(rng.integers(40))],
+            float(rng.integers(8)) / 4.0,
         )
         for _ in range(n)
     ]
@@ -408,43 +434,57 @@ def _coded_problem(seed, n=40, n_synth=15, scale=1.0):
     return enc, ns, rng
 
 
+def _n_candidates(vals, min_support):
+    """Candidate boundaries of one column's member values, counted directly."""
+    left = np.array([np.count_nonzero(vals <= t) for t in candidate_thresholds(vals)])
+    return int(np.count_nonzero((left >= min_support) & (left <= vals.size - min_support)))
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("stack_rows", [None, 3])
 def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
-    # Each coded column's SSE must match kernels.scan_sse on the same
-    # column's sorted prefix sums, also when tiny stacks split the members
-    # into blocks of 2 rows and the children into groups of one pair.
+    # Every grid boundary's SSE, summed from indicator rows, must match
+    # kernels.scan_sse on the same column's sorted prefix sums: boolean
+    # and one-hot columns as well as numeric and ordinal ones, also when
+    # tiny stacks split the members into blocks of 2 rows and the grid
+    # into groups of one boundary.
     enc, ns, rng = _coded_problem(31)
+    if stack_rows is not None:
+        d, p = enc.m + 1, len(enc.classes)
+        monkeypatch.setattr(kernels, "_STACK_BYTES", stack_rows * (d * d + d * p + 1) * 8)
     engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
     if stack_rows is not None:
-        d, p = engine.grams[1].shape[1:]
-        monkeypatch.setattr(kernels, "_STACK_BYTES", stack_rows * (d * d + d * p + 1) * 8)
-    assert [enc.columns[j].kind for j in engine.coded] == [
-        AttributeKind.BOOLEAN,
-        AttributeKind.NOMINAL,
-        AttributeKind.NOMINAL,
-        AttributeKind.NOMINAL,
-    ]
+        assert engine.grid_group == 1
+    seen = []
+    grid_sse = splitter._Engine._grid_sse
+
+    def recorded(self, members, cols, thresholds, inner):
+        sse, ols = grid_sse(self, members, cols, thresholds, inner)
+        seen.extend((members, int(j), float(t), float(s)) for j, t, s in zip(cols, thresholds, sse))
+        return sse, ols
+
+    monkeypatch.setattr(splitter._Engine, "_grid_sse", recorded)
+    searched = (np.arange(enc.n), np.sort(rng.choice(enc.n, 29, replace=False)))
+    for members in searched:
+        engine._grid_splits(members)
     G_all, C_all, yy_all = engine.grams
-    checked = 0
-    for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 29, replace=False))):
-        got = engine._coded_splits(members)
-        assert sorted(got) == engine.coded
-        for j in engine.coded:
-            vals = enc.values[members, j]
-            (thr,) = candidate_thresholds(vals)
-            order = np.argsort(vals, kind="stable")
-            mo = members[order]
-            Gpre, Cpre, yypre = (np.cumsum(a[mo], axis=0) for a in (G_all, C_all, yy_all))
-            bounds = np.array([np.count_nonzero(vals <= thr)], dtype=np.int64)
-            want = kernels.scan_sse(
-                Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, enc.m
-            )
-            sse, threshold = got[j]
-            assert threshold == thr
-            np.testing.assert_allclose(sse, want[0], rtol=1e-12, atol=0)
-            checked += 1
-    assert checked == 8
+    for members, j, thr, sse in seen:
+        vals = enc.values[members, j]
+        assert thr in candidate_thresholds(vals)
+        order = np.argsort(vals, kind="stable")
+        mo = members[order]
+        Gpre, Cpre, yypre = (np.cumsum(a[mo], axis=0) for a in (G_all, C_all, yy_all))
+        bounds = np.array([np.count_nonzero(vals <= thr)], dtype=np.int64)
+        want = kernels.scan_sse(
+            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, enc.m
+        )
+        np.testing.assert_allclose(sse, want[0], rtol=1e-12, atol=0)
+    # Each column solves min(candidates, _GRID) grid boundaries per search.
+    assert {enc.columns[j].kind for _, j, _, _ in seen} == set(AttributeKind)
+    for members in searched:
+        for j in range(enc.m):
+            solved = sum(m is members and c == j for m, c, _, _ in seen)
+            assert solved == min(_n_candidates(enc.values[members, j], 2), splitter._GRID)
 
 
 def test_coded_column_under_min_support_has_no_candidate():
@@ -454,7 +494,8 @@ def test_coded_column_under_min_support_has_no_candidate():
     ones = int(np.count_nonzero(enc.values[members, flag]))
     for min_support, kept in ((min(ones, enc.n - ones), True), (min(ones, enc.n - ones) + 1, False)):
         engine = splitter._Engine(enc, ns, 1.0, min_support, list(range(enc.m)))
-        assert (engine._coded_splits(members)[flag] is not None) == kept
+        found, _ = engine._grid_splits(members)
+        assert (flag in [j for _, j, _ in found]) == kept
 
 
 def _brute_force_split(engine, members):
@@ -524,15 +565,16 @@ def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
         return original(G, C, lam, npen)
 
     monkeypatch.setattr(kernels, "solve_stack", capture)
-    engine = splitter._Engine(enc, ns, 0.0, 2, [1, 2, 3, 4])
+    coded = [1, 2, 3, 4]
+    engine = splitter._Engine(enc, ns, 0.0, 2, coded)
     members = np.arange(n, dtype=np.int64)
-    assert all(res is not None for res in engine._coded_splits(members).values())
+    found, _ = engine._grid_splits(members)
+    assert [j for _, j, _ in found] == coded
     ((G, C),) = seen
-    k = len(engine.coded)
-    assert k == 4
+    k = len(coded)
     lacking = 0
     for i in range(2 * k):
-        left = enc.values[members, engine.coded[i % k]] <= 0.5
+        left = enc.values[members, coded[i % k]] <= 0.5
         child = members[left if i < k else ~left]
         for level in (2, 3, 4):
             absent = not np.any(enc.values[child, level])
@@ -601,42 +643,55 @@ def test_coded_path_peak_memory_stays_within_the_stack_budget(make, n, n_coded):
     G_all, C_all, yy_all = engine.grams
     gathered = members.size * (G_all[0].nbytes + C_all[0].nbytes + yy_all[0].nbytes)
     assert gathered > 4 * kernels._STACK_BYTES
-    first = engine._coded_splits(members)  # warm up lazy imports
-    assert len(first) == n_coded and None not in first.values()
+    found, _ = engine._grid_splits(members)  # warm up lazy imports
+    assert [j for _, j, _ in found] == list(range(enc.m))
+    coded = (AttributeKind.BOOLEAN, AttributeKind.NOMINAL)
+    assert sum(enc.columns[j].kind in coded for _, j, _ in found) == n_coded
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        engine._coded_splits(members)
+        engine._grid_splits(members)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
 
 
-def test_scan_sse_runs_for_numeric_and_ordinal_columns_only(monkeypatch):
+def test_each_column_is_sort_scanned_at_most_once_per_search(monkeypatch):
+    # A column's grid comes from the indicator product.  Only a column
+    # with more candidates than its grid is sorted, gathered and
+    # prefix-summed, once per search at most, and kernels.scan_sse runs
+    # only inside that scan.
     enc, ns, _ = _coded_problem(43, n=50, n_synth=10, scale=2.0)
-    scanning = []
-    scanned = []
+    searches = []
+    best_split = splitter._Engine.best_split
     scan_column = splitter._Engine._scan_column
     scan_sse = kernels.scan_sse
 
-    def traced_scan_column(self, members, j, *args, **kwargs):
-        scanning.append(j)
-        try:
-            return scan_column(self, members, j, *args, **kwargs)
-        finally:
-            scanning.pop()
+    def traced_best_split(self, sg):
+        searches.append((sg.members, [], []))
+        return best_split(self, sg)
+
+    def traced_scan_column(self, members, j, pick=None):
+        searches[-1][1].append(j)
+        return scan_column(self, members, j, pick)
 
     def traced_scan_sse(*args):
-        scanned.append(scanning[-1])
+        searches[-1][2].append(searches[-1][1][-1])
         return scan_sse(*args)
 
+    monkeypatch.setattr(splitter._Engine, "best_split", traced_best_split)
     monkeypatch.setattr(splitter._Engine, "_scan_column", traced_scan_column)
     monkeypatch.setattr(kernels, "scan_sse", traced_scan_sse)
     partition = run(enc, K=4, lam=1.0, ns=ns)
     assert len(partition.trace) == 3
-    kinds = {enc.columns[j].kind for j in scanned}
-    assert kinds == {AttributeKind.NUMERIC, AttributeKind.ORDINAL}
+    scanned = set()
+    for members, cols, kernel_cols in searches:
+        assert len(cols) == len(set(cols)) and kernel_cols == cols
+        for j in cols:
+            assert _n_candidates(enc.values[members, j], 2) > splitter._GRID
+        scanned.update(enc.columns[j].name for j in cols)
+    assert scanned == {"x", "rank"}
 
 
 # ---------------------------------------------------------------------------
@@ -737,23 +792,33 @@ def test_lazy_selection_breaks_equal_gains_by_lower_id_and_skips_small_losses():
 
 
 def _searches(monkeypatch, enc, ns, **params):
-    """(partition JSON, each search's (column, threshold, SSE bits), boundaries solved)."""
+    """(partition JSON, each search's (column, threshold, SSE), boundaries solved).
+
+    A boundary is solved either on a grid, by the indicator product, or
+    by an interval scan.
+    """
     found, solved = [], []
-    scanned_split = splitter._Engine._scanned_split
+    search = splitter._Engine._search
+    grid_sse = splitter._Engine._grid_sse
     scan_sse = kernels.scan_sse
 
-    def recorded(self, members, best):
-        res = scanned_split(self, members, best)
-        found.append(None if res is None else (res[1], res[2], res[0].hex()))
+    def recorded(self, members):
+        res = search(self, members)
+        found.append(None if res is None else (res[1], res[2], res[0]))
         return res
 
-    def counted(*args):
+    def grid_counted(self, members, cols, *args):
+        solved.append(cols.size)
+        return grid_sse(self, members, cols, *args)
+
+    def scan_counted(*args):
         solved.append(len(args[6]))
         return scan_sse(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(splitter._Engine, "_scanned_split", recorded)
-        m.setattr(kernels, "scan_sse", counted)
+        m.setattr(splitter._Engine, "_search", recorded)
+        m.setattr(splitter._Engine, "_grid_sse", grid_counted)
+        m.setattr(kernels, "scan_sse", scan_counted)
         partition = run(enc, ns=ns, **params)
     return json.dumps(partition_to_dict(partition, enc), sort_keys=True), found, sum(solved)
 
@@ -764,6 +829,15 @@ def _bounded_and_full(monkeypatch, enc, ns, **params):
         m.setattr(splitter, "_GRID", 1 << 40)  # every boundary is a grid point
         full = _searches(monkeypatch, enc, ns, **params)
     return bounded, full
+
+
+def _assert_same_searches(got, want):
+    """Same winners; the SSEs agree to rounding, as a grid SSE comes from
+    the indicator product and a scanned one from prefix sums."""
+    assert [f and f[:2] for f in got] == [f and f[:2] for f in want]
+    for g, w in zip(got, want):
+        if g is not None:
+            np.testing.assert_allclose(g[2], w[2], rtol=1e-12, atol=0)
 
 
 def test_bounded_search_gives_the_full_search_result(monkeypatch):
@@ -781,7 +855,7 @@ def test_bounded_search_gives_the_full_search_result(monkeypatch):
                     (got, got_found, got_solved), (want, want_found, want_solved) = (
                         _bounded_and_full(monkeypatch, enc, ns, **params)
                     )
-                    assert got_found == want_found, (enc.m, params)
+                    _assert_same_searches(got_found, want_found)
                     assert got == want, (enc.m, params)
                     solved[enc.m][0] += got_solved
                     solved[enc.m][1] += want_solved
@@ -800,21 +874,21 @@ def test_an_interval_whose_bound_is_within_the_margin_is_scanned(monkeypatch):
     ns = label(build(enc, z=10, n_synth=6, seed=4), random_linear_bb(rng, enc, scale=2.0))
     engine = splitter._Engine(enc, ns, 1.0, 1, [0])
     members = np.arange(enc.n, dtype=np.int64)
-    full = engine._scan_column(members, 0)
-    grid = engine._scan_column(members, 0, splitter._grid)
-    assert full.sse < grid.sse
-    edge = grid.sse + splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
-    grid_scans = splitter._Engine._grid_scans
-    for bound, want in ((edge, full), (np.nextafter(edge, np.inf), grid)):
+    full_sse, full_threshold = engine._scan_column(members, 0)
+    (grid,), _ = engine._grid_splits(members)
+    assert full_sse < grid[0]
+    edge = grid[0] + splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
+    grid_splits = splitter._Engine._grid_splits
+    for bound, want in ((edge, (full_sse, 0, full_threshold)), (np.nextafter(edge, np.inf), grid)):
 
-        def fixed_bounds(self, members, cols, b=bound):
-            found, bounds = grid_scans(self, members, cols)
+        def fixed_bounds(self, members, b=bound):
+            found, bounds = grid_splits(self, members)
             assert bounds and all(np.all(lo < np.inf) for _, lo in bounds)
             return found, [(j, np.full(lo.shape, b)) for j, lo in bounds]
 
         with monkeypatch.context() as m:
-            m.setattr(splitter._Engine, "_grid_scans", fixed_bounds)
-            assert engine._scanned_split(members, None) == (want.sse, 0, want.threshold)
+            m.setattr(splitter._Engine, "_grid_splits", fixed_bounds)
+            assert engine._search(members) == want
 
 
 def test_least_squares_bound_is_monotone_and_below_the_ridge_sse():
@@ -889,7 +963,7 @@ def test_a_nominal_row_with_two_ones_keeps_the_full_design(monkeypatch):
             (got, got_found, _), (want, want_found, _) = _bounded_and_full(
                 monkeypatch, enc, ns, K=K, lam=1.0, min_support=min_support
             )
-            assert got_found == want_found
+            _assert_same_searches(got_found, want_found)
             assert got == want
 
 

@@ -9,9 +9,11 @@ softmax-linear regimes cut at 0.5 on x0 and x1.  One run builds and
 labels the neighborhoods, forms the per-object Gram pieces, searches
 the splits and validates the partition, each stage timed on its own,
 with lambda = 1 and one thread.  The probe prints each stage's wall
-time, the process's peak RSS, and the boundary-scan counts: calls of
-``kernels.scan_sse`` and the boundaries they solved.  The program is
-imported from ``src/`` next to this directory; nothing is installed.
+time, the process's peak RSS, and how many candidate boundaries the
+split search solved: the grid boundaries summed by the indicator
+product, plus those of the interval scans, whose calls of
+``kernels.scan_sse`` it also counts.  The program is imported from
+``src/`` next to this directory; nothing is installed.
 """
 from __future__ import annotations
 
@@ -69,15 +71,21 @@ def main(argv=None) -> int:
         parser.error("--m must be at least 2: the regimes cut on x0 and x1")
 
     enc, bb = _world(args.n, args.m, args.seed)
-    scans = [0, 0]
+    scans = [0, 0, 0]  # scan calls, scanned boundaries, grid boundaries
     scan_sse = kernels.scan_sse
+    grid_sse = splitter._Engine._grid_sse
 
     def counted(*a):
         scans[0] += 1
         scans[1] += len(a[6])
         return scan_sse(*a)
 
+    def grid_counted(self, members, cols, *a):
+        scans[2] += cols.size
+        return grid_sse(self, members, cols, *a)
+
     kernels.scan_sse = counted
+    splitter._Engine._grid_sse = grid_counted
     stages = {}
 
     def timed(name, fn, *a, **kw):
@@ -99,7 +107,7 @@ def main(argv=None) -> int:
         print(f"{name:>13}: {seconds:8.3f} s")
     print(f"{'peak RSS':>13}: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MB")
     print(f"{'scan calls':>13}: {scans[0]}")
-    print(f"{'boundaries':>13}: {scans[1]}")
+    print(f"{'boundaries':>13}: {scans[1] + scans[2]} ({scans[2]} on grids)")
     print(f"{'subgroups':>13}: {len(partition.subgroups)}")
     return 0
 
