@@ -9,7 +9,6 @@ command speaking a CSV batch protocol.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import shutil
 import subprocess
@@ -22,6 +21,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .dataset import read_json, write_json
 from .errors import ExternalBlackBoxError, InputError
 
 
@@ -248,18 +248,11 @@ def blackbox_from_dict(obj: dict) -> LinearBlackBox | PiecewiseLinearBlackBox:
 
 
 def save_blackbox(path: str, bb: LinearBlackBox | PiecewiseLinearBlackBox) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blackbox_to_dict(bb), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, blackbox_to_dict(bb))
 
 
 def load_blackbox(path: str) -> LinearBlackBox | PiecewiseLinearBlackBox:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read black box {path}: {exc}") from exc
-    return blackbox_from_dict(obj)
+    return blackbox_from_dict(read_json(path, "black box"))
 
 
 # ---------------------------------------------------------------------------

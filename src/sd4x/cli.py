@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import shlex
@@ -36,8 +35,10 @@ from .dataset import (
     load_dataset,
     load_schema,
     read_dataset,
+    read_json,
     save_dataset,
     save_schema,
+    write_json,
 )
 from .errors import (
     ExternalBlackBoxError,
@@ -69,23 +70,6 @@ def _is_json(value, kind) -> bool:
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
     return not isinstance(value, float) or math.isfinite(value)
-
-
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path: str, what: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InputError(f"{what} file {path} must hold a JSON object")
-    return obj
 
 
 def _resolve(
@@ -121,14 +105,6 @@ def _resolve_threads(args: argparse.Namespace, config: dict) -> int:
     if value < 1:
         raise InputError(f"threads must be >= 1, got {value}")
     return value
-
-
-def _load_config(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    config = _read_json(path, "config")
-    return config
 
 
 def _load_bb(args: argparse.Namespace, classes, columns):
@@ -173,10 +149,10 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
         cached = load_cache(path)
         if cached is not None and _cache_fits(cached, enc, bb, z, n_synth, seed):
             return cached
-        ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+    ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+    if cache_dir:
         save_cache(path, ns)
-        return ns
-    return label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +161,9 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = read_json(args.config, "config") if args.config else {}
     seed = _resolve(args, config, "seed", int, 0)
-    spec = spec_from_dict(_read_json(args.spec, "synthetic spec"))
+    spec = spec_from_dict(read_json(args.spec, "synthetic spec"))
     result = generate_synthetic(spec, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     save_dataset(result.dataset, os.path.join(args.out, "data.csv"))
@@ -197,7 +173,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         result.dataset.classes,
     )
     save_blackbox(os.path.join(args.out, "blackbox.json"), result.blackbox)
-    _write_json(os.path.join(args.out, "ground_truth.json"), result.ground_truth)
+    write_json(os.path.join(args.out, "ground_truth.json"), result.ground_truth)
     print(f"wrote {result.dataset.n} rows to {args.out}")
     return 0
 
@@ -208,7 +184,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = read_json(args.config, "config") if args.config else {}
     top_n = _resolve(args, config, "top-n", int, 10)
     attributes, classes = load_schema(args.schema)
     base, texts = read_dataset(args.data, attributes, classes, text_field=args.field)
@@ -227,7 +203,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
     out = Dataset(attributes=out_attrs, classes=classes, rows=out_rows, labels=base.labels)
     save_dataset(out, args.out_data)
     save_schema(args.out_schema, out_attrs, classes)
-    _write_json(
+    write_json(
         args.out_vocab,
         {"field": args.field, "top_n": top_n, "terms": list(vocab)},
     )
@@ -241,7 +217,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = read_json(args.config, "config") if args.config else {}
     k = _resolve(args, config, "k", int, 10)
     z = _resolve(args, config, "z", int, 10)
     n_synth = _resolve(args, config, "n-synth", int, 250)
@@ -274,7 +250,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         split_columns=split_columns,
         ns=ns,
     )
-    _write_json(args.out, splitter.partition_to_dict(partition, enc))
+    write_json(args.out, splitter.partition_to_dict(partition, enc))
     if getattr(args, "curve", None):
         evaluation.write_curve_csv(args.curve, partition.curve())
     n = enc.n
@@ -412,11 +388,11 @@ def _check_dump_invariants(partition: Partition, enc, ns) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = read_json(args.config, "config") if args.config else {}
     threads = _resolve_threads(args, config)
     dataset = load_dataset(args.data, args.schema)
     enc = encode(dataset)
-    dump = _read_json(args.partition, "partition")
+    dump = read_json(args.partition, "partition")
     partition = _partition_from_dump(dump, enc, dataset.classes)
     pconf = partition.config
     bb, bb_tag = _load_bb(args, dataset.classes, enc.column_names)
@@ -437,7 +413,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     report["config"] = pconf
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_json(os.path.join(args.out_dir, "report.json"), report)
+    write_json(os.path.join(args.out_dir, "report.json"), report)
     with open(os.path.join(args.out_dir, "report.md"), "w", encoding="utf-8") as fh:
         fh.write(evaluation.render_report_md(report))
     if curve is not None:

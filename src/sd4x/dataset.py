@@ -153,19 +153,31 @@ def schema_to_dict(attributes: tuple[Attribute, ...], classes: tuple[str, ...]) 
     return {"attributes": out, "classes": list(classes)}
 
 
-def load_schema(path: str) -> tuple[tuple[Attribute, ...], tuple[str, ...]]:
+def read_json(path: str, what: str) -> dict:
+    """The JSON object in file ``path``; errors name the file as ``what``."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read schema {path}: {exc}") from exc
-    return schema_from_dict(obj)
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} file {path} must hold a JSON object")
+    return obj
+
+
+def write_json(path: str, obj: dict) -> None:
+    """Write ``obj`` as UTF-8 JSON, indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_schema(path: str) -> tuple[tuple[Attribute, ...], tuple[str, ...]]:
+    return schema_from_dict(read_json(path, "schema"))
 
 
 def save_schema(path: str, attributes: tuple[Attribute, ...], classes: tuple[str, ...]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_dict(attributes, classes), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, schema_to_dict(attributes, classes))
 
 
 # ---------------------------------------------------------------------------

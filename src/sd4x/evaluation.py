@@ -20,7 +20,6 @@ from .splitter import Partition
 from .whitebox import (
     WhiteBoxModel,
     fit_on_neighborhoods,
-    model_from_solution,
     neighborhood_grams,
     predict,
     subgroup_loss,
@@ -41,22 +40,21 @@ def fit_global_wb(ns: NeighborhoodSet, lam: float) -> tuple[WhiteBoxModel, float
     return model, subgroup_loss(ns, members, model)
 
 
-def fit_local_wb(ns: NeighborhoodSet, lam: float) -> tuple[list[WhiteBoxModel], float]:
-    """One model per explained object; returns (models, total loss).
+def fit_local_wb(ns: NeighborhoodSet, lam: float) -> float:
+    """Total loss of one model per explained object.
 
     All objects are solved in one batched call, and their losses come
     from one :func:`kernels.residual_sse` call on the same Gram pieces;
-    each model and loss equals what ``fit_on_neighborhoods`` and
-    ``subgroup_loss`` give for that object alone.  The per-object losses
-    are added in object order.
+    each loss equals what ``fit_on_neighborhoods`` and ``subgroup_loss``
+    give for that object alone.  The per-object losses are added in
+    object order.
     """
     G_all, C_all, yy_all = neighborhood_grams(ns)
     B, _ = kernels.solve_stack(G_all, C_all, lam, G_all.shape[1] - 1)
-    models = [model_from_solution(b, lam) for b in B]
     total = 0.0
     for sse in kernels.residual_sse(G_all, C_all, yy_all, B):
         total += float(sse)
-    return models, total
+    return total
 
 
 def partition_scores(partition: Partition, values: np.ndarray) -> np.ndarray:
@@ -181,7 +179,7 @@ def build_report(
         raise InputError("neighborhoods are missing cached black-box outputs")
     n = ns.n_objects
     global_model, global_total = fit_global_wb(ns, lam)
-    local_models, local_total = fit_local_wb(ns, lam)
+    local_total = fit_local_wb(ns, lam)
     bb_probs = ns.bb_outputs[:, 0, :]
     scores = partition_scores(partition, values)
     p = bb_probs.shape[1]

@@ -23,6 +23,9 @@ its own, and every substitution step is elementwise within one matrix,
 so batched and single results are bit-identical.
 :func:`least_squares_sse` runs the same path unpenalized and without the
 fallback, for the split search's lower bounds: a failed matrix gets -inf.
+:func:`scan_sse`, the boundary scan of one sorted column, solves both
+children of every boundary with :func:`solve_stack` and scores them with
+:func:`residual_sse`, the one residual formula.
 
 Every stack is built and solved in chunks of at most ``_STACK_BYTES``
 bytes of ``(d, d)`` matrices, so the stack, its penalized copy, its
@@ -188,18 +191,6 @@ def least_squares_sse(G: np.ndarray, C: np.ndarray, yy: np.ndarray) -> np.ndarra
     return np.where(ok, residual_sse(G, C, yy, B), -np.inf)
 
 
-def _ridge_sse_stack(
-    G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: float, npen: int
-) -> np.ndarray:
-    B, _ = solve_stack(G, C, lam, npen)
-    return residual_sse(G, C, yy, B)
-
-
-def ridge_sse(G: np.ndarray, C: np.ndarray, yy: float, lam: float, npen: int) -> float:
-    """Residual SSE of the penalized fit, computed from Gram-form inputs."""
-    return float(_ridge_sse_stack(G[None], C[None], np.asarray([yy]), lam, npen)[0])
-
-
 def scan_sse(
     Gpre: np.ndarray,
     Cpre: np.ndarray,
@@ -238,6 +229,7 @@ def scan_sse(
         np.subtract(Gtot, Gc[:k], out=Gc[k:])
         np.subtract(Ctot, Cc[:k], out=Cc[k:])
         yyl = yypre[tc]
-        sse = _ridge_sse_stack(Gc, Cc, np.concatenate([yyl, yytot - yyl]), lam, npen)
+        B, _ = solve_stack(Gc, Cc, lam, npen)
+        sse = residual_sse(Gc, Cc, np.concatenate([yyl, yytot - yyl]), B)
         out[start : start + k] = sse[:k] + sse[k:]
     return out

@@ -8,9 +8,10 @@ over the pooled neighborhoods of its members; the loss of a partition
 is the sum over its subgroups.
 
 Every allowed column of a subgroup is searched the same way.  Its
-candidate boundaries lie between consecutive distinct member values and
-leave ``min_support`` members on each side; a boundary's threshold is
-the midpoint of those two values (see :func:`_midpoints`).  A boolean
+member values are sorted once per search, stably.  Its candidate
+boundaries lie between consecutive distinct sorted values and leave
+``min_support`` members on each side; a boundary's threshold is the
+midpoint of those two values (see :func:`_midpoints`).  A boolean
 or one-hot column holds 0 or 1, so it has at most one candidate, and an
 ordinal has at most one per pair of adjacent levels.
 
@@ -37,13 +38,14 @@ point but the two ends, where the smallest children are bounded by 0,
 come from the same indicator sums, one solve per group.  Then only the
 intervals whose bound does not exceed the best SSE found so far, over
 every column, by more than ``_BOUND_MARGIN`` times the subgroup's
-summed squared outputs are scanned: the members are sorted by the
-column once, their Gram pieces are accumulated as prefix sums, and
-both children of every boundary inside a live interval are solved from
-those sums, the right child as the total minus the prefix.  The margin
-is far above the rounding of either SSE, so no boundary that could win
-is skipped.  One-hot blocks would make the bound solves singular, so
-they drop one column per nominal block; see :func:`_bound_design`.
+summed squared outputs are scanned, from the column's sorted view kept
+from the candidate pass: the members' Gram pieces are accumulated in
+that order as prefix sums, and both children of every boundary inside
+a live interval are solved from those sums, the right child as the
+total minus the prefix.  The margin is far above the rounding of either
+SSE, so no boundary that could win is skipped.  One-hot blocks would
+make the bound solves singular, so they drop one column per nominal
+block; see :func:`_bound_design`.
 
 The search only ranks candidates; the winning split's children are
 refitted through the canonical pooled-fit path, and a split is applied
@@ -60,7 +62,6 @@ lower threshold, then lower subgroup id.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,14 +148,6 @@ def _midpoints(lo, hi):
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def candidate_thresholds(values: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct sorted values of a column."""
-    sv = np.unique(np.asarray(values, dtype=np.float64))
-    if sv.size < 2:
-        return np.empty(0)
-    return _midpoints(sv[:-1], sv[1:])
-
-
 # Grid boundaries solved first in each column, and the share of a
 # subgroup's summed squared outputs by which an interval's least-squares
 # bound must exceed the best SSE before the interval is skipped; see the
@@ -172,11 +165,6 @@ def _grid(n: int) -> np.ndarray:
     if n <= _GRID:
         return np.arange(n)
     return np.arange(_GRID) * (n - 1) // (_GRID - 1)
-
-
-def _inside(grid: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """Positions strictly between grid points i and i + 1, for each listed i."""
-    return np.concatenate([np.arange(grid[i] + 1, grid[i + 1]) for i in intervals])
 
 
 def _bound_design(enc: EncodedMatrix, G_all: np.ndarray) -> np.ndarray | None:
@@ -239,29 +227,14 @@ class _Engine:
         jumps = np.flatnonzero(sv[1:] > sv[:-1]) + 1
         return jumps[(jumps >= self.min_support) & (jumps <= sv.size - self.min_support)]
 
-    def _scan_column(
-        self,
-        members: np.ndarray,
-        j: int,
-        pick: Callable[[int], np.ndarray] | None = None,
-    ) -> tuple[float, float] | None:
-        """Lowest (SSE, threshold) of a boundary scan of column j.
+    def _scan(self, mo: np.ndarray, sv: np.ndarray, ts: np.ndarray) -> tuple[float, float]:
+        """Lowest (SSE, threshold) over boundaries ``ts`` of one sorted column.
 
-        The members are sorted by column j and their Gram pieces summed
-        into prefix sums, whose last row is the column's totals.  Of the
-        column's n candidate boundaries, ``pick(n)`` gives the positions
-        to solve; by default every one.  Returns None when the column
-        has no candidate boundary.
+        ``mo`` holds the members sorted by the column and ``sv`` their
+        values.  Their Gram pieces are summed into prefix sums, whose
+        last row is the column's totals, and both children of every
+        boundary in ``ts`` are solved from them.
         """
-        vals = self.enc.values[members, j]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        ts = self._boundaries(sv)
-        if ts.size == 0:
-            return None
-        if pick is not None:
-            ts = ts[pick(ts.size)]
-        mo = members[order]
         G_all, C_all, yy_all = self.grams
         Gpre, Cpre, yypre = G_all[mo], C_all[mo], yy_all[mo]
         for a in (Gpre, Cpre, yypre):
@@ -326,52 +299,60 @@ class _Engine:
 
     def _grid_splits(
         self, members: np.ndarray
-    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray]]]:
+    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray, tuple]]]:
         """Each column's best grid split, and the bounds of its grid intervals.
 
-        Returns (found, bounds).  ``found`` holds each column's lowest
+        Each column's member values are sorted once, stably.  Returns
+        (found, bounds).  ``found`` holds each column's lowest
         (SSE, column, threshold) on its grid, for every column with a
-        candidate.  ``bounds`` holds (column, lo) for every column with
-        candidates off its grid: interval i, strictly between grid
-        points a and b, is bounded by OLS_left(a) + OLS_right(b), and an
-        interval with no boundary inside gets +inf.  The smallest
-        children, left of the first grid point and right of the last,
-        are bounded by 0 instead: with a few members they are often
-        rank-deficient and would bound nothing, and one failed factor
-        makes numpy refactor the whole stack in parts.  The grids of all
+        candidate.  ``bounds`` holds (column, lo, view) for every column
+        with candidates off its grid.  Interval i, strictly between grid
+        points a and b, is bounded by ``lo[i]`` = OLS_left(a) +
+        OLS_right(b), and an interval with no boundary inside gets +inf.
+        The smallest children, left of the first grid point and right of
+        the last, are bounded by 0 instead: with a few members they are
+        often rank-deficient and would bound nothing, and one failed
+        factor makes numpy refactor the whole stack in parts.  ``view``
+        is the column's sorted view, (sorted members, sorted values,
+        candidate boundaries, grid positions among them), from which
+        :meth:`_scan` solves the live intervals.  The grids of all
         columns are solved ``grid_group`` boundaries at a time.
         """
         spans, cols, thresholds, bounded = [], [], [], []
         for j in self.columns:
-            sv = np.sort(self.enc.values[members, j])
+            vals = self.enc.values[members, j]
+            order = np.argsort(vals, kind="stable")
+            sv = vals[order]
             ts = self._boundaries(sv)
             if ts.size == 0:
                 continue
-            t = ts[_grid(ts.size)]
-            spans.append((j, ts.size, len(cols), t.size))
+            g = _grid(ts.size)
+            t = ts[g]
+            view = (members[order], sv, ts, g) if ts.size > t.size else None
+            spans.append((j, len(cols), t.size, view))
             cols += [j] * t.size
             thresholds.append(_midpoints(sv[t - 1], sv[t]))
             has_bound = np.zeros(t.size, dtype=bool)
-            has_bound[1:-1] = ts.size > t.size
+            has_bound[1:-1] = view is not None
             bounded.append(has_bound)
         if not spans:
             return [], []
         cols = np.array(cols)
         thresholds, bounded = np.concatenate(thresholds), np.concatenate(bounded)
         sse, left, right = np.empty(cols.size), np.zeros(cols.size), np.zeros(cols.size)
-        for g in range(0, cols.size, self.grid_group):
-            part = slice(g, g + self.grid_group)
+        for a in range(0, cols.size, self.grid_group):
+            part = slice(a, a + self.grid_group)
             inner = np.flatnonzero(bounded[part])
             sse[part], ols = self._grid_sse(members, cols[part], thresholds[part], inner)
-            left[g + inner], right[g + inner] = ols[: inner.size], ols[inner.size :]
+            left[a + inner], right[a + inner] = ols[: inner.size], ols[inner.size :]
         found, bounds = [], []
-        for j, n, a, k in spans:
+        for j, a, k, view in spans:
             i = a + int(np.argmin(sse[a : a + k]))
             found.append((float(sse[i]), j, float(thresholds[i])))
-            if n > k:
+            if view is not None:
                 lo = left[a : a + k - 1] + right[a + 1 : a + k]
-                lo[np.diff(_grid(n)) == 1] = np.inf
-                bounds.append((j, lo))
+                lo[np.diff(view[3]) == 1] = np.inf
+                bounds.append((j, lo, view))
         return found, bounds
 
     def _search(self, members: np.ndarray) -> tuple[float, int, float] | None:
@@ -380,17 +361,19 @@ class _Engine:
         Every grid is solved first; then an interval is scanned unless
         its bound exceeds the lowest SSE found so far by more than
         ``_BOUND_MARGIN`` times the members' summed squared outputs.
-        Columns are visited by their lowest interval bound.
+        Columns are visited by their lowest interval bound, and each
+        column's live intervals are scanned together from its sorted view.
         """
         found, bounds = self._grid_splits(members)
         if not found:
             return None
         best = min(found)
         margin = _BOUND_MARGIN * float(self.grams[2][members].sum())
-        for j, lo in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
+        for j, lo, (mo, sv, ts, g) in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
             live = np.flatnonzero(~(lo > best[0] + margin))
             if live.size:
-                sse, threshold = self._scan_column(members, j, lambda n: _inside(_grid(n), live))
+                inside = np.concatenate([np.arange(g[i] + 1, g[i + 1]) for i in live])
+                sse, threshold = self._scan(mo, sv, ts[inside])
                 best = min(best, (sse, j, threshold))
         return best
 

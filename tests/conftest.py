@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from sd4x import kernels
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import (
     Attribute,
@@ -14,6 +15,7 @@ from sd4x.dataset import (
     encoded_columns,
     load_dataset,
 )
+from sd4x.splitter import _midpoints
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 TOY_CSV = os.path.join(DATA_DIR, "toy.csv")
@@ -28,6 +30,23 @@ def toy():
 @pytest.fixture(scope="session")
 def toy_enc(toy):
     return encode(toy)
+
+
+def candidate_thresholds(values: np.ndarray) -> np.ndarray:
+    """Midpoints between consecutive distinct sorted values of a column.
+
+    The reference for the split search's candidate thresholds.
+    """
+    sv = np.unique(np.asarray(values, dtype=np.float64))
+    if sv.size < 2:
+        return np.empty(0)
+    return _midpoints(sv[:-1], sv[1:])
+
+
+def ridge_sse_stack(G, C, yy, lam, npen) -> np.ndarray:
+    """Ridge SSE of every system of a Gram-form stack: solve, then residual."""
+    B, _ = kernels.solve_stack(G, C, lam, npen)
+    return kernels.residual_sse(G, C, yy, B)
 
 
 def numeric_enc(values, classes=("c0", "c1"), prefix="x") -> EncodedMatrix:

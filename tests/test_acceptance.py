@@ -30,7 +30,7 @@ from sd4x.evaluation import elbow, fit_global_wb, fit_local_wb, mse, rank_labels
 from sd4x.neighborhood import build, estimate_covariance, label
 from sd4x.whitebox import fit_on_neighborhoods, fit_ridge, subgroup_loss
 
-from conftest import mixed_enc, numeric_enc, random_linear_bb
+from conftest import candidate_thresholds, mixed_enc, numeric_enc, random_linear_bb
 
 
 def _verdict(n: int, ok: bool, detail: str = "") -> None:
@@ -261,7 +261,7 @@ def regime_design():
 
 def _candidate_gap(values: np.ndarray, target: float) -> float:
     """Spacing between the candidate thresholds straddling ``target``."""
-    cands = np.asarray(splitter.candidate_thresholds(values))
+    cands = np.asarray(candidate_thresholds(values))
     below = cands[cands <= target]
     above = cands[cands > target]
     return float(above.min() - below.max())
@@ -324,7 +324,7 @@ def test_criterion_6_partition_mse_sits_between_global_and_local(regime_design):
     by_k = dict(curve)
     mse_k = mse(by_k[knee], n)
     _, global_loss = fit_global_wb(ns, 0.0)
-    _, local_loss = fit_local_wb(ns, 0.0)
+    local_loss = fit_local_wb(ns, 0.0)
     mse_global = mse(global_loss, n)
     mse_local = mse(local_loss, n)
 

@@ -149,8 +149,7 @@ def test_local_fits_beat_global_at_lambda_zero():
     bb = random_linear_bb(rng, enc, scale=3.0)
     ns = label(build(enc, z=10, n_synth=20, seed=0), bb)
     _, global_loss = fit_global_wb(ns, 0.0)
-    models, local_loss = fit_local_wb(ns, 0.0)
-    assert len(models) == 15
+    local_loss = fit_local_wb(ns, 0.0)
     assert local_loss <= global_loss * (1.0 + 1e-9)
 
 
@@ -160,15 +159,11 @@ def test_local_wb_equals_per_object_fits_exactly(lam):
     enc = numeric_enc(rng.random((12, 3)))
     bb = random_linear_bb(rng, enc, scale=2.0)
     ns = label(build(enc, z=10, n_synth=8, seed=3), bb)
-    models, total = fit_local_wb(ns, lam)
+    total = fit_local_wb(ns, lam)
     expected_total = 0.0
-    for i, model in enumerate(models):
+    for i in range(enc.n):
         member = np.asarray([i], dtype=np.int64)
-        ref = fit_on_neighborhoods(ns, member, lam)
-        assert np.array_equal(model.coefficients, ref.coefficients)
-        assert np.array_equal(model.intercepts, ref.intercepts)
-        assert model.lam == ref.lam
-        expected_total += subgroup_loss(ns, member, ref)
+        expected_total += subgroup_loss(ns, member, fit_on_neighborhoods(ns, member, lam))
     assert total == expected_total
 
 

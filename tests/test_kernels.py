@@ -7,6 +7,8 @@ import pytest
 
 from sd4x import kernels
 
+from conftest import ridge_sse_stack
+
 
 def oracle_ridge(X, Y, lam, fit_intercept=True):
     """Independent dense solver: explicit normal equations, intercept unpenalized."""
@@ -20,6 +22,11 @@ def oracle_ridge(X, Y, lam, fit_intercept=True):
     M = A.T @ A + lam * penalty
     B = np.linalg.solve(M, A.T @ Y)
     return B
+
+
+def ridge_sse(G, C, yy, lam, npen) -> float:
+    """Residual SSE of one penalized fit, from Gram-form inputs."""
+    return float(ridge_sse_stack(G[None], C[None], np.asarray([yy]), lam, npen)[0])
 
 
 def make_problem(rng, lam):
@@ -51,7 +58,7 @@ def test_ridge_sse_matches_residual_sum():
     for _ in range(10):
         X, Y, A, G, C, yy, m = make_problem(rng, 0.5)
         B, _ = kernels.solve_penalized(G, C, 0.5, m)
-        sse = kernels.ridge_sse(G, C, yy, 0.5, m)
+        sse = ridge_sse(G, C, yy, 0.5, m)
         direct = float(np.sum((A @ B - Y) ** 2))
         assert sse == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
@@ -66,7 +73,7 @@ def test_min_norm_fallback_on_rank_deficiency():
     C = A.T @ Y
     B, chol_ok = kernels.solve_penalized(G, C, 0.0, X.shape[1])
     assert not chol_ok
-    sse = kernels.ridge_sse(G, C, float(np.sum(Y * Y)), 0.0, X.shape[1])
+    sse = ridge_sse(G, C, float(np.sum(Y * Y)), 0.0, X.shape[1])
     best = float(np.sum((A @ np.linalg.pinv(A) @ Y - Y) ** 2))
     assert sse == pytest.approx(best, rel=1e-8, abs=1e-10)
     assert np.allclose(B, np.linalg.pinv(A) @ Y, rtol=1e-7, atol=1e-9)
@@ -151,7 +158,7 @@ def test_least_squares_sse_is_the_unpenalized_sse_or_minus_inf():
     G, C = X.transpose(0, 2, 1) @ X, X.transpose(0, 2, 1) @ Y
     yy = np.einsum("kij,kij->k", Y, Y)
     got = kernels.least_squares_sse(G, C, yy)
-    ridge = kernels._ridge_sse_stack(G, C, yy, 0.0, 3)
+    ridge = ridge_sse_stack(G, C, yy, 0.0, 3)
     solved = np.arange(6) != 2
     assert np.array_equal(got[solved], ridge[solved])
     assert got[2] == -np.inf
@@ -191,7 +198,7 @@ def test_solve_stack_never_writes_into_its_inputs(k):
         B, ok = kernels.solve_stack(G, C, lam, 4)
         assert ok[-1] == (lam > 0.0)
         assert np.array_equal(G, G0) and np.array_equal(C, C0)
-    kernels.ridge_sse(G[0], C[0], 1.0, 0.0, 4)
+    ridge_sse(G[0], C[0], 1.0, 0.0, 4)
     kernels.solve_penalized(G[-1], C[-1], 0.0, 4)
     assert np.array_equal(G, G0) and np.array_equal(C, C0)
 
@@ -219,8 +226,8 @@ def test_scan_sse_is_bit_identical_to_per_boundary_solves(lam, first_scale):
     expected = np.empty(bounds.size)
     flags = []
     for i, t in enumerate(bounds):
-        left = kernels.ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
-        right = kernels.ridge_sse(
+        left = ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
+        right = ridge_sse(
             Gtot - Gpre[t - 1], Ctot - Cpre[t - 1], yytot - yypre[t - 1], lam, m
         )
         expected[i] = left + right
@@ -256,8 +263,8 @@ def test_chunked_scan_sse_equals_per_boundary_solves(monkeypatch, per_chunk, lam
     bounds = np.arange(1, G.shape[0], dtype=np.int64)
     expected = np.array(
         [
-            kernels.ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
-            + kernels.ridge_sse(
+            ridge_sse(Gpre[t - 1], Cpre[t - 1], yypre[t - 1], lam, m)
+            + ridge_sse(
                 Gtot - Gpre[t - 1], Ctot - Cpre[t - 1], yytot - yypre[t - 1], lam, m
             )
             for t in bounds

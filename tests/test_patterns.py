@@ -22,9 +22,8 @@ from sd4x.patterns import (
     refine,
     render,
 )
-from sd4x.splitter import candidate_thresholds
 
-from conftest import mixed_dataset
+from conftest import candidate_thresholds, mixed_dataset
 
 
 def test_interval_validation_and_containment():

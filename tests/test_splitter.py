@@ -14,7 +14,6 @@ from sd4x.neighborhood import NeighborhoodSet, build, label
 from sd4x.patterns import extent
 from sd4x.splitter import (
     Partition,
-    candidate_thresholds,
     loss_curve,
     partition_to_dict,
     run,
@@ -22,7 +21,13 @@ from sd4x.splitter import (
 )
 from sd4x.whitebox import fit_on_neighborhoods, subgroup_loss
 
-from conftest import mixed_enc, numeric_enc, random_linear_bb
+from conftest import (
+    candidate_thresholds,
+    mixed_enc,
+    numeric_enc,
+    random_linear_bb,
+    ridge_sse_stack,
+)
 
 
 def test_candidate_thresholds_frozen():
@@ -350,6 +355,14 @@ def test_property_one_child_losses_never_exceed_parent():
         assert child_sum <= parent_loss * (1.0 + 1e-9) + 1e-12
 
 
+def _full_scan(engine, members, j):
+    """Lowest (SSE, threshold) of a scan of every candidate boundary of column j."""
+    vals = engine.enc.values[members, j]
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
+    return engine._scan(members[order], sv, engine._boundaries(sv))
+
+
 def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
     # Columns: x, then the one-hot block hue=r, hue=g, hue=b.  Only the 7
     # objects with the smallest x are red, so every right child of a
@@ -374,15 +387,15 @@ def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
         samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=rng.random(size=(n, S, p))
     )
     seen = []
-    original = kernels._ridge_sse_stack
+    original = kernels.solve_stack
 
-    def capture(G, C, yy, lam, npen):
+    def capture(G, C, lam, npen):
         seen.append((G.copy(), C.copy()))
-        return original(G, C, yy, lam, npen)
+        return original(G, C, lam, npen)
 
-    monkeypatch.setattr(kernels, "_ridge_sse_stack", capture)
+    monkeypatch.setattr(kernels, "solve_stack", capture)
     engine = splitter._Engine(enc, ns, 0.0, 2, [0])
-    assert engine._scan_column(np.arange(n, dtype=np.int64), 0) is not None
+    _full_scan(engine, np.arange(n, dtype=np.int64), 0)
     ((G, C),) = seen
     nb = G.shape[0] // 2
     bounds = np.arange(2, n - 1)
@@ -659,29 +672,32 @@ def test_coded_path_peak_memory_stays_within_the_stack_budget(make, n, n_coded):
 
 def test_each_column_is_sort_scanned_at_most_once_per_search(monkeypatch):
     # A column's grid comes from the indicator product.  Only a column
-    # with more candidates than its grid is sorted, gathered and
-    # prefix-summed, once per search at most, and kernels.scan_sse runs
-    # only inside that scan.
+    # with more candidates than its grid is gathered and prefix-summed,
+    # once per search at most, and kernels.scan_sse runs only inside
+    # that scan.
     enc, ns, _ = _coded_problem(43, n=50, n_synth=10, scale=2.0)
     searches = []
     best_split = splitter._Engine.best_split
-    scan_column = splitter._Engine._scan_column
+    scan = splitter._Engine._scan
     scan_sse = kernels.scan_sse
 
     def traced_best_split(self, sg):
         searches.append((sg.members, [], []))
         return best_split(self, sg)
 
-    def traced_scan_column(self, members, j, pick=None):
+    def traced_scan(self, mo, sv, ts):
+        # The scanned column is the one whose values sv lists in mo's order.
+        (j,) = [j for j in range(enc.m) if np.array_equal(enc.values[mo, j], sv)]
+        assert np.array_equal(np.sort(mo), np.sort(searches[-1][0]))
         searches[-1][1].append(j)
-        return scan_column(self, members, j, pick)
+        return scan(self, mo, sv, ts)
 
     def traced_scan_sse(*args):
         searches[-1][2].append(searches[-1][1][-1])
         return scan_sse(*args)
 
     monkeypatch.setattr(splitter._Engine, "best_split", traced_best_split)
-    monkeypatch.setattr(splitter._Engine, "_scan_column", traced_scan_column)
+    monkeypatch.setattr(splitter._Engine, "_scan", traced_scan)
     monkeypatch.setattr(kernels, "scan_sse", traced_scan_sse)
     partition = run(enc, K=4, lam=1.0, ns=ns)
     assert len(partition.trace) == 3
@@ -692,6 +708,48 @@ def test_each_column_is_sort_scanned_at_most_once_per_search(monkeypatch):
             assert _n_candidates(enc.values[members, j], 2) > splitter._GRID
         scanned.update(enc.columns[j].name for j in cols)
     assert scanned == {"x", "rank"}
+
+
+class _SortCounter:
+    """Stands in for the numpy module in splitter: counts sort and argsort calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("sort", "argsort"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+def test_each_search_sorts_each_allowed_column_exactly_once(monkeypatch):
+    # The candidate pass sorts every allowed column; a column with live
+    # intervals is scanned from that same sorted view, not sorted again.
+    enc, ns, rng = _coded_problem(43, n=50, n_synth=10, scale=2.0)
+    scanned = []
+    scan_sse = kernels.scan_sse
+
+    def counted_scan_sse(*args):
+        scanned.append(len(args[6]))
+        return scan_sse(*args)
+
+    monkeypatch.setattr(kernels, "scan_sse", counted_scan_sse)
+    for columns in (list(range(enc.m)), [0, 2, 6]):
+        engine = splitter._Engine(enc, ns, 1.0, 2, columns)
+        for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 35, replace=False))):
+            counter = _SortCounter()
+            scanned.clear()
+            with monkeypatch.context() as m:
+                m.setattr(splitter, "np", counter)
+                assert engine._search(members) is not None
+            assert len(counter.calls) == len(columns), counter.calls
+            assert scanned, "no interval was live, so nothing could be sorted twice"
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +932,7 @@ def test_an_interval_whose_bound_is_within_the_margin_is_scanned(monkeypatch):
     ns = label(build(enc, z=10, n_synth=6, seed=4), random_linear_bb(rng, enc, scale=2.0))
     engine = splitter._Engine(enc, ns, 1.0, 1, [0])
     members = np.arange(enc.n, dtype=np.int64)
-    full_sse, full_threshold = engine._scan_column(members, 0)
+    full_sse, full_threshold = _full_scan(engine, members, 0)
     (grid,), _ = engine._grid_splits(members)
     assert full_sse < grid[0]
     edge = grid[0] + splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
@@ -883,8 +941,8 @@ def test_an_interval_whose_bound_is_within_the_margin_is_scanned(monkeypatch):
 
         def fixed_bounds(self, members, b=bound):
             found, bounds = grid_splits(self, members)
-            assert bounds and all(np.all(lo < np.inf) for _, lo in bounds)
-            return found, [(j, np.full(lo.shape, b)) for j, lo in bounds]
+            assert bounds and all(np.all(lo < np.inf) for _, lo, _ in bounds)
+            return found, [(j, np.full(lo.shape, b), view) for j, lo, view in bounds]
 
         with monkeypatch.context() as m:
             m.setattr(splitter._Engine, "_grid_splits", fixed_bounds)
@@ -910,7 +968,7 @@ def test_least_squares_bound_is_monotone_and_below_the_ridge_sse():
             assert solved.sum() >= enc.n - 3
             assert np.all(step * np.diff(ols[solved]) >= -tol)
             for lam in (0.0, 1.0):
-                ridge = kernels._ridge_sse_stack(*pieces, lam, enc.m)
+                ridge = ridge_sse_stack(*pieces, lam, enc.m)
                 assert np.all(ols <= ridge + tol)
 
 

@@ -229,10 +229,7 @@ def test_losses_of_a_constant_blackbox_are_never_negative():
     for members in subsets:
         model = fit_on_neighborhoods(ns, members, 0.0)
         assert subgroup_loss(ns, members, model) >= 0.0
-    models, total = evaluation.fit_local_wb(ns, 0.0)
-    assert total >= 0.0
-    for i, model in enumerate(models):
-        assert subgroup_loss(ns, np.array([i]), model) >= 0.0
+    assert evaluation.fit_local_wb(ns, 0.0) >= 0.0
 
 
 def test_fit_on_neighborhoods_equals_stacked_ridge():
