@@ -16,6 +16,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -262,6 +263,7 @@ def load_blackbox(path: str) -> LinearBlackBox | PiecewiseLinearBlackBox:
 _SUM_ACCEPT = 1e-9
 _SUM_RENORM = 1e-6
 _NEG_CLIP = -1e-12
+_STDERR_HEAD = 4096  # bytes of the command's stderr read for an error message
 
 
 @dataclass
@@ -270,10 +272,13 @@ class ExternalBlackBox:
 
     Each call writes ``request.csv`` (header = encoded column names) to a
     fresh temporary directory, runs ``command + [directory]``, and reads
-    back ``response.csv`` whose header must name every class.  Calls are
-    serialized with a lock.  Tiny negative probabilities are clipped,
-    near-unit row sums are accepted or renormalized with a warning, and
-    anything worse is an error.
+    back ``response.csv`` whose header must name every class and whose
+    rows must be exactly one per request row.  The command's stdout is
+    discarded and its stderr goes to a file in the same directory, which
+    is read only to explain a nonzero exit.  Calls are serialized with a
+    lock.  Tiny negative probabilities are clipped, near-unit row sums
+    are accepted or renormalized with a warning, and anything worse is
+    an error.
     """
 
     classes: tuple[str, ...]
@@ -297,68 +302,94 @@ class ExternalBlackBox:
                 # float repr never needs quoting.  Rows are converted one
                 # at a time; X.tolist() would hold every float at once.
                 fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in X)
+            stderr = workdir / "stderr.log"
             try:
-                proc = subprocess.run(
-                    list(self.command) + [str(workdir)],
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
+                with open(stderr, "wb") as err:
+                    proc = subprocess.run(
+                        list(self.command) + [str(workdir)],
+                        stdout=subprocess.DEVNULL,
+                        stderr=err,
+                        timeout=self.timeout,
+                    )
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise ExternalBlackBoxError(f"external black box failed: {exc}") from exc
             if proc.returncode != 0:
+                with open(stderr, "rb") as fh:
+                    head = fh.read(_STDERR_HEAD).decode("utf-8", errors="replace")
                 raise ExternalBlackBoxError(
                     f"external black box exited with {proc.returncode}: "
-                    f"{proc.stderr.strip()[:500]}"
+                    f"{head.strip()[:500]}"
                 )
             response = workdir / "response.csv"
             if not response.exists():
                 raise ExternalBlackBoxError("external black box wrote no response.csv")
-            with open(response, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    raise ExternalBlackBoxError("response.csv is empty")
-                try:
-                    order = [header.index(c) for c in self.classes]
-                except ValueError:
-                    raise ExternalBlackBoxError(
-                        f"response header {header} does not name classes "
-                        f"{list(self.classes)}"
-                    ) from None
-                rows = []
-                for cells in reader:
-                    if not cells:
-                        continue
-                    if len(cells) != len(header):
-                        raise ExternalBlackBoxError(
-                            f"response row has {len(cells)} cells, expected {len(header)}"
-                        )
-                    try:
-                        rows.append([float(cells[j]) for j in order])
-                    except ValueError as exc:
-                        raise ExternalBlackBoxError(
-                            f"non-numeric probability in response: {exc}"
-                        ) from exc
-            probs = np.asarray(rows, dtype=np.float64)
-            if probs.shape != (X.shape[0], len(self.classes)):
-                raise ExternalBlackBoxError(
-                    f"response shape {probs.shape} does not match "
-                    f"({X.shape[0]}, {len(self.classes)})"
-                )
+            try:
+                probs = self._read_response(response, X.shape[0])
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise ExternalBlackBoxError(f"unreadable response.csv: {exc}") from exc
             return self._sanitize(probs)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
+    def _read_response(self, response: Path, n: int) -> np.ndarray:
+        """The (n, classes) probabilities of ``response.csv``, in class order.
+
+        Each row is parsed straight into a preallocated array, and a row
+        beyond the n requested is an error at once, so the file is never
+        held whole, whatever its length.
+        """
+        probs = np.empty((n, len(self.classes)))
+        with open(response, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ExternalBlackBoxError("response.csv is empty")
+            try:
+                order = [header.index(c) for c in self.classes]
+            except ValueError:
+                raise ExternalBlackBoxError(
+                    f"response header {header} does not name classes "
+                    f"{list(self.classes)}"
+                ) from None
+            # itemgetter of one index returns the cell itself, not a tuple
+            pick = itemgetter(*order) if len(order) > 1 else lambda cells: (cells[order[0]],)
+            i = 0
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ExternalBlackBoxError(
+                        f"response row has {len(cells)} cells, expected {len(header)}"
+                    )
+                if i == n:
+                    raise ExternalBlackBoxError(
+                        f"response has more than the {n} rows requested"
+                    )
+                try:
+                    probs[i] = list(map(float, pick(cells)))
+                except ValueError as exc:
+                    raise ExternalBlackBoxError(
+                        f"non-numeric probability in response: {exc}"
+                    ) from exc
+                i += 1
+        if i != n:
+            raise ExternalBlackBoxError(
+                f"response shape {(i, len(self.classes))} does not match "
+                f"({n}, {len(self.classes)})"
+            )
+        return probs
+
     def _sanitize(self, probs: np.ndarray) -> np.ndarray:
+        """Check the response's probabilities; clip and renormalize in place."""
         if not np.all(np.isfinite(probs)):
             raise ExternalBlackBoxError("non-finite probability in response")
         if np.any(probs < _NEG_CLIP):
             bad = float(probs.min())
             raise ExternalBlackBoxError(f"negative probability {bad} in response")
-        probs = np.clip(probs, 0.0, None)
+        np.clip(probs, 0.0, None, out=probs)
         sums = probs.sum(axis=1)
-        err = np.abs(sums - 1.0)
+        err = sums - 1.0
+        np.abs(err, out=err)
         if np.any(err > _SUM_RENORM):
             bad = float(sums[np.argmax(err)])
             raise ExternalBlackBoxError(f"probability row sums to {bad}")
@@ -368,6 +399,5 @@ class ExternalBlackBox:
                 f"renormalizing {int(fix.sum())} probability rows from the "
                 "external black box"
             )
-            probs = probs.copy()
             probs[fix] /= sums[fix, None]
         return probs

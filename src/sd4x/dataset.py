@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -184,52 +185,44 @@ def save_schema(path: str, attributes: tuple[Attribute, ...], classes: tuple[str
 # row parsing
 # ---------------------------------------------------------------------------
 
-_TRUE = {"true", "1"}
-_FALSE = {"false", "0"}
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def parse_value(cell: str, attr: Attribute, where: str):
-    """Parse one CSV cell according to the attribute kind."""
+def _cell_parser(attr: Attribute):
+    """The function that turns one CSV cell into the attribute's value.
+
+    It raises ValueError or KeyError on a cell that does not fit;
+    :func:`_misfit` says why.
+    """
     if attr.kind is AttributeKind.NUMERIC:
-        try:
-            return float(cell)
-        except ValueError:
-            raise InputError(f"{where}: {cell!r} is not numeric") from None
+        return float
     if attr.kind is AttributeKind.BOOLEAN:
-        low = cell.strip().lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise InputError(f"{where}: {cell!r} is not a boolean")
-    if cell not in attr.categories:
-        raise InputError(
-            f"{where}: {cell!r} is not one of {list(attr.categories)}"
-        )
-    return cell
+        return lambda cell: _BOOLEANS[cell.strip().lower()]
+    return {c: c for c in attr.categories}.__getitem__
 
 
-def validate_row(row: tuple, attributes: tuple[Attribute, ...], where: str) -> None:
-    """Check an already-typed row against the schema."""
-    if len(row) != len(attributes):
-        raise InputError(
-            f"{where}: expected {len(attributes)} values, got {len(row)}"
-        )
-    for attr, value in zip(attributes, row):
-        spot = f"{where}, column {attr.name!r}"
-        if attr.kind is AttributeKind.NUMERIC:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InputError(f"{spot}: {value!r} is not numeric")
-            if not np.isfinite(value):
-                raise InputError(f"{spot}: {value!r} is not finite")
-        elif attr.kind is AttributeKind.BOOLEAN:
-            if not isinstance(value, (bool, np.bool_)):
-                raise InputError(f"{spot}: {value!r} is not a boolean")
-        else:
-            if value not in attr.categories:
-                raise InputError(
-                    f"{spot}: {value!r} is not one of {list(attr.categories)}"
-                )
+def _misfit(value, attr: Attribute) -> str:
+    """The error text for a cell or value that is not of the attribute's kind."""
+    if attr.kind is AttributeKind.NUMERIC:
+        return f"{value!r} is not numeric"
+    if attr.kind is AttributeKind.BOOLEAN:
+        return f"{value!r} is not a boolean"
+    return f"{value!r} is not one of {list(attr.categories)}"
+
+
+def _value_error(value, attr: Attribute) -> str | None:
+    """Why an already-typed value does not fit its attribute, or None."""
+    if attr.kind is AttributeKind.NUMERIC:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return _misfit(value, attr)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        return None if finite else f"{value!r} is not finite"
+    if attr.kind is AttributeKind.BOOLEAN:
+        return None if isinstance(value, (bool, np.bool_)) else _misfit(value, attr)
+    return None if value in attr.categories else _misfit(value, attr)
 
 
 def read_dataset(
@@ -268,29 +261,36 @@ def read_dataset(
                     f"attributes {expected} (optionally followed by 'class')"
                 )
             want = len(header) + (0 if fi is None else 1)
+            parsers = [_cell_parser(attr) for attr in attributes]
             rows: list[tuple] = []
             labels: list[str] = []
             texts: list[str] = []
             for lineno, cells in enumerate(reader, start=1):
                 if not cells:
                     continue
-                where = f"{data_path}: row {lineno}"
                 if len(cells) != want:
-                    raise InputError(f"{where}: expected {want} cells, got {len(cells)}")
+                    raise InputError(
+                        f"{data_path}: row {lineno}: expected {want} cells, got {len(cells)}"
+                    )
                 if fi is not None:
                     texts.append(cells[fi])
                     cells = cells[:fi] + cells[fi + 1 :]
-                row = tuple(
-                    parse_value(cell, attr, f"{where}, column {attr.name!r}")
-                    for attr, cell in zip(attributes, cells)
-                )
-                rows.append(row)
+                row = []
+                for attr, parse, cell in zip(attributes, parsers, cells):
+                    try:
+                        row.append(parse(cell))
+                    except (KeyError, ValueError):
+                        raise InputError(
+                            f"{data_path}: row {lineno}, column {attr.name!r}: "
+                            f"{_misfit(cell, attr)}"
+                        ) from None
+                rows.append(tuple(row))
                 if has_class:
                     label = cells[-1]
                     if label not in classes:
                         raise InputError(
-                            f"{where}, column 'class': {label!r} is not one of "
-                            f"{list(classes)}"
+                            f"{data_path}: row {lineno}, column 'class': {label!r} "
+                            f"is not one of {list(classes)}"
                         )
                     labels.append(label)
     except OSError as exc:
@@ -359,8 +359,14 @@ def attribute_slices(attributes: tuple[Attribute, ...]) -> tuple[slice, ...]:
 
 def encode(dataset: Dataset) -> EncodedMatrix:
     """Encode all rows to the float design matrix."""
+    attributes = dataset.attributes
     for i, row in enumerate(dataset.rows, start=1):
-        validate_row(row, dataset.attributes, f"row {i}")
+        if len(row) != len(attributes):
+            raise InputError(f"row {i}: expected {len(attributes)} values, got {len(row)}")
+        for attr, value in zip(attributes, row):
+            problem = _value_error(value, attr)
+            if problem is not None:
+                raise InputError(f"row {i}, column {attr.name!r}: {problem}")
     cols = encoded_columns(dataset.attributes)
     values = np.zeros((dataset.n, len(cols)), dtype=np.float64)
     for j, col in enumerate(cols):

@@ -82,6 +82,7 @@ from .whitebox import (
     WhiteBoxModel,
     feature_importance,
     fit_on_neighborhoods,
+    fit_parts,
     model_to_dict,
     neighborhood_grams,
     subgroup_loss,
@@ -388,8 +389,7 @@ class _Engine:
         mask = self.enc.values[sg.members, column] <= threshold
         left = sg.members[mask]
         right = sg.members[~mask]
-        left_model = fit_on_neighborhoods(self.ns, left, self.lam)
-        right_model = fit_on_neighborhoods(self.ns, right, self.lam)
+        left_model, right_model = fit_parts(self.ns, (left, right), self.lam)
         left_loss = subgroup_loss(self.ns, left, left_model)
         right_loss = subgroup_loss(self.ns, right, right_model)
         return CandidateSplit(

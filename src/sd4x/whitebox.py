@@ -6,8 +6,9 @@ solves the penalized normal equations of the augmented design [X, 1]
 (intercept column last, unpenalized), factoring once for all outputs,
 and turns the solution into a model with :func:`model_from_solution`.
 :func:`fit_ridge` forms those Gram pieces from one sample matrix.
-:func:`fit_on_neighborhoods` sums precomputed per-object pieces instead,
-so a subgroup fit, the global baseline, and the root of a partition run
+:func:`fit_on_neighborhoods` sums precomputed per-object pieces instead
+(:func:`fit_parts` fits several subgroups in one stacked solve), so a
+subgroup fit, the global baseline, and the root of a partition run
 share one code path and produce bit-identical models for equal inputs;
 on the same rows the two functions agree up to rounding.
 
@@ -134,12 +135,23 @@ def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -
     still minimizes the sum of squared errors for these (consistent)
     normal equations.
     """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
+    return fit_parts(ns, [members], lam)[0]
+
+
+def fit_parts(ns: NeighborhoodSet, parts, lam: float) -> list[WhiteBoxModel]:
+    """One surrogate per member array, as :func:`fit_on_neighborhoods` fits it.
+
+    Every part's pooled system goes into one stacked solve, which gives
+    each matrix the same bits as a solve of its own.
+    """
+    parts = [np.asarray(members, dtype=np.int64) for members in parts]
+    if any(members.size == 0 for members in parts):
         raise InputError("cannot fit on an empty subgroup")
-    G, C, _ = _pooled_grams(ns, members)
-    B, _ = kernels.solve_penalized(G, C, lam, G.shape[0] - 1)
-    return model_from_solution(B, lam)
+    pooled = [_pooled_grams(ns, members) for members in parts]
+    G = np.stack([g for g, _, _ in pooled])
+    C = np.stack([c for _, c, _ in pooled])
+    B, _ = kernels.solve_stack(G, C, lam, G.shape[1] - 1)
+    return [model_from_solution(b, lam) for b in B]
 
 
 def _pooled_grams(ns: NeighborhoodSet, members: np.ndarray) -> tuple:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,7 +292,9 @@ with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
     w.writerow(["0.5", "0.5"])
 """
     bb = _external(tmp_path, short)
-    with pytest.raises(ExternalBlackBoxError):
+    with pytest.raises(
+        ExternalBlackBoxError, match=r"^response shape \(1, 2\) does not match \(3, 2\)$"
+    ):
         bb.predict_batch(np.zeros((3, 2)))
 
     bad_header = """\
@@ -349,3 +352,138 @@ def test_external_request_bytes_match_csv_repr_reference(tmp_path):
     for row in X:
         writer.writerow([repr(float(v)) for v in row])
     assert copy.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+# A black box of three classes that answers every request row with the same
+# probabilities, listed in the order c, a, b.  The response has FACTOR rows per
+# request row, and STDOUT characters go to stdout.
+_SCRIPT_CONSTANT = """\
+import os, sys
+workdir = sys.argv[1]
+with open(os.path.join(workdir, "request.csv"), "rb") as fh:
+    n = sum(1 for _ in fh) - 1
+with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
+    fh.write("c,a,b\\n" + "0.25,0.5,0.25\\n" * (n * {factor}))
+sys.stdout.write("x" * {stdout})
+"""
+
+
+def _constant(tmp_path, factor=1, stdout=0):
+    path = tmp_path / "constant.py"
+    path.write_text(_SCRIPT_CONSTANT.format(factor=factor, stdout=stdout))
+    return ExternalBlackBox(
+        classes=("a", "b", "c"), columns=("x", "y"), command=(sys.executable, str(path))
+    )
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "response.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _traced_call(bb, X):
+    """(outputs or the error raised, traced peak of the call above its start)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        try:
+            out = bb.predict_batch(X)
+        except ExternalBlackBoxError as exc:
+            out = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_external_peak_memory_is_a_few_times_the_outputs(tmp_path):
+    bb = _constant(tmp_path)
+    X = np.zeros((50_000, 2))
+    bb.predict_batch(X[:2])  # warm up lazy imports
+    P, peak = _traced_call(bb, X)
+    assert P.shape == (50_000, 3)
+    assert (P == [0.5, 0.25, 0.25]).all()
+    assert peak <= 4 * P.nbytes, peak / P.nbytes
+
+
+def test_external_stops_reading_at_the_first_row_beyond_the_request(tmp_path):
+    bb = _constant(tmp_path, factor=100)
+    X = np.zeros((10_000, 2))
+    err, peak = _traced_call(bb, X)
+    assert isinstance(err, ExternalBlackBoxError)
+    assert str(err) == "response has more than the 10000 rows requested"
+    assert peak <= 4 * X.shape[0] * 3 * 8, peak
+
+
+def test_external_stdout_is_not_held_in_memory(tmp_path):
+    bb = _constant(tmp_path, stdout=8 << 20)
+    bb.predict_batch(np.zeros((2, 2)))  # warm up lazy imports
+    P, peak = _traced_call(bb, np.zeros((100, 2)))
+    assert P.shape == (100, 3)
+    assert peak < 1 << 20, peak
+
+
+_SCRIPT_BAD_STDERR = """\
+import os, sys
+workdir = sys.argv[1]
+with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
+    fh.write("a,b\\n0.5,0.5\\n")
+sys.stderr.buffer.write(b"model says \\xff\\xfe")
+sys.exit({code})
+"""
+
+
+def test_external_non_utf8_stderr_is_ignored_on_success(tmp_path):
+    bb = _external(tmp_path, _SCRIPT_BAD_STDERR.format(code=0))
+    assert bb.predict_batch(np.zeros((1, 2))).tolist() == [[0.5, 0.5]]
+
+
+def test_external_non_utf8_stderr_is_quoted_on_failure(tmp_path):
+    bb = _external(tmp_path, _SCRIPT_BAD_STDERR.format(code=4))
+    with pytest.raises(ExternalBlackBoxError) as err:
+        bb.predict_batch(np.zeros((1, 2)))
+    assert str(err.value) == "external black box exited with 4: model says \ufffd\ufffd"
+
+
+def test_external_quotes_the_first_500_characters_of_stderr(tmp_path):
+    noisy = "import sys; sys.stderr.write('  ' + 'e' * 100_000); sys.exit(1)"
+    with pytest.raises(ExternalBlackBoxError) as err:
+        _external(tmp_path, noisy).predict_batch(np.zeros((1, 2)))
+    assert str(err.value) == "external black box exited with 1: " + "e" * 500
+
+
+def test_external_rejects_a_response_that_is_not_utf8(tmp_path):
+    script = """\
+import os, sys
+with open(os.path.join(sys.argv[1], "response.csv"), "wb") as fh:
+    fh.write(b"a,b\\n0.5,0.5\\xff\\n")
+"""
+    with pytest.raises(ExternalBlackBoxError, match="unreadable response.csv"):
+        _external(tmp_path, script).predict_batch(np.zeros((1, 2)))
+
+
+def test_external_response_checks_keep_their_messages(tmp_path):
+    bb = _external(tmp_path, "pass")
+    cases = [
+        ("", "response.csv is empty"),
+        ("a,zzz\n", "response header ['a', 'zzz'] does not name classes ['a', 'b']"),
+        ("a,b\n0.5,0.5,0.0\n", "response row has 3 cells, expected 2"),
+        ("b,a\n0.5,maybe\n", "non-numeric probability in response: "
+         "could not convert string to float: 'maybe'"),
+        ("a,b\n\n0.5,0.5\n\n", None),
+    ]
+    for text, message in cases:
+        path = _write(tmp_path, text)
+        if message is None:
+            assert bb._read_response(path, 1).tolist() == [[0.5, 0.5]]
+            continue
+        with pytest.raises(ExternalBlackBoxError) as err:
+            bb._read_response(path, 1)
+        assert str(err.value) == message
+
+
+def test_external_reads_a_single_class_response(tmp_path):
+    bb = ExternalBlackBox(classes=("a",), columns=("x",), command=("true",))
+    path = _write(tmp_path, "z,a\n0.0,1.0\n")
+    assert bb._read_response(path, 1).tolist() == [[1.0]]

@@ -435,6 +435,50 @@ with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
     assert code == 3
 
 
+_SCRIPT_BAD_STDERR = """\
+import csv, os, sys
+workdir = sys.argv[1]
+with open(os.path.join(workdir, "request.csv")) as fh:
+    n = len(list(csv.reader(fh))) - 1
+with open(os.path.join(workdir, "response.csv"), "w", newline="") as fh:
+    fh.write("pos,neg\\n" + "0.25,0.75\\n" * n)
+sys.stderr.buffer.write(b"scored \\xff\\xfe rows")
+sys.exit({code})
+"""
+
+
+@pytest.mark.parametrize("code", [0, 4])
+def test_external_blackbox_with_non_utf8_stderr(gen_dir, tmp_path, capsys, code):
+    script = tmp_path / "bb.py"
+    script.write_text(_SCRIPT_BAD_STDERR.format(code=code))
+    out = tmp_path / "ext.json"
+    argv = [
+        "explain",
+        "--data",
+        str(gen_dir / "data.csv"),
+        "--schema",
+        str(gen_dir / "schema.json"),
+        "--blackbox-cmd",
+        f"{sys.executable} {script}",
+        "--k",
+        "2",
+        "--n-synth",
+        "5",
+        "--out",
+        str(out),
+    ]
+    capsys.readouterr()
+    if code == 0:
+        assert main(argv) == 0
+        assert out.exists()
+        return
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: external black box exited with 4: scored \ufffd\ufffd rows\n"
+    )
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_flag_override(gen_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 2, "n-synth": 25, "lambda": 0.5, "seed": 2, "z": 10}))

@@ -256,3 +256,57 @@ def test_encoded_columns_sources():
     assert [c.name for c in cols] == ["x", "t=a", "t=b", "t=c", "o"]
     assert [c.source for c in cols] == [0, 1, 1, 1, 2]
     assert cols[1].category == "a"
+
+
+_MSG_SCHEMA = {
+    "attributes": [
+        {"name": "num", "kind": "numeric"},
+        {"name": "flag", "kind": "boolean"},
+        {"name": "level", "kind": "ordinal", "categories": ["lo", "hi"]},
+        {"name": "color", "kind": "nominal", "categories": ["red", "blue"]},
+    ],
+    "classes": ["a", "b"],
+}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.5,true,lo,red,a,extra", "row 3: expected 5 cells, got 6"),
+        ("x1,true,lo,red,a", "row 3, column 'num': 'x1' is not numeric"),
+        ("1.5,yes,lo,red,a", "row 3, column 'flag': 'yes' is not a boolean"),
+        ("1.5,true,mid,red,a", "row 3, column 'level': 'mid' is not one of ['lo', 'hi']"),
+        ("1.5,true,lo,Red,a", "row 3, column 'color': 'Red' is not one of ['red', 'blue']"),
+        ("1.5,true,lo,red,c", "row 3, column 'class': 'c' is not one of ['a', 'b']"),
+    ],
+)
+def test_read_dataset_errors_name_the_file_row_and_column(tmp_path, row, message):
+    # Blank lines are skipped but counted: the bad row is the third after the header.
+    attributes, classes = schema_from_dict(_MSG_SCHEMA)
+    path = tmp_path / "data.csv"
+    path.write_text("num,flag,level,color,class\n0.5, False ,hi,blue,b\n\n" + row + "\n")
+    with pytest.raises(InputError) as err:
+        read_dataset(str(path), attributes, classes)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((1.5, True, "lo"), "row 2: expected 4 values, got 3"),
+        (("1.5", True, "lo", "red"), "row 2, column 'num': '1.5' is not numeric"),
+        ((True, True, "lo", "red"), "row 2, column 'num': True is not numeric"),
+        ((float("nan"), True, "lo", "red"), "row 2, column 'num': nan is not finite"),
+        ((-float("inf"), True, "lo", "red"), "row 2, column 'num': -inf is not finite"),
+        ((10**400, True, "lo", "red"), f"row 2, column 'num': {10**400} is not finite"),
+        ((1.5, 1, "lo", "red"), "row 2, column 'flag': 1 is not a boolean"),
+        ((1.5, True, "mid", "red"), "row 2, column 'level': 'mid' is not one of ['lo', 'hi']"),
+        ((1.5, True, "lo", None), "row 2, column 'color': None is not one of ['red', 'blue']"),
+    ],
+)
+def test_encode_errors_name_the_row_and_column(row, message):
+    attributes, classes = schema_from_dict(_MSG_SCHEMA)
+    good = (np.float64(0.5), np.bool_(False), "hi", "blue")
+    with pytest.raises(InputError) as err:
+        encode(Dataset(attributes, classes, [good, row]))
+    assert str(err.value) == message

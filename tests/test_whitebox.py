@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sd4x import evaluation, splitter
+from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, SingularSystemError
@@ -14,6 +14,7 @@ from sd4x.whitebox import (
     WhiteBoxModel,
     feature_importance,
     fit_on_neighborhoods,
+    fit_parts,
     fit_ridge,
     neighborhood_grams,
     predict,
@@ -248,6 +249,29 @@ def test_fit_on_neighborhoods_equals_stacked_ridge():
         loss = subgroup_loss(ns, members, pooled)
         resid = float(np.sum((predict(pooled, X) - Y) ** 2))
         assert loss == pytest.approx(resid, rel=1e-9, abs=1e-9)
+
+
+def test_fit_parts_gives_each_part_the_bits_of_its_own_solve():
+    rng = np.random.default_rng(6)
+    enc = numeric_enc(rng.normal(size=(12, 3)), classes=("a", "b", "c"))
+    ns = label(build(enc, z=10, n_synth=2, seed=3), random_linear_bb(rng, enc))
+    G_all, C_all, _ = neighborhood_grams(ns)
+    # the one-object part is singular at lambda = 0 and takes the fallback
+    parts = [np.array([0, 3, 5, 8, 11]), np.array([2]), np.array([1, 4, 6, 7, 9, 10])]
+    for lam in (0.0, 1.0):
+        models = fit_parts(ns, parts, lam)
+        assert len(models) == len(parts)
+        for members, model in zip(parts, models):
+            B, _ = kernels.solve_penalized(
+                G_all[members].sum(axis=0), C_all[members].sum(axis=0), lam, 3
+            )
+            assert np.array_equal(model.coefficients, B[:3].T)
+            assert np.array_equal(model.intercepts, B[3])
+            alone = fit_on_neighborhoods(ns, members, lam)
+            assert np.array_equal(model.coefficients, alone.coefficients)
+            assert np.array_equal(model.intercepts, alone.intercepts)
+    with pytest.raises(InputError, match="empty subgroup"):
+        fit_parts(ns, [parts[0], np.array([], dtype=np.int64)], 1.0)
 
 
 def test_fit_on_neighborhoods_never_raises_on_singular():

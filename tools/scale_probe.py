@@ -12,14 +12,20 @@ with lambda = 1 and one thread.  The probe prints each stage's wall
 time, the process's peak RSS, and how many candidate boundaries the
 split search solved: the grid boundaries summed by the indicator
 product, plus those of the interval scans, whose calls of
-``kernels.scan_sse`` it also counts.  The program is imported from
+``kernels.scan_sse`` it also counts.  With ``--json PATH`` it also
+writes these numbers to PATH, with the sizes, the git commit of the
+checkout, the CPU count and the Python and numpy versions, so runs on
+one machine can be compared later.  The program is imported from
 ``src/`` next to this directory; nothing is installed.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import platform
 import resource
+import subprocess
 import sys
 import time
 
@@ -59,6 +65,17 @@ def _world(n: int, m: int, seed: int):
     return dataset.encode(world.dataset), world.blackbox
 
 
+def _git_sha() -> str | None:
+    """The commit checked out at the repository root, or None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="explained objects")
@@ -66,6 +83,7 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=10, help="subgroup budget")
     parser.add_argument("--n-synth", type=int, default=100, help="synthetic rows per object")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH", help="also write the results to PATH")
     args = parser.parse_args(argv)
     if args.m < 2:
         parser.error("--m must be at least 2: the regimes cut on x0 and x1")
@@ -102,13 +120,34 @@ def main(argv=None) -> int:
     )
     timed("validate", splitter.validate_partition, partition, enc, args.k)
 
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"n={args.n} m={args.m} K={args.k} n_synth={args.n_synth} seed={args.seed}")
     for name, seconds in stages.items():
         print(f"{name:>13}: {seconds:8.3f} s")
-    print(f"{'peak RSS':>13}: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:8.1f} MB")
+    print(f"{'peak RSS':>13}: {peak_mb:8.1f} MB")
     print(f"{'scan calls':>13}: {scans[0]}")
     print(f"{'boundaries':>13}: {scans[1] + scans[2]} ({scans[2]} on grids)")
     print(f"{'subgroups':>13}: {len(partition.subgroups)}")
+    if args.json:
+        record = {
+            "sizes": {
+                "n": args.n, "m": args.m, "k": args.k,
+                "n_synth": args.n_synth, "seed": args.seed,
+            },
+            "stages_s": stages,
+            "peak_rss_mb": peak_mb,
+            "scan_calls": scans[0],
+            "boundaries": scans[1] + scans[2],
+            "grid_boundaries": scans[2],
+            "subgroups": len(partition.subgroups),
+            "git_sha": _git_sha(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return 0
 
 
