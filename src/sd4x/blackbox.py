@@ -44,7 +44,16 @@ def _check_batch(X: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax of an (n, p) array, shifted by each row's maximum.
+
+    The maximum is a running ``np.maximum`` over the p columns, one
+    vectorised step per class: ``max(axis=1)`` would run one reduction
+    per row.  Both give the same bits.
+    """
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    shifted = logits - top[:, None]
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -151,7 +160,10 @@ class PiecewiseLinearBlackBox:
                 f"row {bad} matches {int(counts[bad])} regimes; rules must "
                 "partition the feature space"
             )
-        return masks.argmax(axis=0)
+        which = np.zeros(X.shape[0], dtype=np.intp)
+        for k in range(1, len(masks)):
+            which[masks[k]] = k  # each row matches one regime: no per-row argmax
+        return which
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = _check_batch(X, self.columns)

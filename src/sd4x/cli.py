@@ -373,11 +373,22 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
 
 
 def _check_dump_invariants(partition: Partition, enc, ns) -> None:
-    """Cover and budget, then the dumped models' loss recomputed from the Gram pieces."""
+    """Cover and budget, then each dumped model's loss recomputed from the Gram pieces.
+
+    Every subgroup's stored loss must match its own recomputed loss, and
+    the stored total their sum, each within ``_LOSS_REL_TOL`` of
+    max(1, |stored|).
+    """
     splitter.check_cover(partition, enc.n)
     recomputed = 0.0
     for sg in partition.subgroups:
-        recomputed += subgroup_loss(ns, sg.members, sg.model)
+        loss = subgroup_loss(ns, sg.members, sg.model)
+        if abs(loss - sg.loss) > _LOSS_REL_TOL * max(1.0, abs(sg.loss)):
+            raise InvariantError(
+                f"subgroup {sg.id}: recomputed loss {loss!r} does not match the "
+                f"stored loss {sg.loss!r}"
+            )
+        recomputed += loss
     scale = max(1.0, abs(partition.global_loss))
     if abs(recomputed - partition.global_loss) > _LOSS_REL_TOL * scale:
         raise InvariantError(

@@ -23,9 +23,10 @@ its own, and every substitution step is elementwise within one matrix,
 so batched and single results are bit-identical.
 :func:`least_squares_sse` runs the same path unpenalized and without the
 fallback, for the split search's lower bounds: a failed matrix gets -inf.
-:func:`scan_sse`, the boundary scan of one sorted column, solves both
-children of every boundary with :func:`solve_stack` and scores them with
-:func:`residual_sse`, the one residual formula.
+:func:`scan_sse`, the boundary scan of one or more sorted columns'
+prefix sums, solves both children of every boundary with
+:func:`solve_stack` and scores them with :func:`residual_sse`, the one
+residual formula.
 
 Every stack is built and solved in chunks of at most ``_STACK_BYTES``
 bytes of ``(d, d)`` matrices, so the stack, its penalized copy, its
@@ -197,39 +198,50 @@ def scan_sse(
     yypre: np.ndarray,
     Gtot: np.ndarray,
     Ctot: np.ndarray,
-    yytot: float,
+    yytot: float | np.ndarray,
     bounds: np.ndarray,
     lam: float,
     npen: int,
+    totals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Child-SSE totals for every candidate boundary of one sorted column.
+    """Child-SSE totals for candidate boundaries of sorted columns.
 
     Boundary t splits rows [0, t) (left, the prefix sums at t - 1) from
     rows [t, n) (right, the totals minus those prefix sums).  With the
     totals taken as the last row of the same prefix sums, an entry that
     is zero in every row of the right child, such as a one-hot level
-    absent from it, comes out as an exact zero.  Both children of each
-    boundary are stacked and solved in one batched call per chunk of
-    boundaries; a chunk's stack of Gram matrices takes at most
-    ``_STACK_BYTES``, and the totals are bit-identical for any chunking.
+    absent from it, comes out as an exact zero.  Without ``totals`` every
+    boundary is of one column, whose totals are ``Gtot``, ``Ctot`` and
+    ``yytot``.  With it, the boundaries may be of several columns:
+    ``Gpre`` holds rows copied from each column's prefix sums, and the
+    totals of boundary i are ``Gtot[totals[i]]``, ``Ctot[totals[i]]`` and
+    ``yytot[totals[i]]``.  Both children of each boundary are stacked and
+    solved in one batched call per chunk of boundaries; a chunk's stack
+    of Gram matrices takes at most ``_STACK_BYTES``, and the totals are
+    bit-identical for any chunking and any mix of columns.
     """
     t = np.asarray(bounds, dtype=np.intp) - 1
     nb = t.shape[0]
+    if totals is None:
+        Gtot, Ctot, yytot = Gtot[None], Ctot[None], np.reshape(yytot, 1)
+        totals = np.zeros(nb, dtype=np.intp)
     d = Gpre.shape[1]
     step = max(1, min(nb, _STACK_BYTES // (2 * d * d * 8)))
     G = np.empty((2 * step,) + Gpre.shape[1:])
     C = np.empty((2 * step,) + Cpre.shape[1:])
     out = np.empty(nb)
     for start in range(0, nb, step):
-        tc = t[start : start + step]
+        tc, own = t[start : start + step], totals[start : start + step]
         k = tc.shape[0]
         Gc, Cc = G[: 2 * k], C[: 2 * k]
         np.take(Gpre, tc, axis=0, out=Gc[:k])
         np.take(Cpre, tc, axis=0, out=Cc[:k])
-        np.subtract(Gtot, Gc[:k], out=Gc[k:])
-        np.subtract(Ctot, Cc[:k], out=Cc[k:])
+        np.take(Gtot, own, axis=0, out=Gc[k:])
+        np.take(Ctot, own, axis=0, out=Cc[k:])
+        np.subtract(Gc[k:], Gc[:k], out=Gc[k:])
+        np.subtract(Cc[k:], Cc[:k], out=Cc[k:])
         yyl = yypre[tc]
         B, _ = solve_stack(Gc, Cc, lam, npen)
-        sse = residual_sse(Gc, Cc, np.concatenate([yyl, yytot - yyl]), B)
+        sse = residual_sse(Gc, Cc, np.concatenate([yyl, yytot[own] - yyl]), B)
         out[start : start + k] = sse[:k] + sse[k:]
     return out

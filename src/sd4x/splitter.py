@@ -15,37 +15,48 @@ midpoint of those two values (see :func:`_midpoints`).  A boolean
 or one-hot column holds 0 or 1, so it has at most one candidate, and an
 ordinal has at most one per pair of adjacent levels.
 
-Each column first solves a grid of ``_GRID`` evenly spaced candidates,
+Each column first sums a grid of ``_GRID`` evenly spaced candidates,
 all of them when it has no more.  Both children of a grid boundary are
 0/1 indicator rows over the members, ``value <= threshold`` and
 ``value > threshold``, and one product of those rows with the members'
 Gram pieces sums every child of a group of grid boundaries, in bounded
-blocks of boundaries and members; one stacked solve gives their ridge
-SSEs.  Each child is summed from its own rows, so an entry that is zero
-on all of them, such as a one-hot level absent from the child, is an
-exact zero.
+blocks of boundaries and members.  Each child is summed from its own
+rows, so an entry that is zero on all of them, such as a one-hot level
+absent from the child, is an exact zero.
 
-A column with candidates off its grid is searched further with an exact
-bound, in the manner of optimistic estimates in subgroup discovery and
-of "leaps and bounds" for least squares.  The unpenalized least-squares
+A column with candidates off its grid is searched with an exact bound,
+in the manner of optimistic estimates in subgroup discovery and of
+"leaps and bounds" for least squares.  The unpenalized least-squares
 SSE of a set of rows never decreases when rows are added, and the ridge
 SSE that the search ranks is never below it.  At boundary t the left
 child contains the left child of every boundary a < t, and the right
 child contains the right child of every boundary b > t, so
-OLS_left(a) + OLS_right(b) bounds the SSE of every boundary strictly
-between a and b.  The least-squares SSEs of both children at each grid
-point but the two ends, where the smallest children are bounded by 0,
-come from the same indicator sums, one solve per group.  Then only the
-intervals whose bound does not exceed the best SSE found so far, over
-every column, by more than ``_BOUND_MARGIN`` times the subgroup's
-summed squared outputs are scanned, from the column's sorted view kept
-from the candidate pass: the members' Gram pieces are accumulated in
-that order as prefix sums, and both children of every boundary inside
-a live interval are solved from those sums, the right child as the
-total minus the prefix.  The margin is far above the rounding of either
-SSE, so no boundary that could win is skipped.  One-hot blocks would
-make the bound solves singular, so they drop one column per nominal
-block; see :func:`_bound_design`.
+OLS_left(a) + OLS_right(b) bounds the SSE of every boundary from a to
+b, and OLS_left(t) + OLS_right(t) that of t itself.  The least-squares
+SSEs of both children at each grid point but the two ends, where the
+smallest children are bounded by 0, come from the same indicator sums,
+one stacked solve per group.  A candidate, grid point or boundary
+inside an interval between grid points, is ridge-solved only when its
+bound does not exceed the best SSE found so far, over every column, by
+more than ``_BOUND_MARGIN`` times the subgroup's summed squared
+outputs.  The margin is far above the rounding of either SSE, so no
+candidate that could win is skipped.  A group's grid points are solved
+in at most two ridge stacks: first the points solved whatever their
+bound (both ends of each column and the inner point with the lowest
+bound, or every point of a column with no candidates off its grid),
+then the other points still live.  After the grid, the columns are
+visited by their lowest interval bound.  One column at a time, the
+members' Gram pieces are accumulated in the column's sorted order, kept
+from the candidate pass, as prefix sums, and the boundaries of its live
+intervals are solved from them, the right child as the totals minus the
+prefix.  Each boundary's prefix row and the column's totals are copied
+into a buffer bounded by the stack budget and shared by the columns, so
+that the boundaries of many columns are solved in one stack; a column
+with more boundaries than the buffer holds is solved on its own.  Every SSE is
+summed the same way whichever stack solves it, and a stacked solve
+gives each matrix the same bits as a solve of its own.  One-hot blocks
+would make the bound solves singular, so they drop one column per
+nominal block; see :func:`_bound_design`.
 
 The search only ranks candidates; the winning split's children are
 refitted through the canonical pooled-fit path, and a split is applied
@@ -168,6 +179,16 @@ def _grid(n: int) -> np.ndarray:
     return np.arange(_GRID) * (n - 1) // (_GRID - 1)
 
 
+def _lowest(best: tuple, j: int, sv: np.ndarray, ts: np.ndarray, sses: np.ndarray) -> tuple:
+    """Lowest of ``best`` and column j's lowest (SSE, column, threshold).
+
+    ``sses`` holds the SSEs of boundaries ``ts`` of sorted values ``sv``;
+    on equal SSEs the first, lowest threshold is kept.
+    """
+    i = int(np.argmin(sses))
+    return min(best, (float(sses[i]), j, float(_midpoints(sv[ts[i] - 1], sv[ts[i]]))))
+
+
 def _bound_design(enc: EncodedMatrix, G_all: np.ndarray) -> np.ndarray | None:
     """Design columns of the least-squares bound solves; None keeps them all.
 
@@ -213,10 +234,17 @@ class _Engine:
         G_all, C_all, _ = self.grams
         self.bound_cols = _bound_design(enc, G_all)
         d, p = C_all.shape[1:]
+        # Gram rows (G, C, yy) in a quarter of the stack budget.
+        rows = kernels._STACK_BYTES // (4 * (d * d + d * p + 1) * 8)
         # Grid boundaries summed and solved together.  Their children's
         # pieces take at most half of the stack budget, which leaves room
-        # for the bound solves' copy and the solves' temporaries.
-        self.grid_group = max(1, kernels._STACK_BYTES // (4 * (d * d + d * p + 1) * 8))
+        # for the solves' gathered copies and temporaries.
+        self.grid_group = max(1, rows)
+        # Rows of the interval buffer: the scan's stack of both children
+        # then takes at most half of the budget, and the solve's two copies
+        # of that stack the whole.  A column with more live boundaries is
+        # scanned from its own prefix sums.
+        self.scan_rows = max(2, rows)
 
     def _boundaries(self, sv: np.ndarray) -> np.ndarray:
         """Candidate boundaries of sorted member values ``sv``.
@@ -228,29 +256,10 @@ class _Engine:
         jumps = np.flatnonzero(sv[1:] > sv[:-1]) + 1
         return jumps[(jumps >= self.min_support) & (jumps <= sv.size - self.min_support)]
 
-    def _scan(self, mo: np.ndarray, sv: np.ndarray, ts: np.ndarray) -> tuple[float, float]:
-        """Lowest (SSE, threshold) over boundaries ``ts`` of one sorted column.
-
-        ``mo`` holds the members sorted by the column and ``sv`` their
-        values.  Their Gram pieces are summed into prefix sums, whose
-        last row is the column's totals, and both children of every
-        boundary in ``ts`` are solved from them.
-        """
-        G_all, C_all, yy_all = self.grams
-        Gpre, Cpre, yypre = G_all[mo], C_all[mo], yy_all[mo]
-        for a in (Gpre, Cpre, yypre):
-            np.cumsum(a, axis=0, out=a)
-        sses = kernels.scan_sse(
-            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], ts, self.lam, self.npen
-        )
-        best = int(np.argmin(sses))
-        t = int(ts[best])
-        return float(sses[best]), float(_midpoints(sv[t - 1], sv[t]))
-
-    def _grid_sse(
-        self, members: np.ndarray, cols: np.ndarray, thresholds: np.ndarray, inner: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Ridge SSEs of a group of grid boundaries, and bounds of some children.
+    def _grid_pieces(
+        self, members: np.ndarray, cols: np.ndarray, thresholds: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gram pieces (G, C, yy) of both children of a group of grid boundaries.
 
         Boundary i splits the members at ``thresholds[i]`` on column
         ``cols[i]``.  Rows [0, k) of a 0/1 indicator are the left
@@ -259,10 +268,8 @@ class _Engine:
         into one (rows, d*d + d*p + 1) buffer a block at a time, and one
         product per block adds every child's share of (G, C, yy); a
         block's buffer, indicator and column values take at most
-        ``kernels._STACK_BYTES`` together.  Returns the summed ridge SSE
-        of both children of every boundary, and the least-squares SSEs,
-        in the bound design, of the left and then the right children of
-        the boundaries listed in ``inner``.
+        ``kernels._STACK_BYTES`` together.  Children are in the same
+        order: the k left ones, then the k right ones.
         """
         G_all, C_all, yy_all = self.grams
         N, d, p = C_all.shape
@@ -284,29 +291,48 @@ class _Engine:
             np.greater(vals, thresholds[:, None], out=ind[k:])
             acc += ind @ buf
             del buf, ind, vals  # free the block before the next one is gathered
-        G = acc[:, :dd].reshape(-1, d, d)
-        C = acc[:, dd:-1].reshape(-1, d, p)
-        yy = acc[:, -1]
-        B, _ = kernels.solve_stack(G, C, self.lam, self.npen)
-        sse = kernels.residual_sse(G, C, yy, B)
-        ols = np.empty(0)
-        if inner.size:
-            both = np.concatenate([inner, k + inner])
-            keep = np.arange(d) if self.bound_cols is None else self.bound_cols
+        return acc[:, :dd].reshape(-1, d, d), acc[:, dd:-1].reshape(-1, d, p), acc[:, -1]
+
+    def _ridge(
+        self, G: np.ndarray, C: np.ndarray, yy: np.ndarray, idx: np.ndarray
+    ) -> np.ndarray:
+        """Summed ridge SSE of both children of the grid boundaries ``idx``.
+
+        ``G``, ``C`` and ``yy`` are a group's children, as
+        :meth:`_grid_pieces` returns them; the picked ones are solved in
+        one stack.
+        """
+        both = np.concatenate([idx, G.shape[0] // 2 + idx])
+        Gs, Cs = G[both], C[both]
+        B, _ = kernels.solve_stack(Gs, Cs, self.lam, self.npen)
+        sse = kernels.residual_sse(Gs, Cs, yy[both], B)
+        return sse[: idx.size] + sse[idx.size :]
+
+    def _least_squares(
+        self, G: np.ndarray, C: np.ndarray, yy: np.ndarray, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares SSEs, in the bound design, of the left and the
+        right children of the grid boundaries ``idx``, solved in one stack."""
+        both = np.concatenate([idx, G.shape[0] // 2 + idx])
+        if self.bound_cols is None:
+            ols = kernels.least_squares_sse(G[both], C[both], yy[both])
+        else:
+            keep = self.bound_cols
             ols = kernels.least_squares_sse(
                 G[np.ix_(both, keep, keep)], C[np.ix_(both, keep)], yy[both]
             )
-        return sse[:k] + sse[k:], ols
+        return ols[: idx.size], ols[idx.size :]
 
     def _grid_splits(
-        self, members: np.ndarray
-    ) -> tuple[list[tuple[float, int, float]], list[tuple[int, np.ndarray, tuple]]]:
-        """Each column's best grid split, and the bounds of its grid intervals.
+        self, members: np.ndarray, margin: float
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[tuple[int, np.ndarray, tuple]]]:
+        """Each column's grid, solved where it could win, and the bounds of its intervals.
 
         Each column's member values are sorted once, stably.  Returns
-        (found, bounds).  ``found`` holds each column's lowest
-        (SSE, column, threshold) on its grid, for every column with a
-        candidate.  ``bounds`` holds (column, lo, view) for every column
+        (grid, bounds).  ``grid`` is (cols, thresholds, sse) over the grid
+        points of every column with a candidate, column by column: the
+        ridge SSE of each solved point, and +inf for a point skipped for
+        its bound.  ``bounds`` holds (column, lo, view) for every column
         with candidates off its grid.  Interval i, strictly between grid
         points a and b, is bounded by ``lo[i]`` = OLS_left(a) +
         OLS_right(b), and an interval with no boundary inside gets +inf.
@@ -316,8 +342,18 @@ class _Engine:
         factor makes numpy refactor the whole stack in parts.  ``view``
         is the column's sorted view, (sorted members, sorted values,
         candidate boundaries, grid positions among them), from which
-        :meth:`_scan` solves the live intervals.  The grids of all
-        columns are solved ``grid_group`` boundaries at a time.
+        :meth:`_scan` solves the live intervals.
+
+        The grids of all columns are summed ``grid_group`` boundaries at
+        a time, and each group is solved in at most three stacks.  The
+        first gives the least-squares SSEs of the children of every inner
+        point of a column with candidates off its grid; OLS_left(t) +
+        OLS_right(t) bounds the ridge SSE at t.  The second gives the
+        ridge SSEs of the points always solved: every point of a column
+        without candidates off its grid, the two ends of a column with
+        some, and each such column's inner point with the lowest bound.
+        The third gives those of the other inner points whose bound does
+        not exceed the lowest SSE found so far by more than ``margin``.
         """
         spans, cols, thresholds, bounded = [], [], [], []
         for j in self.columns:
@@ -337,46 +373,117 @@ class _Engine:
             has_bound[1:-1] = view is not None
             bounded.append(has_bound)
         if not spans:
-            return [], []
+            return (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)), []
         cols = np.array(cols)
         thresholds, bounded = np.concatenate(thresholds), np.concatenate(bounded)
-        sse, left, right = np.empty(cols.size), np.zeros(cols.size), np.zeros(cols.size)
+        sse = np.full(cols.size, np.inf)
+        left, right = np.zeros(cols.size), np.zeros(cols.size)
+        best = np.inf
         for a in range(0, cols.size, self.grid_group):
             part = slice(a, a + self.grid_group)
+            G, C, yy = self._grid_pieces(members, cols[part], thresholds[part])
+            solve = ~bounded[part]
             inner = np.flatnonzero(bounded[part])
-            sse[part], ols = self._grid_sse(members, cols[part], thresholds[part], inner)
-            left[a + inner], right[a + inner] = ols[: inner.size], ols[inner.size :]
-        found, bounds = [], []
+            if inner.size:
+                left[a + inner], right[a + inner] = self._least_squares(G, C, yy, inner)
+                lo = left[a + inner] + right[a + inner]
+                owner = cols[a + inner]
+                starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+                for s, e in zip(starts, np.r_[starts[1:], inner.size]):
+                    solve[inner[s + int(np.argmin(lo[s:e]))]] = True
+            idx = np.flatnonzero(solve)
+            sse[a + idx] = self._ridge(G, C, yy, idx)
+            best = min(best, float(sse[a + idx].min()))
+            rest = inner[~solve[inner]]
+            rest = rest[~(left[a + rest] + right[a + rest] > best + margin)]
+            if rest.size:
+                sse[a + rest] = self._ridge(G, C, yy, rest)
+                best = min(best, float(sse[a + rest].min()))
+            del G, C, yy  # free the group before the next one is summed
+        bounds = []
         for j, a, k, view in spans:
-            i = a + int(np.argmin(sse[a : a + k]))
-            found.append((float(sse[i]), j, float(thresholds[i])))
             if view is not None:
                 lo = left[a : a + k - 1] + right[a + 1 : a + k]
                 lo[np.diff(view[3]) == 1] = np.inf
                 bounds.append((j, lo, view))
-        return found, bounds
+        return (cols, thresholds, sse), bounds
+
+    def _scan(
+        self, bounds: list[tuple[int, np.ndarray, tuple]], best: tuple, margin: float
+    ) -> tuple:
+        """Lowest of ``best`` and the (SSE, column, threshold) of every live boundary.
+
+        ``bounds`` is as :meth:`_grid_splits` returns it.  Columns are
+        visited by their lowest interval bound, and an interval is live
+        unless its bound exceeds the lowest SSE found so far by more than
+        ``margin``.  A column's members' Gram pieces are summed in its
+        sorted order into prefix sums, whose last row is its totals, one
+        column at a time.  A column with ``scan_rows`` live boundaries or
+        more is solved from them by one :func:`kernels.scan_sse` call.
+        Every other column's prefix rows at its live boundaries, then its
+        totals, are copied into one buffer of ``scan_rows`` rows shared by
+        those columns, and one :func:`kernels.scan_sse` call solves the
+        buffer before a column that does not fit, before a column solved
+        alone, and at the end.  The buffer is solved before the prefix
+        sums of the next column are taken, so the two are not held at once.
+        """
+        buf, used, parts = None, 0, []
+        for j, lo, (mo, sv, ts, g) in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
+            keep = np.flatnonzero(~(lo > best[0] + margin))
+            t = np.concatenate([ts[g[i] + 1 : g[i + 1]] for i in keep] + [ts[:0]])
+            if t.size == 0:
+                continue
+            alone = t.size >= self.scan_rows
+            if parts and (alone or used + t.size + 1 > self.scan_rows):
+                best, used = self._flush(buf, used, parts, best), 0
+            pre = [a[mo] for a in self.grams]
+            for a in pre:
+                np.cumsum(a, axis=0, out=a)
+            if alone:
+                sses = kernels.scan_sse(*pre, *(a[-1] for a in pre), t, self.lam, self.npen)
+                best = _lowest(best, j, sv, t, sses)
+            else:
+                if buf is None:
+                    buf = [np.empty((self.scan_rows,) + a.shape[1:]) for a in self.grams]
+                for src, dst in zip(pre, buf):
+                    np.take(src, t - 1, axis=0, out=dst[used : used + t.size])
+                    dst[used + t.size] = src[-1]
+                parts.append((j, sv, t, used))
+                used += t.size + 1
+            del pre  # freed before the next column's prefix sums are taken
+        return self._flush(buf, used, parts, best) if parts else best
+
+    def _flush(self, buf: list, used: int, parts: list, best: tuple) -> tuple:
+        """Solve the buffered boundaries; lowest of ``best`` and their (SSE, column, threshold).
+
+        ``parts`` holds (column, sorted values, boundaries, first row) for
+        each column in the buffer, whose prefix rows are followed by its
+        totals; it is emptied.
+        """
+        Gb, Cb, yyb = (a[:used] for a in buf)
+        at = np.concatenate([np.arange(r, r + t.size) for _, _, t, r in parts])
+        totals = np.concatenate([np.full(t.size, r + t.size) for _, _, t, r in parts])
+        sses = kernels.scan_sse(Gb, Cb, yyb, Gb, Cb, yyb, at + 1, self.lam, self.npen, totals)
+        s = 0
+        for j, sv, t, _ in parts:
+            best = _lowest(best, j, sv, t, sses[s : s + t.size])
+            s += t.size
+        parts.clear()
+        return best
 
     def _search(self, members: np.ndarray) -> tuple[float, int, float] | None:
         """Lowest (SSE, column, threshold) over every candidate split, or None.
 
-        Every grid is solved first; then an interval is scanned unless
-        its bound exceeds the lowest SSE found so far by more than
-        ``_BOUND_MARGIN`` times the members' summed squared outputs.
-        Columns are visited by their lowest interval bound, and each
-        column's live intervals are scanned together from its sorted view.
+        Every grid is solved first, then the boundaries of the intervals
+        whose bound does not exceed the lowest SSE found so far by more
+        than ``_BOUND_MARGIN`` times the members' summed squared outputs.
         """
-        found, bounds = self._grid_splits(members)
-        if not found:
-            return None
-        best = min(found)
         margin = _BOUND_MARGIN * float(self.grams[2][members].sum())
-        for j, lo, (mo, sv, ts, g) in sorted(bounds, key=lambda b: (b[1].min(), b[0])):
-            live = np.flatnonzero(~(lo > best[0] + margin))
-            if live.size:
-                inside = np.concatenate([np.arange(g[i] + 1, g[i + 1]) for i in live])
-                sse, threshold = self._scan(mo, sv, ts[inside])
-                best = min(best, (sse, j, threshold))
-        return best
+        (cols, thresholds, sse), bounds = self._grid_splits(members, margin)
+        if not cols.size:
+            return None
+        i = int(np.lexsort((thresholds, cols, sse))[0])
+        return self._scan(bounds, (float(sse[i]), int(cols[i]), float(thresholds[i])), margin)
 
     def best_split(self, sg: Subgroup) -> CandidateSplit | None:
         """Best candidate split of a subgroup, or None when no split exists."""

@@ -41,6 +41,59 @@ def test_softmax_shift_invariance_and_overflow():
     assert probs[0, 0] == probs[0, 1]
 
 
+def _reference_softmax(logits):
+    """softmax with a per-row max(axis=1), the formula it replaced."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _four_regime_bb(rng, p):
+    conds = [
+        (Condition("x", a, 0.0), Condition("y", b, 0.0))
+        for a in ("le", "gt")
+        for b in ("le", "gt")
+    ]
+    return PiecewiseLinearBlackBox(
+        classes=tuple(f"c{i}" for i in range(p)),
+        columns=("x", "y", "z"),
+        regimes=[
+            Regime(conditions=c, weights=rng.normal(size=(p, 3)), biases=rng.normal(size=p))
+            for c in conds
+        ],
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 9, 17])
+def test_softmax_and_regimes_match_the_per_row_reductions_bit_for_bit(p):
+    # Ties and an overflowing row included: a running maximum over the
+    # columns must give max(axis=1)'s bits, and the regime index must be
+    # argmax over the regime masks.
+    rng = np.random.default_rng(500 + p)
+    logits = rng.normal(scale=4.0, size=(2000, p))
+    logits[::7, -1] = logits[::7, 0]
+    logits[::11] = logits[::11, :1]
+    logits[3] = 1000.0
+    assert np.array_equal(softmax(logits), _reference_softmax(logits))
+    bb = _four_regime_bb(rng, p)
+    X = rng.normal(size=(2000, 3))
+    X[::5, 0] = 0.0  # on the cut
+    masks = np.stack(
+        [
+            np.logical_and.reduce([c.mask(X, bb.columns) for c in reg.conditions])
+            for reg in bb.regimes
+        ]
+    )
+    which = bb.regime_index(X)
+    assert which.dtype == masks.argmax(axis=0).dtype
+    assert np.array_equal(which, masks.argmax(axis=0))
+    want = np.empty((X.shape[0], p))
+    for k, reg in enumerate(bb.regimes):
+        rows = which == k
+        want[rows] = _reference_softmax(X[rows] @ reg.weights.T + reg.biases)
+    assert np.array_equal(bb.predict_batch(X), want)
+
+
 def test_linear_blackbox_rows_sum_to_one():
     rng = np.random.default_rng(2)
     bb = LinearBlackBox(

@@ -253,6 +253,36 @@ def test_eval_rejects_tampered_members(gen_dir, tmp_path, tamper):
     assert main(_eval_args(gen_dir, tampered, tmp_path / "r")) == 1
 
 
+def _swap_losses(dump):
+    """Swap the losses of the first two subgroups: their sum is unchanged."""
+    a, b = dump["subgroups"][:2]
+    assert a["loss"] != b["loss"]
+    a["loss"], b["loss"] = b["loss"], a["loss"]
+    return a["id"]
+
+
+def _shift_loss(dump):
+    sd = dump["subgroups"][1]
+    sd["loss"] *= 1.01
+    return sd["id"]
+
+
+@pytest.mark.parametrize("tamper", [_swap_losses, _shift_loss], ids=["swapped", "shifted"])
+def test_eval_rejects_a_wrong_subgroup_loss_and_names_the_subgroup(
+    gen_dir, tmp_path, capsys, tamper
+):
+    out = tmp_path / "partition.json"
+    assert main(_explain_args(gen_dir, out)) == 0
+    dump = json.loads(out.read_text())
+    assert len(dump["subgroups"]) >= 2
+    sid = tamper(dump)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(dump))
+    capsys.readouterr()
+    assert main(_eval_args(gen_dir, tampered, tmp_path / "r")) == 1
+    assert f"subgroup {sid}:" in capsys.readouterr().err
+
+
 _DROP = object()
 
 

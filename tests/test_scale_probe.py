@@ -12,9 +12,14 @@ import numpy as np
 PROBE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "scale_probe.py")
 
 
+_COUNTS = ("ridge systems", "bound systems", "solve calls", "scan calls", "scanned boundaries")
+
+
 def test_scale_probe_runs_and_counts_the_split_search():
-    # The probe wraps kernels.scan_sse and _Engine._grid_sse by their
-    # argument positions; a refactor of the search must keep it working.
+    # The probe counts the matrices given to kernels.solve_stack and
+    # kernels.least_squares_sse, the Cholesky calls that factor them and
+    # the kernels.scan_sse calls; a refactor of the search must keep
+    # those entry points.
     out = subprocess.run(
         [sys.executable, PROBE, "--n", "60", "--m", "3", "--k", "3", "--n-synth", "5"],
         capture_output=True,
@@ -22,10 +27,16 @@ def test_scale_probe_runs_and_counts_the_split_search():
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    calls = re.search(r"^\s*scan calls: (\d+)$", out.stdout, re.M)
-    bounds = re.search(r"^\s*boundaries: (\d+) \((\d+) on grids\)$", out.stdout, re.M)
-    assert calls and bounds, out.stdout
-    assert int(bounds[1]) >= int(bounds[2]) > 0
+    got = {}
+    for name in _COUNTS:
+        line = re.search(rf"^\s*{name}: (\d+)$", out.stdout, re.M)
+        assert line, (name, out.stdout)
+        got[name] = int(line[1])
+    # Both children of every grid point and scanned boundary are ridge
+    # systems, and each Cholesky call factors at least one of them.
+    assert got["ridge systems"] >= 2 * got["scanned boundaries"] > 0
+    assert got["bound systems"] > 0 and got["scan calls"] > 0
+    assert 0 < got["solve calls"] <= got["ridge systems"] + got["bound systems"]
 
 
 def test_scale_probe_writes_its_numbers_as_json(tmp_path):
@@ -43,10 +54,11 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
     assert set(record["stages_s"]) == {"build", "label", "grams", "split search", "validate"}
     assert all(t >= 0 for t in record["stages_s"].values())
     assert record["peak_rss_mb"] > 0
-    assert record["boundaries"] >= record["grid_boundaries"] > 0
-    assert record["scan_calls"] >= 0 and record["subgroups"] >= 1
-    printed = re.search(r"^\s*boundaries: (\d+) ", out.stdout, re.M)
-    assert int(printed[1]) == record["boundaries"]
+    for name in _COUNTS:
+        key = name.replace(" ", "_")
+        printed = re.search(rf"^\s*{name}: (\d+)$", out.stdout, re.M)
+        assert int(printed[1]) == record[key] > 0, name
+    assert record["subgroups"] >= 1
     assert record["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}", record["git_sha"])
     assert record["nproc"] == os.cpu_count()
     assert record["python"] == platform.python_version()

@@ -360,7 +360,30 @@ def _full_scan(engine, members, j):
     vals = engine.enc.values[members, j]
     order = np.argsort(vals, kind="stable")
     sv = vals[order]
-    return engine._scan(members[order], sv, engine._boundaries(sv))
+    whole = _whole(j, members[order], sv, engine._boundaries(sv))
+    sse, _, threshold = engine._scan([whole], (np.inf, j, np.inf), 0.0)
+    return sse, threshold
+
+
+def _whole(j, mo, sv, ts):
+    """A ``bounds`` entry of column j: one interval over every boundary ts, bounded by -inf."""
+    return j, np.array([-np.inf]), (mo, sv, ts, np.array([-1, ts.size]))
+
+
+def _margin(engine, members):
+    """The search's pruning margin: ``_BOUND_MARGIN`` times the members' summed yy."""
+    return splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
+
+
+def _grid_found(engine, members):
+    """Each column's lowest solved (SSE, column, threshold) on its grid, by column."""
+    (cols, thresholds, sse), _ = engine._grid_splits(members, _margin(engine, members))
+    found = []
+    for j in dict.fromkeys(cols.tolist()):
+        at = np.flatnonzero(cols == j)
+        i = at[np.argmin(sse[at])]
+        found.append((float(sse[i]), j, float(thresholds[i])))
+    return found
 
 
 def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
@@ -469,17 +492,12 @@ def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
     if stack_rows is not None:
         assert engine.grid_group == 1
     seen = []
-    grid_sse = splitter._Engine._grid_sse
-
-    def recorded(self, members, cols, thresholds, inner):
-        sse, ols = grid_sse(self, members, cols, thresholds, inner)
-        seen.extend((members, int(j), float(t), float(s)) for j, t, s in zip(cols, thresholds, sse))
-        return sse, ols
-
-    monkeypatch.setattr(splitter._Engine, "_grid_sse", recorded)
     searched = (np.arange(enc.n), np.sort(rng.choice(enc.n, 29, replace=False)))
     for members in searched:
-        engine._grid_splits(members)
+        # An infinite margin skips no grid point: every one is solved.
+        (cols, thresholds, sse), _ = engine._grid_splits(members, np.inf)
+        assert np.all(np.isfinite(sse))
+        seen.extend((members, int(j), float(t), float(s)) for j, t, s in zip(cols, thresholds, sse))
     G_all, C_all, yy_all = engine.grams
     for members, j, thr, sse in seen:
         vals = enc.values[members, j]
@@ -507,7 +525,7 @@ def test_coded_column_under_min_support_has_no_candidate():
     ones = int(np.count_nonzero(enc.values[members, flag]))
     for min_support, kept in ((min(ones, enc.n - ones), True), (min(ones, enc.n - ones) + 1, False)):
         engine = splitter._Engine(enc, ns, 1.0, min_support, list(range(enc.m)))
-        found, _ = engine._grid_splits(members)
+        found = _grid_found(engine, members)
         assert (flag in [j for _, j, _ in found]) == kept
 
 
@@ -581,7 +599,7 @@ def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
     coded = [1, 2, 3, 4]
     engine = splitter._Engine(enc, ns, 0.0, 2, coded)
     members = np.arange(n, dtype=np.int64)
-    found, _ = engine._grid_splits(members)
+    found = _grid_found(engine, members)
     assert [j for _, j, _ in found] == coded
     ((G, C),) = seen
     k = len(coded)
@@ -656,14 +674,15 @@ def test_coded_path_peak_memory_stays_within_the_stack_budget(make, n, n_coded):
     G_all, C_all, yy_all = engine.grams
     gathered = members.size * (G_all[0].nbytes + C_all[0].nbytes + yy_all[0].nbytes)
     assert gathered > 4 * kernels._STACK_BYTES
-    found, _ = engine._grid_splits(members)  # warm up lazy imports
+    found = _grid_found(engine, members)  # warm up lazy imports
     assert [j for _, j, _ in found] == list(range(enc.m))
     coded = (AttributeKind.BOOLEAN, AttributeKind.NOMINAL)
     assert sum(enc.columns[j].kind in coded for _, j, _ in found) == n_coded
+    margin = _margin(engine, members)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        engine._grid_splits(members)
+        engine._grid_splits(members, margin)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -673,37 +692,53 @@ def test_coded_path_peak_memory_stays_within_the_stack_budget(make, n, n_coded):
 def test_each_column_is_sort_scanned_at_most_once_per_search(monkeypatch):
     # A column's grid comes from the indicator product.  Only a column
     # with more candidates than its grid is gathered and prefix-summed,
-    # once per search at most, and kernels.scan_sse runs only inside
-    # that scan.
+    # once per search at most, in one interval scan per search, and
+    # kernels.scan_sse runs only inside that scan, on its boundaries.
     enc, ns, _ = _coded_problem(43, n=50, n_synth=10, scale=2.0)
     searches = []
     best_split = splitter._Engine.best_split
     scan = splitter._Engine._scan
     scan_sse = kernels.scan_sse
+    lowest = splitter._lowest
+    scanning = []
 
     def traced_best_split(self, sg):
-        searches.append((sg.members, [], []))
+        searches.append((sg.members, [], [], []))
         return best_split(self, sg)
 
-    def traced_scan(self, mo, sv, ts):
-        # The scanned column is the one whose values sv lists in mo's order.
-        (j,) = [j for j in range(enc.m) if np.array_equal(enc.values[mo, j], sv)]
-        assert np.array_equal(np.sort(mo), np.sort(searches[-1][0]))
-        searches[-1][1].append(j)
-        return scan(self, mo, sv, ts)
+    def traced_scan(self, bounds, best, margin):
+        assert not searches[-1][1], "a second interval scan in one search"
+        for j, _, (mo, sv, _, _) in bounds:
+            # mo is the members sorted by column j, and sv their values.
+            assert np.array_equal(np.sort(mo), np.sort(searches[-1][0]))
+            assert np.array_equal(enc.values[mo, j], sv) and np.all(np.diff(sv) >= 0)
+        scanning.append(True)
+        try:
+            return scan(self, bounds, best, margin)
+        finally:
+            scanning.pop()
 
-    def traced_scan_sse(*args):
-        searches[-1][2].append(searches[-1][1][-1])
-        return scan_sse(*args)
+    def traced_lowest(best, j, sv, ts, sses):
+        # Called once for each column whose prefix sums were taken.
+        assert scanning
+        searches[-1][1].append(j)
+        searches[-1][2].append(ts.size)
+        return lowest(best, j, sv, ts, sses)
+
+    def traced_scan_sse(*args, **kwargs):
+        assert scanning, "kernels.scan_sse called outside the interval scan"
+        searches[-1][3].append(len(args[6]))
+        return scan_sse(*args, **kwargs)
 
     monkeypatch.setattr(splitter._Engine, "best_split", traced_best_split)
     monkeypatch.setattr(splitter._Engine, "_scan", traced_scan)
+    monkeypatch.setattr(splitter, "_lowest", traced_lowest)
     monkeypatch.setattr(kernels, "scan_sse", traced_scan_sse)
     partition = run(enc, K=4, lam=1.0, ns=ns)
     assert len(partition.trace) == 3
     scanned = set()
-    for members, cols, kernel_cols in searches:
-        assert len(cols) == len(set(cols)) and kernel_cols == cols
+    for members, cols, asked, solved in searches:
+        assert len(cols) == len(set(cols)) and sum(asked) == sum(solved)
         for j in cols:
             assert _n_candidates(enc.values[members, j], 2) > splitter._GRID
         scanned.update(enc.columns[j].name for j in cols)
@@ -857,7 +892,7 @@ def _searches(monkeypatch, enc, ns, **params):
     """
     found, solved = [], []
     search = splitter._Engine._search
-    grid_sse = splitter._Engine._grid_sse
+    ridge = splitter._Engine._ridge
     scan_sse = kernels.scan_sse
 
     def recorded(self, members):
@@ -865,17 +900,17 @@ def _searches(monkeypatch, enc, ns, **params):
         found.append(None if res is None else (res[1], res[2], res[0]))
         return res
 
-    def grid_counted(self, members, cols, *args):
-        solved.append(cols.size)
-        return grid_sse(self, members, cols, *args)
+    def grid_counted(self, G, C, yy, idx):
+        solved.append(idx.size)
+        return ridge(self, G, C, yy, idx)
 
-    def scan_counted(*args):
+    def scan_counted(*args, **kwargs):
         solved.append(len(args[6]))
-        return scan_sse(*args)
+        return scan_sse(*args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(splitter._Engine, "_search", recorded)
-        m.setattr(splitter._Engine, "_grid_sse", grid_counted)
+        m.setattr(splitter._Engine, "_ridge", grid_counted)
         m.setattr(kernels, "scan_sse", scan_counted)
         partition = run(enc, ns=ns, **params)
     return json.dumps(partition_to_dict(partition, enc), sort_keys=True), found, sum(solved)
@@ -933,20 +968,135 @@ def test_an_interval_whose_bound_is_within_the_margin_is_scanned(monkeypatch):
     engine = splitter._Engine(enc, ns, 1.0, 1, [0])
     members = np.arange(enc.n, dtype=np.int64)
     full_sse, full_threshold = _full_scan(engine, members, 0)
-    (grid,), _ = engine._grid_splits(members)
+    (grid,) = _grid_found(engine, members)
     assert full_sse < grid[0]
-    edge = grid[0] + splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
+    edge = grid[0] + _margin(engine, members)
     grid_splits = splitter._Engine._grid_splits
     for bound, want in ((edge, (full_sse, 0, full_threshold)), (np.nextafter(edge, np.inf), grid)):
 
-        def fixed_bounds(self, members, b=bound):
-            found, bounds = grid_splits(self, members)
+        def fixed_bounds(self, members, margin, b=bound):
+            found, bounds = grid_splits(self, members, margin)
             assert bounds and all(np.all(lo < np.inf) for _, lo, _ in bounds)
             return found, [(j, np.full(lo.shape, b), view) for j, lo, view in bounds]
 
         with monkeypatch.context() as m:
             m.setattr(splitter._Engine, "_grid_splits", fixed_bounds)
             assert engine._search(members) == want
+
+
+def test_an_inner_grid_point_whose_bound_is_within_the_margin_is_solved(monkeypatch):
+    # One numeric column with candidates off its grid.  Every inner grid
+    # point is given the bound incumbent + margin, where the incumbent is
+    # the lowest SSE of the points always solved: the two ends and the
+    # inner point with the lowest bound, the first on equal bounds.  Each
+    # point must then be solved, with the bits a search solving every
+    # point gives it.  One ulp more and only those three are solved.
+    rng = np.random.default_rng(59)
+    enc = numeric_enc(rng.normal(size=(120, 1)))
+    ns = label(build(enc, z=10, n_synth=6, seed=4), random_linear_bb(rng, enc, scale=2.0))
+    engine = splitter._Engine(enc, ns, 1.0, 1, [0])
+    members = np.arange(enc.n, dtype=np.int64)
+    margin = _margin(engine, members)
+    (_, _, every), _ = engine._grid_splits(members, np.inf)
+    assert every.size == splitter._GRID and np.all(np.isfinite(every))
+    always = [0, 1, splitter._GRID - 1]
+    edge = float(every[always].min()) + margin
+
+    for bound, solved in ((edge, np.arange(splitter._GRID)), (np.nextafter(edge, np.inf), always)):
+
+        def fixed(G, C, yy, b=bound):
+            # Left children get the bound, right ones 0: OLS_left + OLS_right = b.
+            half = G.shape[0] // 2
+            return np.concatenate([np.full(half, b), np.zeros(half)])
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "least_squares_sse", fixed)
+            (_, _, sse), _ = engine._grid_splits(members, margin)
+        assert np.flatnonzero(np.isfinite(sse)).tolist() == list(solved)
+        assert np.array_equal(sse[solved], every[solved])
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypatch, lam):
+    # Numeric, boolean, one-hot and ordinal columns.  A grid point's bound
+    # OLS_left(t) + OLS_right(t) covers its own SSE; an interval's bound
+    # covers the SSE of every boundary inside it, so it must not exceed
+    # the lowest of them, found by scanning the interval whole.
+    least_squares = splitter._Engine._least_squares
+    points = intervals = 0
+    for seed in range(4):
+        enc, ns, rng = _coded_problem(700 + seed, n=60, n_synth=8, scale=2.0)
+        engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
+        assert engine.bound_cols is not None  # the one-hot block's bound design
+        for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 45, replace=False))):
+            tol = 1e-10 * float(engine.grams[2][members].sum())
+            checked = []
+
+            def checked_bounds(self, G, C, yy, idx):
+                left, right = least_squares(self, G, C, yy, idx)
+                assert np.all(left + right <= self._ridge(G, C, yy, idx) + tol)
+                checked.append(idx.size)
+                return left, right
+
+            with monkeypatch.context() as m:
+                m.setattr(splitter._Engine, "_least_squares", checked_bounds)
+                _, bounds = engine._grid_splits(members, np.inf)
+            points += sum(checked)
+            for j, lo, (mo, sv, ts, g) in bounds:
+                for i in range(lo.size):
+                    inside = ts[g[i] + 1 : g[i + 1]]
+                    if inside.size:
+                        lowest, _, _ = engine._scan(
+                            [_whole(j, mo, sv, inside)], (np.inf, j, np.inf), 0.0
+                        )
+                        assert lo[i] <= lowest + tol, (seed, lam, j, i)
+                        intervals += 1
+    assert points > 100 and intervals > 50, (points, intervals)
+
+
+@pytest.mark.parametrize("scan_rows", [None, 2, 3, 7])
+def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch, scan_rows):
+    # Boundaries of several columns share one buffer, solved whenever the
+    # next column does not fit; a column too long for it is scanned alone.
+    # Every boundary's SSE must keep the bits of a kernels.scan_sse call
+    # on its column alone, and the lowest (SSE, column, threshold) must be
+    # the same.
+    enc, ns, rng = _coded_problem(83, n=50, n_synth=6, scale=2.0)
+    engine = splitter._Engine(enc, ns, 1.0, 2, list(range(enc.m)))
+    if scan_rows is not None:
+        engine.scan_rows = scan_rows
+    members = np.sort(rng.choice(enc.n, 40, replace=False))
+    live, want, lowest = [], [], []
+    for j in range(enc.m):
+        vals = enc.values[members, j]
+        order = np.argsort(vals, kind="stable")
+        sv, mo = vals[order], members[order]
+        ts = engine._boundaries(sv)
+        ts = ts[rng.random(ts.size) < 0.7]
+        if ts.size == 0:
+            continue
+        pre = [np.cumsum(a[mo], axis=0) for a in engine.grams]
+        sse = kernels.scan_sse(*pre, *(a[-1] for a in pre), ts, 1.0, enc.m)
+        i = int(np.argmin(sse))
+        lowest.append((float(sse[i]), j, float(splitter._midpoints(sv[ts[i] - 1], sv[ts[i]]))))
+        live.append(_whole(j, mo, sv, ts))
+        want.append(sse)
+    sizes = [ts.size for _, _, (_, _, ts, _) in live]
+    assert len(live) >= 4 and sum(s < 7 for s in sizes) >= 2 and sum(s >= 7 for s in sizes) >= 2
+    got = []
+    scan_sse = kernels.scan_sse
+
+    def recorded(*args, **kwargs):
+        out = scan_sse(*args, **kwargs)
+        got.append(out)
+        return out
+
+    monkeypatch.setattr(kernels, "scan_sse", recorded)
+    assert engine._scan(live, (np.inf, -1, np.inf), 0.0) == min(lowest)
+    assert np.array_equal(np.concatenate(got), np.concatenate(want))
+    # The default buffer holds them all; with a small one, long columns
+    # are scanned alone and short ones share a buffer solved in parts.
+    assert (len(got) == 1) == (scan_rows is None)
 
 
 def test_least_squares_bound_is_monotone_and_below_the_ridge_sse():
@@ -1047,3 +1197,36 @@ def test_bounded_search_peak_memory_stays_within_the_stack_budget():
     finally:
         tracemalloc.stop()
     assert peak - base <= 4 * kernels._STACK_BYTES, (peak - base) / 2**20
+
+
+def test_interval_scan_holds_one_column_prefix_sums_at_a_time():
+    # The one temporary of a search that grows with the members is a
+    # column's prefix sums, 12.5 MB here.  Three long columns are scanned
+    # alone and three short ones share the buffer; with each column's
+    # sums freed before the next one's are taken, the scan's peak is one
+    # column's prefix sums plus the 8 MB bound of the stacks.
+    rng = np.random.default_rng(79)
+    n = 8000
+    enc = numeric_enc(rng.normal(size=(n, 12)))
+    ns = label(build(enc, z=10, n_synth=2, seed=8), random_linear_bb(rng, enc))
+    engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
+    prefix = sum(a.nbytes for a in engine.grams)
+    assert prefix > 5 * kernels._STACK_BYTES
+    members = np.arange(n, dtype=np.int64)
+    bounds = []
+    for j, size in enumerate((400, 50, 400, 50, 400, 50)):
+        vals = enc.values[members, j]
+        order = np.argsort(vals, kind="stable")
+        ts = engine._boundaries(vals[order])
+        ts = ts[:: ts.size // size][:size]
+        assert (ts.size >= engine.scan_rows) == (size == 400)
+        bounds.append(_whole(j, members[order], vals[order], ts))
+    engine._scan(bounds[:1], (np.inf, -1, np.inf), 0.0)  # warm up lazy imports
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        engine._scan(bounds, (np.inf, -1, np.inf), 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= prefix + 4 * kernels._STACK_BYTES, (peak - base) / 2**20

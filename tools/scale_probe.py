@@ -9,14 +9,19 @@ softmax-linear regimes cut at 0.5 on x0 and x1.  One run builds and
 labels the neighborhoods, forms the per-object Gram pieces, searches
 the splits and validates the partition, each stage timed on its own,
 with lambda = 1 and one thread.  The probe prints each stage's wall
-time, the process's peak RSS, and how many candidate boundaries the
-split search solved: the grid boundaries summed by the indicator
-product, plus those of the interval scans, whose calls of
-``kernels.scan_sse`` it also counts.  With ``--json PATH`` it also
-writes these numbers to PATH, with the sizes, the git commit of the
-checkout, the CPU count and the Python and numpy versions, so runs on
-one machine can be compared later.  The program is imported from
-``src/`` next to this directory; nothing is installed.
+time, the process's peak RSS, and what the split search solved:
+
+* ridge systems, every matrix given to ``kernels.solve_stack`` (grid
+  points, interval boundaries and the winners' refits);
+* bound systems, every matrix given to ``kernels.least_squares_sse``;
+* solve calls, the calls of ``np.linalg.cholesky`` that factor them;
+* the ``kernels.scan_sse`` calls and the interval boundaries they solve.
+
+With ``--json PATH`` it also writes these numbers to PATH, with the
+sizes, the git commit of the checkout, the CPU count and the Python and
+numpy versions, so runs on one machine can be compared later.  The
+program is imported from ``src/`` next to this directory; nothing is
+installed.
 """
 from __future__ import annotations
 
@@ -89,21 +94,29 @@ def main(argv=None) -> int:
         parser.error("--m must be at least 2: the regimes cut on x0 and x1")
 
     enc, bb = _world(args.n, args.m, args.seed)
-    scans = [0, 0, 0]  # scan calls, scanned boundaries, grid boundaries
-    scan_sse = kernels.scan_sse
-    grid_sse = splitter._Engine._grid_sse
+    counts = dict.fromkeys(
+        ("ridge_systems", "bound_systems", "solve_calls", "scan_calls", "scanned_boundaries"), 0
+    )
+    solve_stack, least_squares_sse = kernels.solve_stack, kernels.least_squares_sse
+    scan_sse, cholesky = kernels.scan_sse, np.linalg.cholesky
 
-    def counted(*a):
-        scans[0] += 1
-        scans[1] += len(a[6])
-        return scan_sse(*a)
+    def ridge_counted(G, *a):
+        counts["ridge_systems"] += G.shape[0]
+        return solve_stack(G, *a)
 
-    def grid_counted(self, members, cols, *a):
-        scans[2] += cols.size
-        return grid_sse(self, members, cols, *a)
+    def bound_counted(G, *a):
+        counts["bound_systems"] += G.shape[0]
+        return least_squares_sse(G, *a)
 
-    kernels.scan_sse = counted
-    splitter._Engine._grid_sse = grid_counted
+    def cholesky_counted(A, *a, **kw):
+        counts["solve_calls"] += 1
+        return cholesky(A, *a, **kw)
+
+    def scan_counted(*a, **kw):
+        counts["scan_calls"] += 1
+        counts["scanned_boundaries"] += len(a[6])
+        return scan_sse(*a, **kw)
+
     stages = {}
 
     def timed(name, fn, *a, **kw):
@@ -115,19 +128,25 @@ def main(argv=None) -> int:
     ns = timed("build", build, enc, z=10, n_synth=args.n_synth, seed=args.seed)
     ns = timed("label", label, ns, bb)
     timed("grams", neighborhood_grams, ns)
-    partition = timed(
-        "split search", splitter.run, enc, K=args.k, lam=1.0, ns=ns, validate=False
-    )
+    kernels.solve_stack, kernels.least_squares_sse = ridge_counted, bound_counted
+    kernels.scan_sse, np.linalg.cholesky = scan_counted, cholesky_counted
+    try:
+        partition = timed(
+            "split search", splitter.run, enc, K=args.k, lam=1.0, ns=ns, validate=False
+        )
+    finally:
+        kernels.solve_stack, kernels.least_squares_sse = solve_stack, least_squares_sse
+        kernels.scan_sse, np.linalg.cholesky = scan_sse, cholesky
     timed("validate", splitter.validate_partition, partition, enc, args.k)
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"n={args.n} m={args.m} K={args.k} n_synth={args.n_synth} seed={args.seed}")
     for name, seconds in stages.items():
-        print(f"{name:>13}: {seconds:8.3f} s")
-    print(f"{'peak RSS':>13}: {peak_mb:8.1f} MB")
-    print(f"{'scan calls':>13}: {scans[0]}")
-    print(f"{'boundaries':>13}: {scans[1] + scans[2]} ({scans[2]} on grids)")
-    print(f"{'subgroups':>13}: {len(partition.subgroups)}")
+        print(f"{name:>18}: {seconds:8.3f} s")
+    print(f"{'peak RSS':>18}: {peak_mb:8.1f} MB")
+    for name, value in counts.items():
+        print(f"{name.replace('_', ' '):>18}: {value}")
+    print(f"{'subgroups':>18}: {len(partition.subgroups)}")
     if args.json:
         record = {
             "sizes": {
@@ -136,9 +155,7 @@ def main(argv=None) -> int:
             },
             "stages_s": stages,
             "peak_rss_mb": peak_mb,
-            "scan_calls": scans[0],
-            "boundaries": scans[1] + scans[2],
-            "grid_boundaries": scans[2],
+            **counts,
             "subgroups": len(partition.subgroups),
             "git_sha": _git_sha(),
             "nproc": os.cpu_count(),
