@@ -198,33 +198,29 @@ def scan_sse(
     yypre: np.ndarray,
     Gtot: np.ndarray,
     Ctot: np.ndarray,
-    yytot: float | np.ndarray,
+    yytot: np.ndarray,
     bounds: np.ndarray,
     lam: float,
     npen: int,
-    totals: np.ndarray | None = None,
+    totals: np.ndarray,
 ) -> np.ndarray:
     """Child-SSE totals for candidate boundaries of sorted columns.
 
     Boundary t splits rows [0, t) (left, the prefix sums at t - 1) from
-    rows [t, n) (right, the totals minus those prefix sums).  With the
-    totals taken as the last row of the same prefix sums, an entry that
-    is zero in every row of the right child, such as a one-hot level
-    absent from it, comes out as an exact zero.  Without ``totals`` every
-    boundary is of one column, whose totals are ``Gtot``, ``Ctot`` and
-    ``yytot``.  With it, the boundaries may be of several columns:
-    ``Gpre`` holds rows copied from each column's prefix sums, and the
-    totals of boundary i are ``Gtot[totals[i]]``, ``Ctot[totals[i]]`` and
-    ``yytot[totals[i]]``.  Both children of each boundary are stacked and
-    solved in one batched call per chunk of boundaries; a chunk's stack
-    of Gram matrices takes at most ``_STACK_BYTES``, and the totals are
-    bit-identical for any chunking and any mix of columns.
+    rows [t, n) (right, the totals minus those prefix sums).  The
+    boundaries may be of several columns: ``Gpre`` may hold rows copied
+    from each column's prefix sums, and the totals of boundary i are
+    ``Gtot[totals[i]]``, ``Ctot[totals[i]]`` and ``yytot[totals[i]]``.
+    With the totals taken as the last row of the same prefix sums, an
+    entry that is zero in every row of the right child, such as a one-hot
+    level absent from it, comes out as an exact zero.  Both children of
+    each boundary are stacked and solved in one batched call per chunk of
+    boundaries; a chunk's stack of Gram matrices takes at most
+    ``_STACK_BYTES``, and the totals are bit-identical for any chunking
+    and any mix of columns.
     """
     t = np.asarray(bounds, dtype=np.intp) - 1
     nb = t.shape[0]
-    if totals is None:
-        Gtot, Ctot, yytot = Gtot[None], Ctot[None], np.reshape(yytot, 1)
-        totals = np.zeros(nb, dtype=np.intp)
     d = Gpre.shape[1]
     step = max(1, min(nb, _STACK_BYTES // (2 * d * d * 8)))
     G = np.empty((2 * step,) + Gpre.shape[1:])

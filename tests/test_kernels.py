@@ -93,7 +93,7 @@ def test_scan_sse_equals_two_separate_fits():
     bounds = np.array([5, 12, 19], dtype=np.int64)
     for lam in (0.0, 1.0):
         got = kernels.scan_sse(
-            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, m
+            Gpre, Cpre, yypre, Gpre, Cpre, yypre, bounds, lam, m, np.full(bounds.size, n - 1)
         )
         for bi, t in enumerate(bounds):
             parts = []
@@ -222,7 +222,8 @@ def test_scan_sse_is_bit_identical_to_per_boundary_solves(lam, first_scale):
     Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
     Gtot, Ctot, yytot = Gpre[-1], Cpre[-1], yypre[-1]
     bounds = np.arange(1, n, dtype=np.int64)
-    got = kernels.scan_sse(Gpre, Cpre, yypre, Gtot, Ctot, yytot, bounds, lam, m)
+    totals = np.full(bounds.size, n - 1)
+    got = kernels.scan_sse(Gpre, Cpre, yypre, Gpre, Cpre, yypre, bounds, lam, m, totals)
     expected = np.empty(bounds.size)
     flags = []
     for i, t in enumerate(bounds):
@@ -273,7 +274,8 @@ def test_chunked_scan_sse_equals_per_boundary_solves(monkeypatch, per_chunk, lam
     if per_chunk is not None:
         d = G.shape[1]
         monkeypatch.setattr(kernels, "_STACK_BYTES", per_chunk * 2 * d * d * 8)
-    got = kernels.scan_sse(Gpre, Cpre, yypre, Gtot, Ctot, yytot, bounds, lam, m)
+    totals = np.full(bounds.size, G.shape[0] - 1)
+    got = kernels.scan_sse(Gpre, Cpre, yypre, Gpre, Cpre, yypre, bounds, lam, m, totals)
     assert np.array_equal(got, expected)
 
 
@@ -300,7 +302,8 @@ def test_scan_sse_peak_memory_stays_within_the_stack_budget():
     Gpre, Cpre, yypre = np.cumsum(G, 0), np.cumsum(C, 0), np.cumsum(yy)
     del G, C
     bounds = np.arange(2, 549, dtype=np.int64)
-    args = (Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, 1.0, m)
+    totals = np.full(bounds.size, 549)
+    args = (Gpre, Cpre, yypre, Gpre, Cpre, yypre, bounds, 1.0, m, totals)
     kernels.scan_sse(*args)  # warm up lazy imports
     tracemalloc.start()
     try:

@@ -506,9 +506,8 @@ def test_coded_sse_agrees_with_the_boundary_scan(monkeypatch, lam, stack_rows):
         mo = members[order]
         Gpre, Cpre, yypre = (np.cumsum(a[mo], axis=0) for a in (G_all, C_all, yy_all))
         bounds = np.array([np.count_nonzero(vals <= thr)], dtype=np.int64)
-        want = kernels.scan_sse(
-            Gpre, Cpre, yypre, Gpre[-1], Cpre[-1], yypre[-1], bounds, lam, enc.m
-        )
+        last = np.array([members.size - 1])
+        want = kernels.scan_sse(Gpre, Cpre, yypre, Gpre, Cpre, yypre, bounds, lam, enc.m, last)
         np.testing.assert_allclose(sse, want[0], rtol=1e-12, atol=0)
     # Each column solves min(candidates, _GRID) grid boundaries per search.
     assert {enc.columns[j].kind for _, j, _, _ in seen} == set(AttributeKind)
@@ -1056,8 +1055,8 @@ def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypat
 
 @pytest.mark.parametrize("scan_rows", [None, 2, 3, 7])
 def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch, scan_rows):
-    # Boundaries of several columns share one buffer, solved whenever the
-    # next column does not fit; a column too long for it is scanned alone.
+    # Boundaries of several columns share one buffer, solved whenever it
+    # is full; a column too long for it fills it in several pieces.
     # Every boundary's SSE must keep the bits of a kernels.scan_sse call
     # on its column alone, and the lowest (SSE, column, threshold) must be
     # the same.
@@ -1076,7 +1075,7 @@ def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch
         if ts.size == 0:
             continue
         pre = [np.cumsum(a[mo], axis=0) for a in engine.grams]
-        sse = kernels.scan_sse(*pre, *(a[-1] for a in pre), ts, 1.0, enc.m)
+        sse = kernels.scan_sse(*pre, *pre, ts, 1.0, enc.m, np.full(ts.size, mo.size - 1))
         i = int(np.argmin(sse))
         lowest.append((float(sse[i]), j, float(splitter._midpoints(sv[ts[i] - 1], sv[ts[i]]))))
         live.append(_whole(j, mo, sv, ts))
@@ -1094,8 +1093,7 @@ def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch
     monkeypatch.setattr(kernels, "scan_sse", recorded)
     assert engine._scan(live, (np.inf, -1, np.inf), 0.0) == min(lowest)
     assert np.array_equal(np.concatenate(got), np.concatenate(want))
-    # The default buffer holds them all; with a small one, long columns
-    # are scanned alone and short ones share a buffer solved in parts.
+    # The default buffer holds them all; a small one is solved in parts.
     assert (len(got) == 1) == (scan_rows is None)
 
 
@@ -1201,10 +1199,10 @@ def test_bounded_search_peak_memory_stays_within_the_stack_budget():
 
 def test_interval_scan_holds_one_column_prefix_sums_at_a_time():
     # The one temporary of a search that grows with the members is a
-    # column's prefix sums, 12.5 MB here.  Three long columns are scanned
-    # alone and three short ones share the buffer; with each column's
-    # sums freed before the next one's are taken, the scan's peak is one
-    # column's prefix sums plus the 8 MB bound of the stacks.
+    # column's prefix sums, 12.5 MB here.  Three long columns fill the
+    # buffer several times and three short ones share it; with each
+    # column's sums freed before the next one's are taken, the scan's
+    # peak is one column's prefix sums plus the 8 MB bound of the stacks.
     rng = np.random.default_rng(79)
     n = 8000
     enc = numeric_enc(rng.normal(size=(n, 12)))
