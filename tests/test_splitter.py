@@ -1055,8 +1055,8 @@ def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypat
 
 @pytest.mark.parametrize("scan_rows", [None, 2, 3, 7])
 def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch, scan_rows):
-    # Boundaries of several columns share one buffer, solved whenever it
-    # is full; a column too long for it fills it in several pieces.
+    # Boundaries of several columns share one buffer, solved whenever the
+    # next column does not fit; a column too long for it is scanned alone.
     # Every boundary's SSE must keep the bits of a kernels.scan_sse call
     # on its column alone, and the lowest (SSE, column, threshold) must be
     # the same.
@@ -1093,7 +1093,8 @@ def test_one_interval_stack_gives_each_boundary_its_column_scan_bits(monkeypatch
     monkeypatch.setattr(kernels, "scan_sse", recorded)
     assert engine._scan(live, (np.inf, -1, np.inf), 0.0) == min(lowest)
     assert np.array_equal(np.concatenate(got), np.concatenate(want))
-    # The default buffer holds them all; a small one is solved in parts.
+    # The default buffer holds them all; with a small one, long columns
+    # are scanned alone and short ones share a buffer solved in parts.
     assert (len(got) == 1) == (scan_rows is None)
 
 
@@ -1199,10 +1200,10 @@ def test_bounded_search_peak_memory_stays_within_the_stack_budget():
 
 def test_interval_scan_holds_one_column_prefix_sums_at_a_time():
     # The one temporary of a search that grows with the members is a
-    # column's prefix sums, 12.5 MB here.  Three long columns fill the
-    # buffer several times and three short ones share it; with each
-    # column's sums freed before the next one's are taken, the scan's
-    # peak is one column's prefix sums plus the 8 MB bound of the stacks.
+    # column's prefix sums, 12.5 MB here.  Three long columns are scanned
+    # alone and three short ones share the buffer; with each column's
+    # sums freed before the next one's are taken, the scan's peak is one
+    # column's prefix sums plus the 8 MB bound of the stacks.
     rng = np.random.default_rng(79)
     n = 8000
     enc = numeric_enc(rng.normal(size=(n, 12)))
