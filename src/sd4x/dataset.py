@@ -225,6 +225,27 @@ def _value_error(value, attr: Attribute) -> str | None:
     return None if value in attr.categories else _misfit(value, attr)
 
 
+def _column_fits(values: tuple, attr: Attribute) -> bool:
+    """True when every value fits the attribute, in one pass over the column.
+
+    False when some value may not; :func:`_value_error` then finds it.
+    """
+    types = set(map(type, values))
+    if attr.kind is AttributeKind.NUMERIC:
+        if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+            return False
+        try:
+            return bool(np.isfinite(np.array(values, dtype=np.float64)).all())
+        except OverflowError:  # an int beyond the float range
+            return False
+    if attr.kind is AttributeKind.BOOLEAN:
+        return all(issubclass(t, (bool, np.bool_)) for t in types)
+    try:
+        return set(values) <= set(attr.categories)
+    except TypeError:  # an unhashable value
+        return False
+
+
 def read_dataset(
     data_path: str,
     attributes: tuple[Attribute, ...],
@@ -359,14 +380,24 @@ def attribute_slices(attributes: tuple[Attribute, ...]) -> tuple[slice, ...]:
 
 def encode(dataset: Dataset) -> EncodedMatrix:
     """Encode all rows to the float design matrix."""
-    attributes = dataset.attributes
-    for i, row in enumerate(dataset.rows, start=1):
-        if len(row) != len(attributes):
-            raise InputError(f"row {i}: expected {len(attributes)} values, got {len(row)}")
-        for attr, value in zip(attributes, row):
-            problem = _value_error(value, attr)
-            if problem is not None:
-                raise InputError(f"row {i}, column {attr.name!r}: {problem}")
+    attributes, rows = dataset.attributes, dataset.rows
+    # The first misfit in row order: a row of the wrong length, or else
+    # the first bad cell, by row and then column, of the rows before it.
+    short = next((i for i, row in enumerate(rows) if len(row) != len(attributes)), len(rows))
+    bad = None
+    for c, (attr, values) in enumerate(zip(attributes, zip(*rows[:short]))):
+        if not _column_fits(values, attr):
+            i = next((i for i, v in enumerate(values) if _value_error(v, attr) is not None), None)
+            if i is not None and (bad is None or i < bad[0]):
+                bad = (i, c)
+    if bad is not None:
+        i, c = bad
+        problem = _value_error(rows[i][c], attributes[c])
+        raise InputError(f"row {i + 1}, column {attributes[c].name!r}: {problem}")
+    if short < len(rows):
+        raise InputError(
+            f"row {short + 1}: expected {len(attributes)} values, got {len(rows[short])}"
+        )
     cols = encoded_columns(dataset.attributes)
     values = np.zeros((dataset.n, len(cols)), dtype=np.float64)
     for j, col in enumerate(cols):

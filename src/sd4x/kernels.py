@@ -8,8 +8,10 @@ augmented design ``Xa`` (intercept column last) and stacked targets
 
 Every solve goes through one batched path, :func:`solve_stack`, which
 works on a stack of systems at once: one ``np.linalg.cholesky`` call
-factors and tests every matrix, and a forward and back substitution on
-that same factor solves every matrix that passes.  numpy has no batched
+factors and tests every matrix (a stack with a matrix Cholesky rejects
+is factored again in halves; see :func:`_pivots_pass`), and a forward
+and back substitution on that same factor solves every matrix that
+passes.  numpy has no batched
 triangular solve, so the substitution runs with the stack index
 innermost: each of its ``2 d`` steps is one vectorised operation over
 all matrices of the stack.  A matrix fails the test when Cholesky fails
@@ -31,9 +33,11 @@ residual formula.
 Every stack is built and solved in chunks of at most ``_STACK_BYTES``
 bytes of ``(d, d)`` matrices, so the stack, its penalized copy, its
 Cholesky factor and that factor's transposed copy stay bounded however
-many systems a call solves.  The penalized copy is dropped once the
-stack is factored, and the factor once it is transposed, so besides the
-stack at most two chunk-sized arrays are alive at a time.  Since no step
+many systems a call solves.  An unpenalized stack, as every
+least-squares stack is, is factored without a copy.  The penalized copy
+is dropped once the stack is factored, and the factor once it is
+transposed, so besides the stack at most two chunk-sized arrays are
+alive at a time.  Since no step
 mixes two matrices, the chunk size never changes a result.  The budget
 is in bytes rather than in matrices so that small systems stay in one
 chunk, where the per-call numpy overhead is paid once.
@@ -61,10 +65,16 @@ def _pinv_solve(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _penalize(G: np.ndarray, lam: float, npen: int) -> np.ndarray:
+    """``G`` with ``lam`` added to its first ``npen`` diagonal entries.
+
+    A copy when there is a penalty to add; ``G`` itself otherwise, since
+    neither ``np.linalg.cholesky`` nor ``np.linalg.eigh`` writes its input.
+    """
+    if lam == 0.0 or npen == 0:
+        return G
     A = G.copy()
-    if lam > 0.0:
-        idx = np.arange(npen)
-        A[..., idx, idx] += lam
+    idx = np.arange(npen)
+    A[..., idx, idx] += lam
     return A
 
 
@@ -74,23 +84,45 @@ def _pivots_pass(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (ok, L): ``ok[k]`` says Cholesky succeeds on ``A[k]`` with
     every pivot above the cutoff, and ``L[k]`` is that factor where
     ``ok[k]`` holds and the identity elsewhere, so that a substitution
-    over the whole stack stays finite.
+    over the whole stack stays finite.  numpy fails the whole stack when
+    one matrix fails, so a failed stack is factored again in halves, and
+    each half that fails in halves again: f failed matrices among k cost
+    O(f log k) calls rather than k.  Each matrix is still factored by
+    the same LAPACK call, so its factor keeps its bits.
     """
-    tol = _PIVOT_CUTOFF * np.maximum(np.diagonal(A, axis1=1, axis2=2).max(axis=1), 0.0)
+    ok = np.empty(A.shape[0], dtype=bool)
+    return ok, _factor(A, ok, None)
+
+
+def _factor(A: np.ndarray, ok: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Factors of the stack ``A`` for :func:`_pivots_pass`, into ``out`` or a new array.
+
+    ``ok`` receives the stack's pivot test.  A stack that fails is
+    factored in two halves written into the same output, so the output
+    and at most one half's factor are held at a time.
+    """
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
+        if out is None:
+            out = np.empty(A.shape)
         if A.shape[0] == 1:
-            return np.zeros(1, dtype=bool), np.eye(A.shape[1])[None]
-        ok, L = np.empty(A.shape[0], dtype=bool), np.empty(A.shape)
-        for k in range(A.shape[0]):
-            ok[k : k + 1], L[k : k + 1] = _pivots_pass(A[k : k + 1])
-        return ok, L
+            ok[0] = False
+            out[0] = np.eye(A.shape[1])
+        else:
+            h = A.shape[0] // 2
+            _factor(A[:h], ok[:h], out[:h])
+            _factor(A[h:], ok[h:], out[h:])
+        return out
+    tol = _PIVOT_CUTOFF * np.maximum(np.diagonal(A, axis1=1, axis2=2).max(axis=1), 0.0)
     piv = np.diagonal(L, axis1=1, axis2=2)
-    ok = np.all(piv * piv > tol[:, None], axis=1)
+    ok[:] = np.all(piv * piv > tol[:, None], axis=1)
     if not ok.all():
         L[~ok] = np.eye(A.shape[1])
-    return ok, L
+    if out is None:
+        return L
+    out[:] = L
+    return out
 
 
 def _cholesky_solve(Lt: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -32,10 +32,21 @@ SSE that the search ranks is never below it.  At boundary t the left
 child contains the left child of every boundary a < t, and the right
 child contains the right child of every boundary b > t, so
 OLS_left(a) + OLS_right(b) bounds the SSE of every boundary from a to
-b, and OLS_left(t) + OLS_right(t) that of t itself.  The least-squares
-SSEs of both children at each grid point but the two ends, where the
-smallest children are bounded by 0, come from the same indicator sums,
-one stacked solve per group.  A candidate, grid point or boundary
+b, and OLS_left(t) + OLS_right(t) that of t itself.  A least-squares
+SSE is also superadditive over disjoint row sets: the SSE of A and B
+together is at least OLS(A) + OLS(B), since one shared fit is a
+candidate fit for each part.  So
+with ``loc_i`` the least-squares SSE of object i's own neighborhood,
+computed once per run, the interval from a to b is bounded by
+OLS_left(a) + OLS_right(b) plus the ``loc`` of every member sorted
+between a and b: each of them lies in one child of every boundary
+there.  The least-squares SSEs of both children at each grid point but
+the two ends come from the same indicator sums, one stacked solve per
+group; the smallest children, left of the first grid point and right of
+the last, are bounded by the ``loc`` of their members.  A coded column
+that is constant on a system's rows is decoupled before any of these
+least-squares solves, so that the system is not singular for it; see
+:func:`_decouple`.  A candidate, grid point or boundary
 inside an interval between grid points, is ridge-solved only when its
 bound does not exceed the best SSE found so far, over every column, by
 more than ``_BOUND_MARGIN`` times the subgroup's summed squared
@@ -66,7 +77,12 @@ come from Gram pieces that cancel against those outputs, so smaller
 gains are rounding noise.  Child losses are never negative, so a split's
 gain never exceeds its subgroup's loss: each step visits subgroups by
 decreasing loss, searches a subgroup only the first time it is visited,
-and stops once a subgroup's loss is below the best gain found.  All
+and stops once a subgroup's loss is below the best gain found.  Nor can
+the children of any split lose less than their members' summed
+``loc``, so a subgroup not yet searched is skipped, and left unsearched
+for a later step, when its loss minus that sum is below the best gain
+by more than ``_BOUND_MARGIN`` times its members' summed squared
+outputs.  All
 reductions break ties deterministically: lower column index first, then
 lower threshold, then lower subgroup id.
 """
@@ -110,6 +126,9 @@ class Subgroup:
     pattern: Pattern
     model: WhiteBoxModel
     loss: float
+    # Sum of the members' own least-squares SSEs (``_Engine.loc``): no
+    # split's children lose less, so no split gains more than loss - loc.
+    loc: float = 0.0
 
 
 @dataclass
@@ -162,8 +181,9 @@ def _midpoints(lo, hi):
 
 # Grid boundaries solved first in each column, and the share of a
 # subgroup's summed squared outputs by which an interval's least-squares
-# bound must exceed the best SSE before the interval is skipped; see the
-# module docstring.
+# bound must exceed the best SSE before the interval is skipped, and by
+# which a subgroup's gain bound must fall short of the best gain before
+# the subgroup is skipped; see the module docstring.
 _GRID = 16
 _BOUND_MARGIN = 1e-4
 
@@ -215,6 +235,68 @@ def _bound_design(enc: EncodedMatrix, G_all: np.ndarray) -> np.ndarray | None:
     return np.delete(np.arange(m + 1), drop) if drop else None
 
 
+def _coded_positions(enc: EncodedMatrix, keep: np.ndarray | None) -> np.ndarray:
+    """Positions, in the bound design ``keep`` (None: every column), of its
+    boolean, ordinal and one-hot columns."""
+    numeric = [j for j, c in enumerate(enc.columns) if c.kind is AttributeKind.NUMERIC]
+    keep = np.arange(enc.m + 1) if keep is None else keep
+    return np.flatnonzero(~np.isin(keep, numeric))[:-1]  # the intercept is kept last
+
+
+def _decouple(G: np.ndarray, C: np.ndarray, coded: np.ndarray) -> np.ndarray:
+    """Decouple, in place, every coded column that is constant on a system's rows.
+
+    ``G`` and ``C`` are a stack of Gram pieces with the intercept last,
+    and ``coded`` the positions of its coded columns.  Column j is
+    constant on a system's S = G[-1, -1] rows exactly when ``S G[j, j] ==
+    G[j, -1]^2``; on integer codes, which ``discretize`` guarantees, every
+    term is an exact integer.  Such a column is collinear with the
+    intercept on those rows, or zero, so its row and column of G and its
+    row of C are zeroed and its diagonal entry set to G's largest.  The
+    system's column space, and with it its least-squares SSE, stays the
+    same, and the column no longer fails the pivot test.  Returns the
+    number of columns decoupled in each system.
+    """
+    const = G[:, -1, -1, None] * G[:, coded, coded] == G[:, coded, -1] ** 2
+    scale = np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+    at, c = np.nonzero(const)
+    j = coded[c]
+    G[at, j, :] = 0.0
+    G[at, :, j] = 0.0
+    G[at, j, j] = scale[at]
+    C[at, j] = 0.0
+    return const.sum(axis=1)
+
+
+def _own_least_squares(grams: tuple, keep: np.ndarray | None, coded: np.ndarray) -> np.ndarray:
+    """Each object's least-squares SSE on its own neighborhood, in the bound design.
+
+    ``keep`` is the bound design's columns, None for all of them, and
+    ``coded`` the positions of its coded columns, which are decoupled
+    where constant (see :func:`_decouple`).  The per-object systems are
+    gathered and solved ``kernels._STACK_BYTES`` of matrices at a time.
+    An object with fewer rows than the columns left is rank-deficient
+    and gets 0 unsolved; a matrix that fails the pivot test gets 0 too.
+    0 is a valid lower bound in both cases.
+    """
+    G_all, C_all, yy_all = grams
+    keep = np.arange(G_all.shape[1]) if keep is None else keep
+    k = keep.size
+    step = max(1, kernels._STACK_BYTES // (k * k * 8))
+    out = np.zeros(G_all.shape[0])
+    for start in range(0, out.size, step):
+        part = slice(start, start + step)
+        G = G_all[part][:, keep[:, None], keep]
+        C = C_all[part][:, keep]
+        yy = yy_all[part]
+        solve = np.flatnonzero(G[:, -1, -1] >= k - _decouple(G, C, coded))
+        if solve.size < yy.size:
+            G, C, yy = G[solve], C[solve], yy[solve]
+        if solve.size:
+            out[start + solve] = np.maximum(kernels.least_squares_sse(G, C, yy), 0.0)
+    return out
+
+
 class _Engine:
     def __init__(
         self,
@@ -233,6 +315,8 @@ class _Engine:
         self.npen = enc.m
         G_all, C_all, _ = self.grams
         self.bound_cols = _bound_design(enc, G_all)
+        self.coded = _coded_positions(enc, self.bound_cols)
+        self.loc = _own_least_squares(self.grams, self.bound_cols, self.coded)
         d, p = C_all.shape[1:]
         # Gram rows (G, C, yy) in a quarter of the stack budget.
         rows = kernels._STACK_BYTES // (4 * (d * d + d * p + 1) * 8)
@@ -312,15 +396,16 @@ class _Engine:
         self, G: np.ndarray, C: np.ndarray, yy: np.ndarray, idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Least-squares SSEs, in the bound design, of the left and the
-        right children of the grid boundaries ``idx``, solved in one stack."""
+        right children of the grid boundaries ``idx``, solved in one stack
+        with their constant coded columns decoupled (see :func:`_decouple`)."""
         both = np.concatenate([idx, G.shape[0] // 2 + idx])
-        if self.bound_cols is None:
-            ols = kernels.least_squares_sse(G[both], C[both], yy[both])
+        keep = self.bound_cols
+        if keep is None:
+            G, C = G[both], C[both]
         else:
-            keep = self.bound_cols
-            ols = kernels.least_squares_sse(
-                G[np.ix_(both, keep, keep)], C[np.ix_(both, keep)], yy[both]
-            )
+            G, C = G[np.ix_(both, keep, keep)], C[np.ix_(both, keep)]
+        _decouple(G, C, self.coded)
+        ols = kernels.least_squares_sse(G, C, yy[both])
         return ols[: idx.size], ols[idx.size :]
 
     def _grid_splits(
@@ -335,11 +420,12 @@ class _Engine:
         its bound.  ``bounds`` holds (column, lo, view) for every column
         with candidates off its grid.  Interval i, strictly between grid
         points a and b, is bounded by ``lo[i]`` = OLS_left(a) +
-        OLS_right(b), and an interval with no boundary inside gets +inf.
-        The smallest children, left of the first grid point and right of
-        the last, are bounded by 0 instead: with a few members they are
-        often rank-deficient and would bound nothing, and one failed
-        factor makes numpy refactor the whole stack in parts.  ``view``
+        OLS_right(b) plus the ``loc`` of the members sorted between a
+        and b, and an interval with no boundary inside gets +inf.  The
+        smallest children, left of the first grid point and right of the
+        last, are bounded by the ``loc`` of their members instead of a
+        solve: with a few members they are often rank-deficient and would
+        bound nothing.  ``view``
         is the column's sorted view, (sorted members, sorted values,
         candidate boundaries, grid positions among them), from which
         :meth:`_scan` solves the live intervals.
@@ -403,8 +489,13 @@ class _Engine:
         bounds = []
         for j, a, k, view in spans:
             if view is not None:
+                mo, _, ts, g = view
+                cl = np.concatenate([[0.0], np.cumsum(self.loc[mo])])
+                t = ts[g]
+                left[a], right[a + k - 1] = cl[t[0]], cl[-1] - cl[t[-1]]
                 lo = left[a : a + k - 1] + right[a + 1 : a + k]
-                lo[np.diff(view[3]) == 1] = np.inf
+                lo += cl[t[1:]] - cl[t[:-1]]
+                lo[np.diff(g) == 1] = np.inf
                 bounds.append((j, lo, view))
         return (cols, thresholds, sse), bounds
 
@@ -549,8 +640,11 @@ def _next_split(
 
     A gain never exceeds its subgroup's loss, so subgroups are visited
     by decreasing loss and the visit stops at the first one whose loss
-    is below the best gain found: none after it can win.  A subgroup's
-    best split is searched on its first visit and kept in
+    is below the best gain found: none after it can win.  Nor does a
+    gain exceed the loss minus the subgroup's ``loc``, so a subgroup
+    whose loss minus ``loc`` is below the best gain by more than the
+    search's margin is passed over, and not cached.  Otherwise a
+    subgroup's best split is searched on its first visit and kept in
     ``candidates``, keyed by subgroup id.
     """
     best: CandidateSplit | None = None
@@ -558,6 +652,10 @@ def _next_split(
         if best is not None and sg.loss < best.gain:
             break
         if sg.id not in candidates:
+            if best is not None and sg.loss - sg.loc < best.gain:
+                margin = _BOUND_MARGIN * float(engine.grams[2][sg.members].sum())
+                if sg.loss - sg.loc + margin < best.gain:
+                    continue
             candidates[sg.id] = engine.best_split(sg)
         cand = candidates[sg.id]
         if cand is None:
@@ -617,6 +715,7 @@ def run(
         pattern=Pattern.unrestricted(len(enc.attributes)),
         model=root_model,
         loss=subgroup_loss(ns, members, root_model),
+        loc=float(engine.loc.sum()),
     )
     active: dict[int, Subgroup] = {0: root}
     candidates: dict[int, CandidateSplit | None] = {}
@@ -638,6 +737,7 @@ def run(
             pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
             model=best.left_model,
             loss=best.left_loss,
+            loc=float(engine.loc[best.left_members].sum()),
         )
         right = Subgroup(
             id=next_id + 1,
@@ -645,6 +745,7 @@ def run(
             pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
             model=best.right_model,
             loss=best.right_loss,
+            loc=float(engine.loc[best.right_members].sum()),
         )
         next_id += 2
         del active[parent.id]

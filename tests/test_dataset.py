@@ -310,3 +310,29 @@ def test_encode_errors_name_the_row_and_column(row, message):
     with pytest.raises(InputError) as err:
         encode(Dataset(attributes, classes, [good, row]))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A later column's bad cell in an earlier row is named first.
+        (
+            [(1.5, True, "lo", "Red"), ("x", True, "mid", "red")],
+            "row 2, column 'color': 'Red' is not one of ['red', 'blue']",
+        ),
+        # Two bad cells in one row: the first column is named.
+        (
+            [(1.5, True, "lo", "red"), (float("inf"), 1, "lo", "red")],
+            "row 3, column 'num': inf is not finite",
+        ),
+        # A short row after a bad cell, and a bad cell after a short row.
+        ([(1.5, "yes", "lo", "red"), (1.5,)], "row 2, column 'flag': 'yes' is not a boolean"),
+        ([(1.5, True), (1.5, True, "lo", [])], "row 2: expected 4 values, got 2"),
+    ],
+)
+def test_encode_names_the_first_bad_cell_in_row_order(rows, message):
+    attributes, classes = schema_from_dict(_MSG_SCHEMA)
+    good = (0.5, False, "hi", "blue")
+    with pytest.raises(InputError) as err:
+        encode(Dataset(attributes, classes, [good] + rows))
+    assert str(err.value) == message

@@ -200,7 +200,34 @@ def test_solve_stack_never_writes_into_its_inputs(k):
         assert np.array_equal(G, G0) and np.array_equal(C, C0)
     ridge_sse(G[0], C[0], 1.0, 0.0, 4)
     kernels.solve_penalized(G[-1], C[-1], 0.0, 4)
+    # An unpenalized stack is factored without a copy.
+    kernels.least_squares_sse(G, C, np.ones(k))
     assert np.array_equal(G, G0) and np.array_equal(C, C0)
+
+
+@pytest.mark.parametrize("bad", [[0], [37], [63], [5, 6, 40]])
+def test_a_failed_stack_is_refactored_in_halves(monkeypatch, bad):
+    # 64 matrices, some with a zero row and column, which Cholesky
+    # rejects.  Bisecting costs 1 + 2 log2(64) = 13 calls per failed
+    # matrix at most, not 65, and each matrix gets the ok flag and the
+    # factor bits it gets alone.
+    rng = np.random.default_rng(len(bad) * 100 + bad[0])
+    A, _ = _spd_stack(rng, 64, 6, 1)
+    A[bad, 2, :] = A[bad, :, 2] = 0.0
+    want = [kernels._pivots_pass(A[k : k + 1]) for k in range(64)]
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(M):
+        calls.append(M.shape[0])
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    ok, L = kernels._pivots_pass(A)
+    assert len(calls) <= 1 + len(bad) * 2 * 6, calls
+    assert ok.tolist() == [k not in bad for k in range(64)]
+    assert np.array_equal(ok, np.concatenate([w[0] for w in want]))
+    assert np.array_equal(L, np.concatenate([w[1] for w in want]))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

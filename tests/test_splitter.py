@@ -878,6 +878,30 @@ def test_lazy_selection_breaks_equal_gains_by_lower_id_and_skips_small_losses():
     assert _eager_next_split(_FixedEngine(engine.gains), active, {}).subgroup_id == 1
 
 
+def test_the_gain_bound_skips_a_subgroup_whose_own_sses_leave_it_a_margin_short():
+    # Subgroup 1 (loss 10) gains 5.  Subgroup 2's loss, 8, does not rule
+    # it out, but no split of it can gain more than its loss minus its
+    # members' own least-squares SSEs, loc.  With 8 - loc + margin equal
+    # to the best gain it could still tie, so it is searched; with loc
+    # one ulp larger it is skipped, and not cached.
+    members = np.arange(4)
+    engine = _FixedEngine({1: 5.0, 2: 4.0})
+    engine.grams = (None, None, np.full(4, 2500.0))
+    margin = splitter._BOUND_MARGIN * float(engine.grams[2][members].sum())
+    assert margin == 1.0
+    for loc, searched in ((4.0, [1, 2]), (np.nextafter(4.0, np.inf), [1])):
+        assert (8.0 - loc + margin < 5.0) == (len(searched) == 1)
+        active = {
+            1: splitter.Subgroup(1, members, None, None, 10.0),
+            2: splitter.Subgroup(2, members, None, None, 8.0, loc=float(loc)),
+        }
+        engine.calls.clear()
+        candidates = {}
+        assert splitter._next_split(engine, active, candidates).subgroup_id == 1
+        assert engine.calls == searched
+        assert sorted(candidates) == searched
+
+
 # ---------------------------------------------------------------------------
 # bounded boundary scan: grid first, then only intervals that can win
 # ---------------------------------------------------------------------------
@@ -1017,16 +1041,27 @@ def test_an_inner_grid_point_whose_bound_is_within_the_margin_is_solved(monkeypa
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypatch, lam):
-    # Numeric, boolean, one-hot and ordinal columns.  A grid point's bound
-    # OLS_left(t) + OLS_right(t) covers its own SSE; an interval's bound
+    # Numeric, boolean, one-hot and ordinal columns, and a numeric-only
+    # schema.  A grid point's bound OLS_left(t) + OLS_right(t) covers its
+    # own SSE; an interval's bound, OLS_left(a) + OLS_right(b) plus the
+    # own least-squares SSEs of the members sorted between a and b,
     # covers the SSE of every boundary inside it, so it must not exceed
-    # the lowest of them, found by scanning the interval whole.
+    # the lowest of them, found by scanning the interval whole.  So must
+    # the two end intervals', whose outer child is bounded by its
+    # members' own SSEs.  Each bound must exceed the one without own
+    # SSEs by exactly those of the members it adds.
     least_squares = splitter._Engine._least_squares
-    points = intervals = 0
-    for seed in range(4):
-        enc, ns, rng = _coded_problem(700 + seed, n=60, n_synth=8, scale=2.0)
+    problems = [_coded_problem(700 + seed, n=60, n_synth=8, scale=2.0) for seed in range(4)]
+    for seed in range(2):
+        rng = np.random.default_rng(710 + seed)
+        enc = numeric_enc(rng.normal(size=(60, 3)))
+        ns = label(build(enc, z=10, n_synth=8, seed=seed), random_linear_bb(rng, enc, scale=2.0))
+        problems.append((enc, ns, rng))
+    points = intervals = raised = 0
+    for enc, ns, rng in problems:
         engine = splitter._Engine(enc, ns, lam, 2, list(range(enc.m)))
-        assert engine.bound_cols is not None  # the one-hot block's bound design
+        # the one-hot block's bound design, or every column on numeric data
+        assert (engine.bound_cols is not None) == (enc.m > 3)
         for members in (np.arange(enc.n), np.sort(rng.choice(enc.n, 45, replace=False))):
             tol = 1e-10 * float(engine.grams[2][members].sum())
             checked = []
@@ -1040,17 +1075,64 @@ def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypat
             with monkeypatch.context() as m:
                 m.setattr(splitter._Engine, "_least_squares", checked_bounds)
                 _, bounds = engine._grid_splits(members, np.inf)
+                m.setattr(engine, "loc", np.zeros(enc.n))
+                _, plain = engine._grid_splits(members, np.inf)
             points += sum(checked)
-            for j, lo, (mo, sv, ts, g) in bounds:
+            for (j, lo, (mo, sv, ts, g)), (_, lo_plain, _) in zip(bounds, plain):
+                assert np.all(lo >= lo_plain)
+                raised += np.count_nonzero(lo > lo_plain)
+                t = np.r_[0, ts[g[1:-1]], mo.size]
+                for i in np.flatnonzero(np.isfinite(lo_plain)):
+                    added = engine.loc[mo[t[i] : t[i + 1]]].sum()
+                    assert lo[i] - lo_plain[i] == pytest.approx(added, rel=1e-9, abs=1e-12 * lo[i])
                 for i in range(lo.size):
                     inside = ts[g[i] + 1 : g[i + 1]]
                     if inside.size:
                         lowest, _, _ = engine._scan(
                             [_whole(j, mo, sv, inside)], (np.inf, j, np.inf), 0.0
                         )
-                        assert lo[i] <= lowest + tol, (seed, lam, j, i)
+                        assert lo[i] <= lowest + tol, (enc.m, lam, j, i)
                         intervals += 1
     assert points > 100 and intervals > 50, (points, intervals)
+    assert raised > intervals // 2, (raised, intervals)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 3000])
+def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(monkeypatch, stack_bytes):
+    # Objects 0-5 keep their boolean, one-hot and ordinal values on every
+    # row of their neighborhoods, as most built neighborhoods keep some
+    # one-hot level; objects 6-11 vary them.  Either way an object's loc
+    # is the lstsq SSE of its own rows.  Object 12's first numeric column
+    # is constant on its rows: its system is singular, and it gets 0.
+    # 3000 bytes solve the objects 5 at a time.
+    if stack_bytes is not None:
+        monkeypatch.setattr(kernels, "_STACK_BYTES", stack_bytes)
+    enc, _, rng = _coded_problem(89, n=13)
+    n, S = enc.n, 30
+    samples = np.repeat(enc.values[:, None, :], S, axis=1)
+    samples[:, 1:, 0] += rng.normal(size=(n, S - 1))
+    samples[:, 1:, 7] += rng.normal(size=(n, S - 1))
+    samples[12, :, 0] = 0.3
+    vary = samples[6:, 1:]
+    vary[..., 1] = rng.integers(2, size=vary.shape[:2])
+    vary[..., 2:5] = np.eye(3)[rng.integers(3, size=vary.shape[:2])]
+    vary[..., 5] = rng.integers(4, size=vary.shape[:2])
+    vary[..., 6] = rng.integers(40, size=vary.shape[:2])
+    Y = rng.normal(size=(n, S, 3))
+    ns = NeighborhoodSet(samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=Y)
+    engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
+    keep = engine.bound_cols
+    assert keep is not None
+    G_all, C_all, yy_all = engine.grams
+    for i in range(12):
+        Xa = np.hstack([samples[i], np.ones((S, 1))])
+        W = np.linalg.lstsq(Xa, Y[i], rcond=None)[0]
+        assert engine.loc[i] == pytest.approx(np.sum((Xa @ W - Y[i]) ** 2), rel=1e-9)
+        (plain,) = kernels.least_squares_sse(
+            G_all[i][np.ix_(keep, keep)][None], C_all[i][keep][None], yy_all[i : i + 1]
+        )
+        assert (plain == -np.inf) == (i < 6)  # decoupling is what solves objects 0-5
+    assert engine.loc[12] == 0.0
 
 
 @pytest.mark.parametrize("scan_rows", [None, 2, 3, 7])

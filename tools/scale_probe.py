@@ -13,7 +13,8 @@ time, the process's peak RSS, and what the split search solved:
 
 * ridge systems, every matrix given to ``kernels.solve_stack`` (grid
   points, interval boundaries and the winners' refits);
-* bound systems, every matrix given to ``kernels.least_squares_sse``;
+* bound systems, every matrix given to ``kernels.least_squares_sse``
+  (grid children, and each object's own neighborhood once per run);
 * solve calls, the calls of ``np.linalg.cholesky`` that factor them;
 * the ``kernels.scan_sse`` calls and the interval boundaries they solve.
 
