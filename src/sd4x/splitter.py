@@ -243,21 +243,31 @@ def _coded_positions(enc: EncodedMatrix, keep: np.ndarray | None) -> np.ndarray:
     return np.flatnonzero(~np.isin(keep, numeric))[:-1]  # the intercept is kept last
 
 
+def _constant(G: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which of the columns ``cols`` are constant on each system's rows.
+
+    ``G`` is a stack of Gram matrices with the intercept last.  Column j
+    is constant on a system's S = G[-1, -1] rows exactly when ``S G[j, j]
+    == G[j, -1]^2``; on integer codes, which ``discretize`` guarantees
+    for boolean, ordinal and one-hot columns, every term is an exact
+    integer.  Returns (systems, len(cols)) flags.
+    """
+    return G[:, -1, -1, None] * G[:, cols, cols] == G[:, cols, -1] ** 2
+
+
 def _decouple(G: np.ndarray, C: np.ndarray, coded: np.ndarray) -> np.ndarray:
     """Decouple, in place, every coded column that is constant on a system's rows.
 
     ``G`` and ``C`` are a stack of Gram pieces with the intercept last,
-    and ``coded`` the positions of its coded columns.  Column j is
-    constant on a system's S = G[-1, -1] rows exactly when ``S G[j, j] ==
-    G[j, -1]^2``; on integer codes, which ``discretize`` guarantees, every
-    term is an exact integer.  Such a column is collinear with the
-    intercept on those rows, or zero, so its row and column of G and its
-    row of C are zeroed and its diagonal entry set to G's largest.  The
-    system's column space, and with it its least-squares SSE, stays the
-    same, and the column no longer fails the pivot test.  Returns the
-    number of columns decoupled in each system.
+    and ``coded`` the positions of its coded columns.  A column constant
+    on a system's rows (see :func:`_constant`) is collinear with the
+    intercept there, or zero, so its row and column of G and its row of
+    C are zeroed and its diagonal entry set to G's largest.  The system's
+    column space, and with it its least-squares SSE, stays the same, and
+    the column no longer fails the pivot test.  Returns the number of
+    columns decoupled in each system.
     """
-    const = G[:, -1, -1, None] * G[:, coded, coded] == G[:, coded, -1] ** 2
+    const = _constant(G, coded)
     scale = np.diagonal(G, axis1=1, axis2=2).max(axis=1)
     at, c = np.nonzero(const)
     j = coded[c]
@@ -272,24 +282,28 @@ def _own_least_squares(grams: tuple, keep: np.ndarray | None, coded: np.ndarray)
     """Each object's least-squares SSE on its own neighborhood, in the bound design.
 
     ``keep`` is the bound design's columns, None for all of them, and
-    ``coded`` the positions of its coded columns, which are decoupled
-    where constant (see :func:`_decouple`).  The per-object systems are
-    gathered and solved ``kernels._STACK_BYTES`` of matrices at a time.
-    An object with fewer rows than the columns left is rank-deficient
-    and gets 0 unsolved; a matrix that fails the pivot test gets 0 too.
-    0 is a valid lower bound in both cases.
+    ``coded`` the positions of its coded columns.  A coded column
+    constant on every object's rows, as a one-hot level is where no
+    neighborhood leaves its object's category, is left out, which keeps
+    each object's column space and makes every system smaller; the other
+    constant ones are decoupled (see :func:`_decouple`).  The per-object
+    systems are gathered and solved ``kernels._STACK_BYTES`` of matrices
+    at a time.  An object with fewer rows than the columns left is
+    rank-deficient and gets 0 unsolved; a matrix that fails the pivot
+    test gets 0 too.  0 is a valid lower bound in both cases.
     """
     G_all, C_all, yy_all = grams
     keep = np.arange(G_all.shape[1]) if keep is None else keep
-    k = keep.size
-    step = max(1, kernels._STACK_BYTES // (k * k * 8))
+    use = np.delete(keep, coded[_constant(G_all, keep[coded]).all(axis=0)])
+    live = np.flatnonzero(np.isin(use, keep[coded]))
+    step = max(1, kernels._STACK_BYTES // (use.size * use.size * 8))
     out = np.zeros(G_all.shape[0])
     for start in range(0, out.size, step):
         part = slice(start, start + step)
-        G = G_all[part][:, keep[:, None], keep]
-        C = C_all[part][:, keep]
+        G = G_all[part][:, use[:, None], use]
+        C = C_all[part][:, use]
         yy = yy_all[part]
-        solve = np.flatnonzero(G[:, -1, -1] >= k - _decouple(G, C, coded))
+        solve = np.flatnonzero(G[:, -1, -1] >= use.size - _decouple(G, C, live))
         if solve.size < yy.size:
             G, C, yy = G[solve], C[solve], yy[solve]
         if solve.size:

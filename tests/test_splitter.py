@@ -1097,14 +1097,19 @@ def test_no_grid_point_or_interval_bound_exceeds_a_ridge_sse_it_covers(monkeypat
     assert raised > intervals // 2, (raised, intervals)
 
 
+@pytest.mark.parametrize("shared_hue", [False, True])
 @pytest.mark.parametrize("stack_bytes", [None, 3000])
-def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(monkeypatch, stack_bytes):
+def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(
+    monkeypatch, stack_bytes, shared_hue
+):
     # Objects 0-5 keep their boolean, one-hot and ordinal values on every
     # row of their neighborhoods, as most built neighborhoods keep some
-    # one-hot level; objects 6-11 vary them.  Either way an object's loc
-    # is the lstsq SSE of its own rows.  Object 12's first numeric column
-    # is constant on its rows: its system is singular, and it gets 0.
-    # 3000 bytes solve the objects 5 at a time.
+    # one-hot level; objects 6-11 vary them, and with shared_hue every
+    # object keeps its hue, so the hue columns are left out of every
+    # system.  Either way an object's loc is the lstsq SSE of its own
+    # rows.  Object 12's first numeric column is constant on its rows:
+    # its system is singular, and it gets 0.  3000 bytes solve the
+    # objects at most 5 at a time.
     if stack_bytes is not None:
         monkeypatch.setattr(kernels, "_STACK_BYTES", stack_bytes)
     enc, _, rng = _coded_problem(89, n=13)
@@ -1115,7 +1120,8 @@ def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(monkeypatch
     samples[12, :, 0] = 0.3
     vary = samples[6:, 1:]
     vary[..., 1] = rng.integers(2, size=vary.shape[:2])
-    vary[..., 2:5] = np.eye(3)[rng.integers(3, size=vary.shape[:2])]
+    if not shared_hue:
+        vary[..., 2:5] = np.eye(3)[rng.integers(3, size=vary.shape[:2])]
     vary[..., 5] = rng.integers(4, size=vary.shape[:2])
     vary[..., 6] = rng.integers(40, size=vary.shape[:2])
     Y = rng.normal(size=(n, S, 3))
@@ -1131,7 +1137,8 @@ def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(monkeypatch
         (plain,) = kernels.least_squares_sse(
             G_all[i][np.ix_(keep, keep)][None], C_all[i][keep][None], yy_all[i : i + 1]
         )
-        assert (plain == -np.inf) == (i < 6)  # decoupling is what solves objects 0-5
+        # decoupling or leaving out constant columns is what solves these
+        assert (plain == -np.inf) == (i < 6 or shared_hue)
     assert engine.loc[12] == 0.0
 
 
