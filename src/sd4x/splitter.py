@@ -45,8 +45,9 @@ the two ends come from the same indicator sums, one stacked solve per
 group; the smallest children, left of the first grid point and right of
 the last, are bounded by the ``loc`` of their members.  A coded column
 that is constant on a system's rows is decoupled before any of these
-least-squares solves, so that the system is not singular for it; see
-:func:`_decouple`.  A candidate, grid point or boundary
+least-squares solves, so that the system is not singular for it (see
+:func:`_decouple`), and one constant on every object's neighborhood is
+left out of the per-object systems.  A candidate, grid point or boundary
 inside an interval between grid points, is ridge-solved only when its
 bound does not exceed the best SSE found so far, over every column, by
 more than ``_BOUND_MARGIN`` times the subgroup's summed squared
@@ -267,6 +268,8 @@ def _decouple(G: np.ndarray, C: np.ndarray, coded: np.ndarray) -> np.ndarray:
     the column no longer fails the pivot test.  Returns the number of
     columns decoupled in each system.
     """
+    if not coded.size:  # a numeric schema: nothing to test
+        return np.zeros(G.shape[0], dtype=np.intp)
     const = _constant(G, coded)
     scale = np.diagonal(G, axis1=1, axis2=2).max(axis=1)
     at, c = np.nonzero(const)
