@@ -10,18 +10,30 @@ threshold at 0.5, ordinal codes round half-up and clamp to the level
 range, and each one-hot block activates the category whose raw value is
 closest to 1.
 
-The objects are built in chunks of about ``_BUILD_CHUNK_ROWS`` rows.
-Within a chunk the worker threads only draw the standard normals, each
-object from its own substream into its own slice of a reused buffer;
-the calling thread then applies the Cholesky factor to the whole chunk
-in one stacked product and discretizes it in place.  The stacked product
-makes the same per-object BLAS call as a product over one object, and
-discretization works row by row, so the samples are bit-identical for
-any thread count and chunk size.
+With one thread the objects are built in chunks of about
+``_BUILD_CHUNK_ROWS`` rows on the calling thread: each object's normals
+are drawn from its own substream into its own slice of a reused buffer,
+one stacked product applies the Cholesky factor to the whole chunk, and
+the chunk is discretized in place.  With more threads each worker of a
+pool builds a contiguous range of objects the same way, in chunks of
+``_BUILD_CHUNK_ROWS // workers`` rows, while the calling thread waits.
+A worker's products go in row blocks of at most
+``_POOL_PRODUCT_MULADDS // m**2`` rows, so that OpenBLAS runs each on the
+worker's own thread instead of waking its threads against the pool.
+
+The stacked product makes the same per-object BLAS call as a product
+over one object, and discretization works row by row.  A row block is a
+smaller BLAS call, which may take another kernel (OpenBLAS's
+small-matrix kernel, or gemv for one row) and round differently, so a
+pooled build blocks its products only after checking that the blocks
+reproduce the whole product's bits on this BLAS; otherwise it runs them
+whole.  The samples are therefore bit-identical for any thread count and
+chunk size.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -37,8 +49,12 @@ from .dataset import AttributeKind, EncodedMatrix, attribute_slices
 from .errors import InputError
 
 _LABEL_CHUNK = 65536
-# Neighborhood rows per chunk of build; bounds the draw buffer.
+# Neighborhood rows per chunk of build; bounds the draw buffers.
 _BUILD_CHUNK_ROWS = 8192
+# Multiply-adds per BLAS product in a pooled build.  OpenBLAS runs a
+# product of about 2**19 or more on all of its threads, which would then
+# compete with the pool's workers for the cores.
+_POOL_PRODUCT_MULADDS = 2**18
 
 
 @dataclass
@@ -118,37 +134,92 @@ def build(
 ) -> NeighborhoodSet:
     """Generate discretized neighborhoods for every encoded object.
 
-    With ``threads > 1`` a pool draws the random normals; the BLAS
-    product and the discretization run on the calling thread.
+    With ``threads > 1`` a pool of at most ``threads`` workers, and no
+    more than the chunks a one-thread build walks (so no more than there
+    are objects), runs the whole build: each worker draws, multiplies
+    and discretizes its own range of objects.  The samples do not depend
+    on ``threads``.
     """
     if n_synth < 0:
         raise InputError(f"n_synth must be >= 0, got {n_synth}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     sigma = estimate_covariance(enc.values)
     L = scaled_cholesky(sigma, z)
     n, m = enc.n, enc.m
     samples = np.empty((n, 1 + n_synth, m))
     samples[:, 0] = enc.values
     step = max(1, _BUILD_CHUNK_ROWS // (1 + n_synth))
-    g = np.empty((min(step, n), n_synth, m))
-
-    def draw(k: int, i: int) -> None:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        rng.standard_normal(out=g[k])
-
-    with contextlib.ExitStack() as stack:
-        run = map
-        if threads > 1:
-            run = stack.enter_context(ThreadPoolExecutor(max_workers=threads)).map
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            list(run(draw, range(stop - start), range(start, stop)))
-            synth = samples[start:stop, 1:]
-            np.matmul(g[: stop - start], L.T, out=synth)
-            synth += enc.values[start:stop, None, :]
-            discretize(samples[start:stop].reshape(-1, m), enc)
+    workers = min(threads, -(-n // step))
+    if workers > 1:
+        _build_pooled(samples, enc, L, seed, workers)
+    else:
+        g = np.empty((min(step, n), n_synth, m))
+        _build_range(samples, enc, L, seed, 0, n, g, max(1, n_synth))
     return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
+
+
+def _build_pooled(samples, enc, L, seed, workers: int) -> None:
+    """Build on ``workers`` threads, each over a contiguous range of objects."""
+    n, size, m = samples.shape
+    n_synth = size - 1
+    rows = max(1, _POOL_PRODUCT_MULADDS // max(1, m * m))
+    if rows < n_synth and not _blocks_are_exact(n_synth, m, rows):
+        rows = n_synth
+    step = max(1, _BUILD_CHUNK_ROWS // workers // size)
+    bounds = [n * w // workers for w in range(workers + 1)]
+    # Allocated here rather than in the workers, whose allocations would
+    # each grow a malloc arena of their own.
+    buffers = [np.empty((min(step, hi - lo), n_synth, m)) for lo, hi in zip(bounds, bounds[1:])]
+
+    def work(w: int) -> None:
+        _build_range(samples, enc, L, seed, bounds[w], bounds[w + 1], buffers[w], rows)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(workers)))
+
+
+def _product(g: np.ndarray, L: np.ndarray, rows: int, out: np.ndarray) -> None:
+    """``out = g @ L.T`` over the second-to-last axis in blocks of ``rows``."""
+    for r in range(0, g.shape[-2], rows):
+        np.matmul(g[..., r : r + rows, :], L.T, out=out[..., r : r + rows, :])
+
+
+@functools.lru_cache(maxsize=32)
+def _blocks_are_exact(n_synth: int, m: int, rows: int) -> bool:
+    """Whether ``g @ L.T`` in blocks of ``rows`` rows has the whole product's bits.
+
+    ``g`` is ``(n_synth, m)`` and ``L`` is ``(m, m)``.  The kernel a BLAS product takes depends on its shapes and layouts
+    alone, so one probe on generic data of the build's layout settles it
+    for every object and factor of these sizes.  It is cached, because
+    its whole product would wake OpenBLAS's threads at every build.
+    """
+    rng = np.random.default_rng(0)
+    L = np.tril(rng.standard_normal((m, m)))
+    g = rng.standard_normal((n_synth, m))
+    blocked = np.empty_like(g)
+    _product(g, L, rows, blocked)
+    return bool(np.array_equal(blocked, g @ L.T))
+
+
+def _build_range(samples, enc, L, seed, lo, hi, g, rows) -> None:
+    """Build objects ``lo:hi`` into ``samples``, ``len(g)`` objects at a time.
+
+    Each object's normals come from its own substream of ``seed``; the
+    product goes in blocks of ``rows`` rows.
+    """
+    m = samples.shape[2]
+    for start in range(lo, hi, max(1, len(g))):
+        stop = min(start + len(g), hi)
+        for k, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+            rng.standard_normal(out=g[k])
+        synth = samples[start:stop, 1:]
+        _product(g[: stop - start], L, rows, synth)
+        synth += enc.values[start:stop, None, :]
+        discretize(samples[start:stop].reshape(-1, m), enc)
 
 
 def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:

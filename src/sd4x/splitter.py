@@ -701,7 +701,11 @@ def run(
     ns: NeighborhoodSet | None = None,
     validate: bool = True,
 ) -> Partition:
-    """Greedy partition of the explained objects into at most K subgroups."""
+    """Greedy partition of the explained objects into at most K subgroups.
+
+    ``threads`` reaches only the neighborhood build, when ``ns`` is not
+    given; the split search runs on the calling thread.
+    """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
     if not (math.isfinite(lam) and lam >= 0):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -162,7 +163,85 @@ def test_chunked_build_equals_per_object_reference(monkeypatch, threads, chunk_r
     assert np.array_equal(ns.samples, _reference_build(enc, 3, n_synth, 11))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("block_rows", [6, 7])  # 15 rows as 6 + 6 + 3, and 7 + 7 + 1
+def test_blocked_build_equals_per_object_reference(monkeypatch, threads, block_rows):
+    # A one-row block is a gemv rather than a gemm and may round
+    # differently; the build must then give up blocking, not its bits.
+    enc = mixed_enc(np.random.default_rng(21), n=13)
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 64)
+    monkeypatch.setattr(neighborhood, "_POOL_PRODUCT_MULADDS", block_rows * enc.m**2)
+    ns = build(enc, z=3, n_synth=15, seed=11, threads=threads)
+    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 11))
+
+
+@pytest.mark.parametrize(
+    "m,n_synth",
+    [
+        (35, 600),  # blocks of 213 + 213 + 174 rows
+        (35, 430),  # a 4-row last block: OpenBLAS's small-matrix kernel
+        (100, 600),  # blocks of 26 rows
+    ],
+)
+def test_real_size_blocked_build_equals_per_object_reference(monkeypatch, m, n_synth):
+    enc = numeric_enc(np.random.default_rng(23).normal(size=(4, m)))
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 1)
+    ns = build(enc, z=10, n_synth=n_synth, seed=3, threads=2)
+    assert np.array_equal(ns.samples, _reference_build(enc, 10, n_synth, 3))
+
+
+@pytest.mark.parametrize(
+    "chunk_rows,workers",
+    [
+        (1, 13),  # one object per chunk: a worker per object
+        (64, 4),  # four chunks
+        (neighborhood._BUILD_CHUNK_ROWS, None),  # one chunk: no pool
+    ],
+)
+def test_pool_has_no_more_workers_than_one_thread_chunks(monkeypatch, chunk_rows, workers):
+    started = []
+
+    class SerialPool:
+        """Records max_workers and runs the work in order on this thread."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(neighborhood, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", chunk_rows)
+    enc = mixed_enc(np.random.default_rng(21), n=13)
+    ns = build(enc, z=3, n_synth=15, seed=11, threads=10_000)
+    assert started == ([workers] if workers else [])
+    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 11))
+    for threads in (0, -1):
+        with pytest.raises(InputError, match="threads"):
+            build(enc, z=3, n_synth=15, seed=11, threads=threads)
+
+
+def test_pooled_build_under_rapid_thread_switching(monkeypatch):
+    # Eight workers on disjoint ranges of 40 objects, switching every
+    # microsecond: an overlap of ranges or buffers would show in the bits.
+    enc = mixed_enc(np.random.default_rng(24), n=40)
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ns = build(enc, z=3, n_synth=15, seed=2, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 2))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_build_peak_memory_is_the_samples_plus_a_few_chunks(threads):
     rng = np.random.default_rng(22)
     enc = mixed_enc(rng, n=300)

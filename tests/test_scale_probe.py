@@ -50,7 +50,7 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     record = json.loads(path.read_text())
-    assert record["sizes"] == {"n": 60, "m": 3, "k": 3, "n_synth": 5, "seed": 1}
+    assert record["sizes"] == {"n": 60, "m": 3, "k": 3, "n_synth": 5, "seed": 1, "threads": 1}
     assert set(record["stages_s"]) == {"build", "label", "grams", "split search", "validate"}
     assert all(t >= 0 for t in record["stages_s"].values())
     assert record["peak_rss_mb"] > 0
@@ -63,3 +63,25 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
     assert record["nproc"] == os.cpu_count()
     assert record["python"] == platform.python_version()
     assert record["numpy"] == np.__version__
+
+
+def test_scale_probe_counts_do_not_depend_on_build_threads(tmp_path):
+    # The build's threads change how the samples are made, not their
+    # bytes, so the split search solves the same systems.
+    records = []
+    for threads in (1, 2):
+        path = tmp_path / f"probe-{threads}.json"
+        out = subprocess.run(
+            [sys.executable, PROBE, "--n", "60", "--m", "3", "--k", "3", "--n-synth", "200",
+             "--threads", str(threads), "--json", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        records.append(json.loads(path.read_text()))
+    one, two = records
+    assert one["sizes"]["threads"] == 1 and two["sizes"]["threads"] == 2
+    for name in _COUNTS + ("subgroups",):
+        key = name.replace(" ", "_")
+        assert one[key] == two[key] > 0, name

@@ -8,7 +8,9 @@ The world has m uniform numeric attributes, three classes and four
 softmax-linear regimes cut at 0.5 on x0 and x1.  One run builds and
 labels the neighborhoods, forms the per-object Gram pieces, searches
 the splits and validates the partition, each stage timed on its own,
-with lambda = 1 and one thread.  The probe prints each stage's wall
+with lambda = 1.  ``--threads N`` (default 1) is the thread count given
+to the neighborhood build, the one stage that takes one; the other
+stages run on one thread either way.  The probe prints each stage's wall
 time, the process's peak RSS, and what the split search solved:
 
 * ridge systems, every matrix given to ``kernels.solve_stack`` (grid
@@ -89,10 +91,13 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=10, help="subgroup budget")
     parser.add_argument("--n-synth", type=int, default=100, help="synthetic rows per object")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="threads of the neighborhood build")
     parser.add_argument("--json", metavar="PATH", help="also write the results to PATH")
     args = parser.parse_args(argv)
     if args.m < 2:
         parser.error("--m must be at least 2: the regimes cut on x0 and x1")
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
 
     enc, bb = _world(args.n, args.m, args.seed)
     counts = dict.fromkeys(
@@ -126,7 +131,9 @@ def main(argv=None) -> int:
         stages[name] = time.perf_counter() - t0
         return out
 
-    ns = timed("build", build, enc, z=10, n_synth=args.n_synth, seed=args.seed)
+    ns = timed(
+        "build", build, enc, z=10, n_synth=args.n_synth, seed=args.seed, threads=args.threads
+    )
     ns = timed("label", label, ns, bb)
     timed("grams", neighborhood_grams, ns)
     kernels.solve_stack, kernels.least_squares_sse = ridge_counted, bound_counted
@@ -141,7 +148,8 @@ def main(argv=None) -> int:
     timed("validate", splitter.validate_partition, partition, enc, args.k)
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"n={args.n} m={args.m} K={args.k} n_synth={args.n_synth} seed={args.seed}")
+    threads = f" threads={args.threads}" if args.threads != 1 else ""
+    print(f"n={args.n} m={args.m} K={args.k} n_synth={args.n_synth} seed={args.seed}{threads}")
     for name, seconds in stages.items():
         print(f"{name:>18}: {seconds:8.3f} s")
     print(f"{'peak RSS':>18}: {peak_mb:8.1f} MB")
@@ -152,7 +160,7 @@ def main(argv=None) -> int:
         record = {
             "sizes": {
                 "n": args.n, "m": args.m, "k": args.k,
-                "n_synth": args.n_synth, "seed": args.seed,
+                "n_synth": args.n_synth, "seed": args.seed, "threads": args.threads,
             },
             "stages_s": stages,
             "peak_rss_mb": peak_mb,
