@@ -191,10 +191,11 @@ def _product(g: np.ndarray, L: np.ndarray, rows: int, out: np.ndarray) -> None:
 def _blocks_are_exact(n_synth: int, m: int, rows: int) -> bool:
     """Whether ``g @ L.T`` in blocks of ``rows`` rows has the whole product's bits.
 
-    ``g`` is ``(n_synth, m)`` and ``L`` is ``(m, m)``.  The kernel a BLAS product takes depends on its shapes and layouts
-    alone, so one probe on generic data of the build's layout settles it
-    for every object and factor of these sizes.  It is cached, because
-    its whole product would wake OpenBLAS's threads at every build.
+    ``g`` is ``(n_synth, m)`` and ``L`` is ``(m, m)``.  The kernel a BLAS
+    product takes depends on its shapes and layouts alone, so one probe
+    on generic data of the build's layout settles it for every object
+    and factor of these sizes.  It is cached, because its whole product
+    would wake OpenBLAS's threads at every build.
     """
     rng = np.random.default_rng(0)
     L = np.tril(rng.standard_normal((m, m)))
