@@ -22,7 +22,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .dataset import read_json, write_json
+from .dataset import NUMBER, is_json, is_json_strings, json_array, read_json, write_json
 from .errors import ExternalBlackBoxError, InputError
 
 
@@ -221,42 +221,49 @@ def regimes_from_list(raw: object) -> list[Regime]:
     for k, reg in enumerate(raw):
         if not isinstance(reg, dict):
             raise InputError(f"regime #{k} is not a JSON object")
-        try:
-            conditions = tuple(
-                Condition(str(c["column"]), str(c["op"]), float(c["value"]))
-                for c in reg.get("conditions", ())
+        for key in ("weights", "biases"):
+            if key not in reg:
+                raise InputError(f"regime #{k}: missing {key!r}")
+        weights, biases = json_array(reg["weights"]), json_array(reg["biases"])
+        if weights is None or biases is None:
+            raise InputError(f"regime #{k}: weights and biases must be arrays of finite numbers")
+        conditions = reg.get("conditions", [])
+        if not isinstance(conditions, list) or not all(
+            isinstance(c, dict)
+            and is_json(c.get("column"), str)
+            and c.get("op") in ("le", "gt")
+            and is_json(c.get("value"), NUMBER)
+            for c in conditions
+        ):
+            raise InputError(
+                f"regime #{k}: each condition needs a string 'column', an 'op' of "
+                "'le' or 'gt' and a finite number 'value'"
             )
-            regimes.append(
-                Regime(
-                    conditions=conditions,
-                    weights=np.asarray(reg["weights"], dtype=np.float64),
-                    biases=np.asarray(reg["biases"], dtype=np.float64),
-                )
-            )
-        except KeyError as exc:
-            raise InputError(f"regime #{k}: missing {exc}") from exc
-        except (InputError, TypeError, ValueError) as exc:
-            raise InputError(f"regime #{k}: {exc}") from exc
+        conditions = tuple(Condition(c["column"], c["op"], float(c["value"])) for c in conditions)
+        regimes.append(Regime(conditions=conditions, weights=weights, biases=biases))
     return regimes
 
 
 def blackbox_from_dict(obj: dict) -> LinearBlackBox | PiecewiseLinearBlackBox:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("black-box description needs a 'type' field")
-    try:
-        classes = tuple(str(c) for c in obj.get("classes", ()))
-        columns = tuple(str(c) for c in obj.get("columns", ()))
-        if obj["type"] == "linear":
-            weights = obj.get("weights", obj.get("coefficients"))
-            biases = obj.get("biases", obj.get("intercepts"))
-            if weights is None or biases is None:
-                raise InputError("linear black box needs weights and biases")
-            return LinearBlackBox(classes, columns, np.asarray(weights), np.asarray(biases))
-        if obj["type"] == "piecewise_linear":
-            regimes = regimes_from_list(obj.get("regimes"))
-            return PiecewiseLinearBlackBox(classes, columns, regimes)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad black-box description: {exc}") from exc
+    classes, columns = obj.get("classes"), obj.get("columns")
+    if not (is_json_strings(classes) and is_json_strings(columns)):
+        raise InputError(
+            "bad black-box description: 'classes' and 'columns' must be lists of strings"
+        )
+    classes, columns = tuple(classes), tuple(columns)
+    if obj["type"] == "linear":
+        weights = json_array(obj.get("weights", obj.get("coefficients")))
+        biases = json_array(obj.get("biases", obj.get("intercepts")))
+        if weights is None or biases is None:
+            raise InputError(
+                "bad black-box description: a linear black box needs weights and "
+                "biases as arrays of finite numbers"
+            )
+        return LinearBlackBox(classes, columns, weights, biases)
+    if obj["type"] == "piecewise_linear":
+        return PiecewiseLinearBlackBox(classes, columns, regimes_from_list(obj.get("regimes")))
     raise InputError(f"unknown black-box type {obj['type']!r}")
 
 

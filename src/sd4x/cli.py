@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import shlex
 import sys
@@ -27,11 +26,16 @@ import numpy as np
 from . import evaluation, splitter
 from .blackbox import ExternalBlackBox, load_blackbox, save_blackbox
 from .dataset import (
+    JSON_NAMES,
+    NUMBER,
+    TEXT_OR_LIST,
     Attribute,
     AttributeKind,
     Dataset,
     content_hash,
     encode,
+    is_json,
+    json_array,
     load_dataset,
     load_schema,
     read_dataset,
@@ -53,23 +57,6 @@ from .text import featurize_text
 from .whitebox import WhiteBoxModel, subgroup_loss
 
 _LOSS_REL_TOL = 1e-6
-_NUMBER = (int, float)
-_TEXT_OR_LIST = (str, list)
-_JSON_NAMES = {
-    int: "integer", _NUMBER: "number", str: "string", list: "array", dict: "object",
-    _TEXT_OR_LIST: "string or array",
-}
-
-
-def _is_json(value, kind) -> bool:
-    """Whether value is a JSON value of this kind.
-
-    A bool is never a number, and neither is NaN or an infinity, which
-    Python's ``json`` reads but JSON has no literal for.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        return False
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _resolve(
@@ -86,9 +73,9 @@ def _resolve(
     if key not in config:
         return default
     value = config[key]
-    if not _is_json(value, kind):
-        raise InputError(f"config: {key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is _NUMBER else value
+    if not is_json(value, kind):
+        raise InputError(f"config: {key} must be a JSON {JSON_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is NUMBER else value
 
 
 def _resolve_threads(args: argparse.Namespace, config: dict) -> int:
@@ -221,11 +208,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     k = _resolve(args, config, "k", int, 10)
     z = _resolve(args, config, "z", int, 10)
     n_synth = _resolve(args, config, "n-synth", int, 250)
-    lam = _resolve(args, config, "lambda", _NUMBER, 1.0, attr="lam")
+    lam = _resolve(args, config, "lambda", NUMBER, 1.0, attr="lam")
     min_support = _resolve(args, config, "min-support", int, 2)
     seed = _resolve(args, config, "seed", int, 0)
     threads = _resolve_threads(args, config)
-    split_columns = _resolve(args, config, "split-columns", _TEXT_OR_LIST, None)
+    split_columns = _resolve(args, config, "split-columns", TEXT_OR_LIST, None)
     if isinstance(split_columns, str) and split_columns != "non-text":
         split_columns = [s.strip() for s in split_columns.split(",") if s.strip()]
 
@@ -270,7 +257,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # Dumped trace keys in TraceEntry field order.
 _TRACE_FIELDS = (
     ("iter", int), ("subgroup", int), ("column", str),
-    ("threshold", _NUMBER), ("gain", _NUMBER), ("loss_after", _NUMBER),
+    ("threshold", NUMBER), ("gain", NUMBER), ("loss_after", NUMBER),
 )
 
 
@@ -280,10 +267,10 @@ def _field(obj: dict, key: str, kind, where: str = ""):
     A number is returned as a float.
     """
     value = obj.get(key)
-    if not _is_json(value, kind):
-        name = _JSON_NAMES[kind]
+    if not is_json(value, kind):
+        name = JSON_NAMES[kind]
         raise InputError(f"partition file: {where}{key} is missing or not a JSON {name}")
-    return float(value) if kind is _NUMBER else value
+    return float(value) if kind is NUMBER else value
 
 
 def _entries(dump: dict, key: str) -> list[dict]:
@@ -296,18 +283,10 @@ def _entries(dump: dict, key: str) -> list[dict]:
 
 def _array(obj: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
     """obj[key] as a float array of the given shape; its entries must be JSON numbers."""
-    try:
-        arr = np.asarray(_field(obj, key, list, where))
-    except ValueError:  # ragged nesting
-        arr = None
-    if (
-        arr is None
-        or arr.dtype.kind not in "iuf"
-        or arr.shape != shape
-        or not np.all(np.isfinite(arr))
-    ):
+    arr = json_array(_field(obj, key, list, where))
+    if arr is None or arr.shape != shape:
         raise InputError(f"partition file: {where}{key} must be a {shape} array of numbers")
-    return arr.astype(np.float64, copy=False)
+    return arr
 
 
 def _members(sd: dict, where: str) -> np.ndarray:
@@ -328,7 +307,7 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
     for key in ("k", "z", "n_synth", "seed"):
         if _field(config, key, int, "config.") < 0:
             raise InputError(f"partition file: config.{key} is negative")
-    if _field(config, "lambda", _NUMBER, "config.") < 0:
+    if _field(config, "lambda", NUMBER, "config.") < 0:
         raise InputError("partition file: config.lambda is negative")
     if config.get("data_hash") != content_hash(enc):
         raise InputError("partition was computed on different data (content hash mismatch)")
@@ -348,7 +327,7 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
         model = WhiteBoxModel(
             coefficients=_array(model_d, "coefficients", (p, m), mwhere),
             intercepts=_array(model_d, "intercepts", (p,), mwhere),
-            lam=_field(model_d, "lambda", _NUMBER, mwhere),
+            lam=_field(model_d, "lambda", NUMBER, mwhere),
         )
         subgroups.append(
             Subgroup(
@@ -356,7 +335,7 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
                 members=_members(sd, where),
                 pattern=None,
                 model=model,
-                loss=_field(sd, "loss", _NUMBER, where),
+                loss=_field(sd, "loss", NUMBER, where),
             )
         )
     trace = [
@@ -366,8 +345,8 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
     return Partition(
         subgroups=subgroups,
         trace=trace,
-        root_loss=_field(dump, "root_loss", _NUMBER),
-        global_loss=_field(dump, "global_loss", _NUMBER),
+        root_loss=_field(dump, "root_loss", NUMBER),
+        global_loss=_field(dump, "global_loss", NUMBER),
         config=config,
     )
 

@@ -112,22 +112,24 @@ def schema_from_dict(obj: dict) -> tuple[tuple[Attribute, ...], tuple[str, ...]]
     raw_classes = obj.get("classes")
     if not raw_attrs or not isinstance(raw_attrs, list):
         raise InputError("schema needs a non-empty 'attributes' list")
-    if not raw_classes or not isinstance(raw_classes, list) or len(raw_classes) < 2:
-        raise InputError("schema needs a 'classes' list with >= 2 entries")
+    if not is_json_strings(raw_classes) or len(raw_classes) < 2:
+        raise InputError("schema needs a 'classes' list of >= 2 strings")
     attrs = []
     for i, a in enumerate(raw_attrs):
-        if not isinstance(a, dict) or "name" not in a or "kind" not in a:
-            raise InputError(f"attribute #{i}: needs 'name' and 'kind'")
-        kind = _KINDS.get(a["kind"])
-        if kind is None:
-            raise InputError(f"attribute {a['name']!r}: unknown kind {a['kind']!r}")
+        if not isinstance(a, dict) or not is_json(a.get("name"), str):
+            raise InputError(f"attribute #{i}: needs a string 'name'")
+        name = a["name"]
+        kind = a.get("kind")
+        if not is_json(kind, str) or kind not in _KINDS:
+            raise InputError(f"attribute {name!r}: unknown kind {kind!r}")
+        categories = a.get("categories", [])
+        if not is_json_strings(categories):
+            raise InputError(f"attribute {name!r}: categories must be a list of strings")
+        text_field = a.get("text_field")
+        if text_field is not None and not is_json(text_field, str):
+            raise InputError(f"attribute {name!r}: text_field must be a string")
         attrs.append(
-            Attribute(
-                name=str(a["name"]),
-                kind=kind,
-                categories=tuple(str(c) for c in a.get("categories", ())),
-                text_field=a.get("text_field"),
-            )
+            Attribute(name, _KINDS[kind], tuple(categories), text_field=text_field)
         )
     names = [a.name for a in attrs]
     if len(set(names)) != len(names):
@@ -136,7 +138,7 @@ def schema_from_dict(obj: dict) -> tuple[tuple[Attribute, ...], tuple[str, ...]]
     for j, name in enumerate(columns):
         if name in columns[:j]:
             raise InputError(f"two attributes encode to the same column {name!r}")
-    classes = tuple(str(c) for c in raw_classes)
+    classes = tuple(raw_classes)
     if len(set(classes)) != len(classes):
         raise InputError("duplicate class names in schema")
     return tuple(attrs), classes
@@ -152,6 +154,47 @@ def schema_to_dict(attributes: tuple[Attribute, ...], classes: tuple[str, ...]) 
             entry["text_field"] = a.text_field
         out.append(entry)
     return {"attributes": out, "classes": list(classes)}
+
+
+# JSON value kinds for is_json; a number is an int or a float.
+NUMBER = (int, float)
+TEXT_OR_LIST = (str, list)
+JSON_NAMES = {
+    int: "integer", NUMBER: "number", str: "string", list: "array", dict: "object",
+    TEXT_OR_LIST: "string or array",
+}
+
+
+def is_json(value, kind) -> bool:
+    """Whether value is a JSON value of this kind.
+
+    A bool is never a number, and neither is NaN or an infinity, which
+    Python's ``json`` reads but JSON has no literal for.  Every reader of
+    an outside JSON file checks its values by this rule rather than
+    casting them.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def is_json_strings(value) -> bool:
+    """Whether value is a JSON array of strings."""
+    return isinstance(value, list) and all(is_json(v, str) for v in value)
+
+
+def json_array(value) -> np.ndarray | None:
+    """A JSON array of numbers, nested evenly to any depth, as a float array.
+
+    None if value is not one: not an array, ragged, or with a leaf that
+    is not a JSON number.
+    """
+    if not isinstance(value, list):
+        return None
+    arr = np.array(value, dtype=object)
+    if not all(is_json(v, NUMBER) for v in arr.flat):
+        return None  # a ragged array leaves lists among the leaves
+    return arr.astype(np.float64)
 
 
 def read_json(path: str, what: str) -> dict:

@@ -10,10 +10,6 @@ class InputError(SD4XError):
     """Invalid data, schema, configuration, or arguments."""
 
 
-class SingularSystemError(SD4XError):
-    """A ridge system is singular; raised only when lambda = 0."""
-
-
 class InvariantError(SD4XError):
     """A runtime invariant (partition cover, pattern extent, ...) was violated."""
 

@@ -308,7 +308,9 @@ def load_cache(path: str) -> NeighborhoodSet | None:
     caller's check.
     """
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # Through a file object that this block closes: np.load leaves a
+        # path it opened itself open when the archive is corrupt.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             samples = data["samples"]
             outputs = data["bb_outputs"]
             meta = data["meta"]

@@ -12,14 +12,12 @@ draw, so the returned black box stays deterministic.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blackbox import PiecewiseLinearBlackBox, Regime, blackbox_to_dict, regimes_from_list
-from .dataset import Attribute, AttributeKind, Dataset, encode, schema_from_dict
+from .dataset import NUMBER, Attribute, AttributeKind, Dataset, encode, is_json, schema_from_dict
 from .errors import InputError
 
 _PROBES = 512
@@ -45,7 +43,7 @@ class SynthResult:
 def spec_from_dict(obj: dict) -> SynthSpec:
     attributes, classes = schema_from_dict(obj)
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not is_json(n, int) or n < 1:
         raise InputError(f"spec needs a positive integer 'n', got {n!r}")
     regimes = regimes_from_list(obj.get("regimes"))
     raw_ranges = obj.get("ranges", {})
@@ -56,7 +54,7 @@ def spec_from_dict(obj: dict) -> SynthSpec:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(_is_finite_number(v) for v in pair)
+            or not all(is_json(v, NUMBER) for v in pair)
             or pair[0] >= pair[1]
         ):
             raise InputError(f"range for {name!r} must be [lo, hi] numbers with lo < hi")
@@ -66,7 +64,7 @@ def spec_from_dict(obj: dict) -> SynthSpec:
         if name not in known:
             raise InputError(f"range given for unknown attribute {name!r}")
     noise_scale = obj.get("noise_scale", 0.0)
-    if not _is_finite_number(noise_scale) or noise_scale < 0:
+    if not is_json(noise_scale, NUMBER) or noise_scale < 0:
         raise InputError(f"spec 'noise_scale' must be a number >= 0, got {noise_scale!r}")
     return SynthSpec(
         attributes=attributes,
@@ -75,14 +73,6 @@ def spec_from_dict(obj: dict) -> SynthSpec:
         regimes=regimes,
         ranges=ranges,
         noise_scale=float(noise_scale),
-    )
-
-
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
     )
 
 

@@ -5,12 +5,11 @@ matrix of shape (classes, columns) plus per-class intercepts.  Every fit
 solves the penalized normal equations of the augmented design [X, 1]
 (intercept column last, unpenalized), factoring once for all outputs,
 and turns the solution into a model with :func:`model_from_solution`.
-:func:`fit_ridge` forms those Gram pieces from one sample matrix.
-:func:`fit_on_neighborhoods` sums precomputed per-object pieces instead
-(:func:`fit_parts` fits several subgroups in one stacked solve), so a
-subgroup fit, the global baseline, and the root of a partition run
-share one code path and produce bit-identical models for equal inputs;
-on the same rows the two functions agree up to rounding.
+The equations come from precomputed per-object Gram pieces, summed
+over the members: :func:`fit_on_neighborhoods` fits one subgroup and
+:func:`fit_parts` several in one stacked solve, so a subgroup fit, the
+global baseline, and the root of a partition run share one code path
+and produce bit-identical models for equal inputs.
 
 The per-object Gram pieces come from batched BLAS products of each
 neighborhood with itself and with its black-box outputs, written straight
@@ -24,14 +23,13 @@ split scan uses, so no loss reads the neighborhood rows.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import InputError, SingularSystemError
+from .errors import InputError
 from .neighborhood import NeighborhoodSet
 
 
@@ -42,42 +40,6 @@ class WhiteBoxModel:
     coefficients: np.ndarray  # (p, m')
     intercepts: np.ndarray  # (p,)
     lam: float
-
-
-def _as_targets(Y: np.ndarray) -> np.ndarray:
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2:
-        raise InputError(f"targets must be 1-D or 2-D, got shape {Y.shape}")
-    return Y
-
-
-def fit_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> WhiteBoxModel:
-    """Fit the multi-output ridge model on the augmented design [X, 1].
-
-    The penalty applies to coefficients only, never the intercept.  A
-    singular system is an error at ``lam == 0``; any positive ``lam``
-    makes the system positive definite.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = _as_targets(Y)
-    if X.ndim != 2:
-        raise InputError(f"design must be 2-D, got shape {X.shape}")
-    if X.shape[0] != Y.shape[0]:
-        raise InputError(f"{X.shape[0]} rows of X vs {Y.shape[0]} rows of Y")
-    if X.shape[0] < 1:
-        raise InputError("cannot fit on an empty sample")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise InputError(f"lambda must be a finite number >= 0, got {lam}")
-    k, m = X.shape
-    Xa = np.concatenate([X, np.ones((k, 1))], axis=1)
-    B, chol_ok = kernels.solve_penalized(Xa.T @ Xa, Xa.T @ Y, lam, m)
-    if not chol_ok and lam == 0.0:
-        raise SingularSystemError(
-            "normal equations are singular at lambda = 0; refit with lambda > 0"
-        )
-    return model_from_solution(B, lam)
 
 
 def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
@@ -130,7 +92,7 @@ def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.
 def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -> WhiteBoxModel:
     """Fit one surrogate on the pooled neighborhoods of the given objects.
 
-    Unlike :func:`fit_ridge` this never raises on a singular system: the
+    This never raises on a singular system, even at ``lam == 0``: the
     kernel falls back to the minimum-norm least-squares solution, which
     still minimizes the sum of squared errors for these (consistent)
     normal equations.

@@ -15,7 +15,9 @@ from sd4x.dataset import (
     encoded_columns,
     load_dataset,
 )
+from sd4x.neighborhood import NeighborhoodSet
 from sd4x.splitter import _midpoints
+from sd4x.whitebox import WhiteBoxModel, fit_on_neighborhoods
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 TOY_CSV = os.path.join(DATA_DIR, "toy.csv")
@@ -47,6 +49,20 @@ def ridge_sse_stack(G, C, yy, lam, npen) -> np.ndarray:
     """Ridge SSE of every system of a Gram-form stack: solve, then residual."""
     B, _ = kernels.solve_stack(G, C, lam, npen)
     return kernels.residual_sse(G, C, yy, B)
+
+
+def fit_rows(X, Y, lam) -> WhiteBoxModel:
+    """The ridge surrogate of rows X with (k, p) targets Y, as the program fits it.
+
+    The rows go in as the neighborhood of one object, so the fit runs
+    through the Gram pieces and the stacked solve of every other fit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    ns = NeighborhoodSet(
+        samples=X[None], bb_outputs=Y[None], z=1, n_synth=X.shape[0] - 1, seed=0
+    )
+    return fit_on_neighborhoods(ns, [0], lam)
 
 
 def numeric_enc(values, classes=("c0", "c1"), prefix="x") -> EncodedMatrix:

@@ -28,9 +28,9 @@ from sd4x.dataset import (
 from sd4x.errors import InvariantError
 from sd4x.evaluation import elbow, fit_global_wb, fit_local_wb, mse, rank_labels, topk_f1
 from sd4x.neighborhood import build, estimate_covariance, label
-from sd4x.whitebox import fit_on_neighborhoods, fit_ridge, subgroup_loss
+from sd4x.whitebox import fit_on_neighborhoods, subgroup_loss
 
-from conftest import candidate_thresholds, mixed_enc, numeric_enc, random_linear_bb
+from conftest import candidate_thresholds, fit_rows, mixed_enc, numeric_enc, random_linear_bb
 
 
 def _verdict(n: int, ok: bool, detail: str = "") -> None:
@@ -58,7 +58,7 @@ def test_criterion_1_ridge_matches_independent_oracle():
         lam = (0.0, 0.1, 1.0, 10.0)[trial % 4]
         X = rng.normal(size=(n, m))
         Y = rng.normal(size=(n, p))
-        model = fit_ridge(X, Y, lam=lam)
+        model = fit_rows(X, Y, lam=lam)
         A = np.hstack([X, np.ones((n, 1))])
         M = A.T @ A + lam * np.diag([1.0] * m + [0.0])
         expected = np.linalg.solve(M, A.T @ Y)

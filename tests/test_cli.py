@@ -603,6 +603,69 @@ def test_explain_rejects_malformed_blackbox_file(gen_dir, tmp_path, capsys, mang
     assert err.count("\n") == 1
 
 
+_TYPED_SCHEMA = {
+    "attributes": [
+        {"name": "7", "kind": "numeric"},
+        {"name": "c", "kind": "nominal", "categories": ["a", "b"]},
+    ],
+    "classes": ["0", "1"],
+}
+_TYPED_BB = {
+    "type": "linear",
+    "classes": ["0", "1"],
+    "columns": ["7", "c=a", "c=b"],
+    "weights": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    "biases": [0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "file, edits",
+    [
+        ("schema", [(("attributes", 1, "categories"), "ab")]),
+        ("schema", [(("attributes", 0, "name"), 7)]),
+        ("schema", [(("classes",), [0, 1])]),
+        ("schema", [(("attributes", 0, "kind"), ["numeric"])]),
+        ("blackbox", [(("weights",), [["1", "0", "0"], ["0", "1", "0"]])]),
+        ("blackbox", [(("classes",), [0, 1])]),
+        ("spec", [(("n",), True)]),
+        ("spec", [(("regimes", k, "conditions", 0, "value"), "0.5") for k in (0, 1)]),
+        ("spec", [(("regimes", k, "conditions", 0, "value"), True) for k in (0, 1)]),
+        ("spec", [(("regimes", 0, "weights"), [["3", "0", "0"], ["0", "0", "0"]])]),
+    ],
+    ids=[
+        "categories-str", "name-int", "classes-int", "kind-list", "linear-weights-str",
+        "bb-classes-int", "n-bool", "value-str", "value-bool", "regime-weights-str",
+    ],
+)
+def test_outside_json_values_are_checked_not_cast(tmp_path, capsys, file, edits):
+    # each edit used to be cast (str(), float(), a bool taken as an int)
+    # and the run went on; by the type rule it is bad input
+    files = json.loads(json.dumps({"schema": _TYPED_SCHEMA, "blackbox": _TYPED_BB, "spec": _SPEC}))
+    for path, value in edits:
+        obj = files[file]
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    if file == "spec":
+        args = ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "g")]
+    else:
+        data = tmp_path / "data.csv"
+        data.write_text("7,c,class\n0.5,a,0\n1.5,b,1\n-0.5,b,0\n2.5,a,1\n")
+        args = [
+            "explain", "--data", str(data),
+            "--schema", str(tmp_path / "schema.json"),
+            "--blackbox", str(tmp_path / "blackbox.json"),
+            "--k", "1", "--n-synth", "5", "--out", str(tmp_path / "p.json"),
+        ]
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _linear_nan_weight(bb):
     return {
         "type": "linear",

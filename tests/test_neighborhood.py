@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -363,9 +365,14 @@ def test_cache_rejects_truncated_and_malformed_files(tmp_path):
     save_cache(str(path), ns)
     blob = path.read_bytes()
     cut = tmp_path / "cut.npz"
-    for size in (10, len(blob) // 2, len(blob) - 30):
-        cut.write_bytes(blob[:size])
-        assert load_cache(str(cut)) is None, size
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for size in (10, len(blob) // 2, len(blob) - 30):
+            cut.write_bytes(blob[:size])
+            assert load_cache(str(cut)) is None, size
+        gc.collect()  # an unclosed file warns when it is collected
+    unclosed = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not unclosed, str(unclosed[0].message)
     malformed = tmp_path / "malformed.npz"
     good = {
         "samples": np.zeros((6, 41, 2)),

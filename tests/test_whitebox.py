@@ -8,26 +8,25 @@ import pytest
 from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
-from sd4x.errors import InputError, SingularSystemError
+from sd4x.errors import InputError
 from sd4x.neighborhood import NeighborhoodSet, build, label
 from sd4x.whitebox import (
     WhiteBoxModel,
     feature_importance,
     fit_on_neighborhoods,
     fit_parts,
-    fit_ridge,
     neighborhood_grams,
     predict,
     subgroup_loss,
 )
 
-from conftest import mixed_enc, numeric_enc, random_linear_bb
+from conftest import fit_rows, mixed_enc, numeric_enc, random_linear_bb
 
 
 def test_ridge_single_row_puts_mean_in_intercept():
     X = np.array([[3.0, -1.0]])
-    Y = np.array([0.7])
-    model = fit_ridge(X, Y, lam=2.0)
+    Y = np.array([[0.7]])
+    model = fit_rows(X, Y, lam=2.0)
     assert np.allclose(model.coefficients, 0.0, atol=1e-10)
     assert model.intercepts[0] == pytest.approx(0.7, abs=1e-10)
 
@@ -38,7 +37,7 @@ def test_ridge_exact_recovery_at_lambda_zero():
     W = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
     Y = X @ W.T + b
-    model = fit_ridge(X, Y, lam=0.0)
+    model = fit_rows(X, Y, lam=0.0)
     assert np.allclose(model.coefficients, W, atol=1e-9)
     assert np.allclose(model.intercepts, b, atol=1e-9)
     assert np.allclose(predict(model, X), Y, atol=1e-9)
@@ -52,32 +51,9 @@ def test_ridge_matches_explicit_normal_equations():
         A = np.hstack([X, np.ones((40, 1))])
         M = A.T @ A + lam * np.diag([1.0] * 6 + [0.0])
         expected = np.linalg.solve(M, A.T @ Y)
-        model = fit_ridge(X, Y, lam=lam)
+        model = fit_rows(X, Y, lam=lam)
         assert np.allclose(model.coefficients, expected[:-1].T, atol=1e-9)
         assert np.allclose(model.intercepts, expected[-1], atol=1e-9)
-
-
-def test_ridge_singular_at_lambda_zero_raises():
-    X = np.ones((10, 2))
-    X[:, 1] = np.arange(10)
-    X = np.hstack([X, X[:, 1:2]])  # duplicated column
-    Y = np.arange(10.0)
-    with pytest.raises(SingularSystemError) as err:
-        fit_ridge(X, Y, lam=0.0)
-    assert "lambda" in str(err.value)
-    model = fit_ridge(X, Y, lam=1e-6)
-    assert np.isfinite(model.coefficients).all()
-
-
-def test_ridge_input_validation():
-    with pytest.raises(InputError):
-        fit_ridge(np.zeros((3,)), np.zeros(3), lam=1.0)
-    with pytest.raises(InputError):
-        fit_ridge(np.zeros((3, 2)), np.zeros(4), lam=1.0)
-    with pytest.raises(InputError):
-        fit_ridge(np.zeros((3, 2)), np.zeros(3), lam=-0.5)
-    with pytest.raises(InputError):
-        fit_ridge(np.zeros((0, 2)), np.zeros(0), lam=1.0)
 
 
 def test_predict_frozen_subgroup_model(toy_enc):
@@ -243,9 +219,11 @@ def test_fit_on_neighborhoods_equals_stacked_ridge():
         pooled = fit_on_neighborhoods(ns, members, lam)
         X = ns.samples[members].reshape(-1, 3)
         Y = ns.bb_outputs[members].reshape(-1, 3)
-        direct = fit_ridge(X, Y, lam=lam)
-        assert np.allclose(pooled.coefficients, direct.coefficients, atol=1e-8)
-        assert np.allclose(pooled.intercepts, direct.intercepts, atol=1e-8)
+        A = np.hstack([X, np.ones((X.shape[0], 1))])
+        M = A.T @ A + lam * np.diag([1.0] * 3 + [0.0])
+        expected = np.linalg.solve(M, A.T @ Y)
+        assert np.allclose(pooled.coefficients, expected[:-1].T, atol=1e-8)
+        assert np.allclose(pooled.intercepts, expected[-1], atol=1e-8)
         loss = subgroup_loss(ns, members, pooled)
         resid = float(np.sum((predict(pooled, X) - Y) ** 2))
         assert loss == pytest.approx(resid, rel=1e-9, abs=1e-9)
