@@ -57,6 +57,22 @@ from .text import featurize_text
 from .whitebox import WhiteBoxModel, subgroup_loss
 
 _LOSS_REL_TOL = 1e-6
+# Every key a --config file may hold: those that synth, featurize,
+# explain and eval read, so one file can serve all of them.
+_CONFIG_KEYS = frozenset(
+    ("seed", "top-n", "k", "z", "n-synth", "lambda", "min-support", "threads", "split-columns")
+)
+
+
+def _read_config(args: argparse.Namespace) -> dict:
+    """The --config file's object, or {} without one; an unknown key is bad input."""
+    if not args.config:
+        return {}
+    config = read_json(args.config, "config")
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise InputError("config: unknown key(s) " + ", ".join(map(repr, unknown)))
+    return config
 
 
 def _resolve(
@@ -148,7 +164,7 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = read_json(args.config, "config") if args.config else {}
+    config = _read_config(args)
     seed = _resolve(args, config, "seed", int, 0)
     spec = spec_from_dict(read_json(args.spec, "synthetic spec"))
     result = generate_synthetic(spec, seed=seed)
@@ -171,7 +187,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config = read_json(args.config, "config") if args.config else {}
+    config = _read_config(args)
     top_n = _resolve(args, config, "top-n", int, 10)
     attributes, classes = load_schema(args.schema)
     base, texts = read_dataset(args.data, attributes, classes, text_field=args.field)
@@ -204,7 +220,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    config = read_json(args.config, "config") if args.config else {}
+    config = _read_config(args)
     k = _resolve(args, config, "k", int, 10)
     z = _resolve(args, config, "z", int, 10)
     n_synth = _resolve(args, config, "n-synth", int, 250)
@@ -234,6 +250,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         K=k,
         lam=lam,
         min_support=min_support,
+        threads=threads,
         split_columns=split_columns,
         ns=ns,
     )
@@ -378,7 +395,7 @@ def _check_dump_invariants(partition: Partition, enc, ns) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = read_json(args.config, "config") if args.config else {}
+    config = _read_config(args)
     threads = _resolve_threads(args, config)
     dataset = load_dataset(args.data, args.schema)
     enc = encode(dataset)

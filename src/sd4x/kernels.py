@@ -41,8 +41,19 @@ alive at a time.  Since no step
 mixes two matrices, the chunk size never changes a result.  The budget
 is in bytes rather than in matrices so that small systems stay in one
 chunk, where the per-call numpy overhead is paid once.
+
+The per-object stages run on a pool of the run's threads through
+:func:`over_ranges`, and the pipeline holds BLAS to one thread with
+:func:`one_blas_thread`.  OpenBLAS runs a product of about 2**19
+multiply-adds or more on all of its threads, whose helpers would then
+spin against the pool's workers; on one thread, every product also has
+the bits of a one-thread pass whichever worker makes it.
 """
 from __future__ import annotations
+
+import ctypes
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,11 +61,104 @@ _EIG_CUTOFF = 1e-12
 _PIVOT_CUTOFF = 1e-12
 # Bytes of one stacked (k, d, d) Gram array; see the module docstring.
 _STACK_BYTES = 1 << 21
+# numpy's OpenBLAS thread-count functions, by symbol prefix and suffix:
+# the scipy-openblas wheels' ILP64 build first, then plain OpenBLAS.
+_OPENBLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", ""))
 
 
 def backend() -> str:
     """Name of the kernel backend; numpy is the only one."""
     return "numpy"
+
+
+def _find_openblas():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    They are looked up through numpy's own extension module, since a
+    symbol lookup on a library also searches the libraries it links.
+    None on any other BLAS, or if the lookup fails in any way.
+    """
+    try:
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:  # numpy 1.x
+            from numpy.core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None
+    for prefix, suffix in _OPENBLAS_SYMBOLS:
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """See :func:`one_blas_thread`."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+        self._funcs = None
+        self._looked_up = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._looked_up:
+                self._funcs = _find_openblas()
+                self._looked_up = True
+            if self._depth == 0 and self._funcs is not None:
+                get, put = self._funcs
+                self._saved = get()
+                if self._saved != 1:
+                    put(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._funcs is not None and self._saved != 1:
+                self._funcs[1](self._saved)
+        return False
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def one_blas_thread() -> _OneBlasThread:
+    """Scope that holds numpy's OpenBLAS to one thread: ``with one_blas_thread():``.
+
+    The caller's thread count is read when the outermost scope opens and
+    restored when it closes, also on an exception; scopes may nest and
+    may be entered from several threads at once.  The count is
+    process-wide, so any BLAS call made meanwhile runs on one thread.
+    On a BLAS other than OpenBLAS, or when its functions cannot be
+    found, the scope does nothing.
+    """
+    return _ONE_BLAS_THREAD
+
+
+def over_ranges(n: int, workers: int, work) -> None:
+    """Call ``work(w, lo, hi)`` for ``workers`` contiguous ranges covering ``0..n-1``.
+
+    Range ``w`` is ``[n * w // workers, n * (w + 1) // workers)``.  With
+    more than one worker each range runs on a thread of a pool while the
+    caller waits, and an exception in any range is raised here; with
+    one, ``work`` runs on the calling thread and no pool is started.
+    """
+    if workers <= 1:
+        work(0, 0, n)
+        return
+    bounds = [n * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, range(workers), bounds, bounds[1:]))
 
 
 def _pinv_solve(A: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -10,40 +10,34 @@ threshold at 0.5, ordinal codes round half-up and clamp to the level
 range, and each one-hot block activates the category whose raw value is
 closest to 1.
 
-With one thread the objects are built in chunks of about
-``_BUILD_CHUNK_ROWS`` rows on the calling thread: each object's normals
-are drawn from its own substream into its own slice of a reused buffer,
-one stacked product applies the Cholesky factor to the whole chunk, and
-the chunk is discretized in place.  With more threads each worker of a
-pool builds a contiguous range of objects the same way, in chunks of
-``_BUILD_CHUNK_ROWS // workers`` rows, while the calling thread waits.
-A worker's products go in row blocks of at most
-``_POOL_PRODUCT_MULADDS // m**2`` rows, so that OpenBLAS runs each on the
-worker's own thread instead of waking its threads against the pool.
+The objects are built in chunks of about ``_BUILD_CHUNK_ROWS`` rows: each
+object's normals are drawn from its own substream into its own slice of
+a reused buffer, one stacked product applies the Cholesky factor to the
+whole chunk, and the chunk is discretized in place.  With more threads
+each worker of a pool (:func:`kernels.over_ranges`) builds a contiguous
+range of objects the same way, in chunks of ``_BUILD_CHUNK_ROWS //
+workers`` rows, while the calling thread waits.
 
-The stacked product makes the same per-object BLAS call as a product
-over one object, and discretization works row by row.  A row block is a
-smaller BLAS call, which may take another kernel (OpenBLAS's
-small-matrix kernel, or gemv for one row) and round differently, so a
-pooled build blocks its products only after checking that the blocks
-reproduce the whole product's bits on this BLAS; otherwise it runs them
-whole.  The samples are therefore bit-identical for any thread count and
-chunk size.
+The build and labeling run with BLAS held to one thread
+(:func:`kernels.one_blas_thread`), so every worker's products run on
+the worker's own thread.  The stacked product makes the same per-object
+BLAS call as a product over one object, and discretization works row by
+row, so the samples are bit-identical for any thread count and chunk
+size.  A black box that ``label`` calls also sees one BLAS thread.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import os
 import tempfile
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .blackbox import BlackBox
 from .dataset import AttributeKind, EncodedMatrix, attribute_slices
 from .errors import InputError
@@ -51,10 +45,6 @@ from .errors import InputError
 _LABEL_CHUNK = 65536
 # Neighborhood rows per chunk of build; bounds the draw buffers.
 _BUILD_CHUNK_ROWS = 8192
-# Multiply-adds per BLAS product in a pooled build.  OpenBLAS runs a
-# product of about 2**19 or more on all of its threads, which would then
-# compete with the pool's workers for the cores.
-_POOL_PRODUCT_MULADDS = 2**18
 
 
 @dataclass
@@ -146,70 +136,30 @@ def build(
         raise InputError(f"seed must be >= 0, got {seed}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    sigma = estimate_covariance(enc.values)
-    L = scaled_cholesky(sigma, z)
-    n, m = enc.n, enc.m
-    samples = np.empty((n, 1 + n_synth, m))
-    samples[:, 0] = enc.values
-    step = max(1, _BUILD_CHUNK_ROWS // (1 + n_synth))
-    workers = min(threads, -(-n // step))
-    if workers > 1:
-        _build_pooled(samples, enc, L, seed, workers)
-    else:
-        g = np.empty((min(step, n), n_synth, m))
-        _build_range(samples, enc, L, seed, 0, n, g, max(1, n_synth))
+    with kernels.one_blas_thread():
+        sigma = estimate_covariance(enc.values)
+        L = scaled_cholesky(sigma, z)
+        n, m = enc.n, enc.m
+        size = 1 + n_synth
+        samples = np.empty((n, size, m))
+        samples[:, 0] = enc.values
+        workers = min(threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
+        step = max(1, _BUILD_CHUNK_ROWS // workers // size)
+        # Allocated here rather than in the workers, whose allocations would
+        # each grow a malloc arena of their own.
+        buffers = [np.empty((min(step, -(-n // workers)), n_synth, m)) for _ in range(workers)]
+
+        def work(w: int, lo: int, hi: int) -> None:
+            _build_range(samples, enc, L, seed, lo, hi, buffers[w])
+
+        kernels.over_ranges(n, workers, work)
     return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
 
 
-def _build_pooled(samples, enc, L, seed, workers: int) -> None:
-    """Build on ``workers`` threads, each over a contiguous range of objects."""
-    n, size, m = samples.shape
-    n_synth = size - 1
-    rows = max(1, _POOL_PRODUCT_MULADDS // max(1, m * m))
-    if rows < n_synth and not _blocks_are_exact(n_synth, m, rows):
-        rows = n_synth
-    step = max(1, _BUILD_CHUNK_ROWS // workers // size)
-    bounds = [n * w // workers for w in range(workers + 1)]
-    # Allocated here rather than in the workers, whose allocations would
-    # each grow a malloc arena of their own.
-    buffers = [np.empty((min(step, hi - lo), n_synth, m)) for lo, hi in zip(bounds, bounds[1:])]
-
-    def work(w: int) -> None:
-        _build_range(samples, enc, L, seed, bounds[w], bounds[w + 1], buffers[w], rows)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(workers)))
-
-
-def _product(g: np.ndarray, L: np.ndarray, rows: int, out: np.ndarray) -> None:
-    """``out = g @ L.T`` over the second-to-last axis in blocks of ``rows``."""
-    for r in range(0, g.shape[-2], rows):
-        np.matmul(g[..., r : r + rows, :], L.T, out=out[..., r : r + rows, :])
-
-
-@functools.lru_cache(maxsize=32)
-def _blocks_are_exact(n_synth: int, m: int, rows: int) -> bool:
-    """Whether ``g @ L.T`` in blocks of ``rows`` rows has the whole product's bits.
-
-    ``g`` is ``(n_synth, m)`` and ``L`` is ``(m, m)``.  The kernel a BLAS
-    product takes depends on its shapes and layouts alone, so one probe
-    on generic data of the build's layout settles it for every object
-    and factor of these sizes.  It is cached, because its whole product
-    would wake OpenBLAS's threads at every build.
-    """
-    rng = np.random.default_rng(0)
-    L = np.tril(rng.standard_normal((m, m)))
-    g = rng.standard_normal((n_synth, m))
-    blocked = np.empty_like(g)
-    _product(g, L, rows, blocked)
-    return bool(np.array_equal(blocked, g @ L.T))
-
-
-def _build_range(samples, enc, L, seed, lo, hi, g, rows) -> None:
+def _build_range(samples, enc, L, seed, lo, hi, g) -> None:
     """Build objects ``lo:hi`` into ``samples``, ``len(g)`` objects at a time.
 
-    Each object's normals come from its own substream of ``seed``; the
-    product goes in blocks of ``rows`` rows.
+    Each object's normals come from its own substream of ``seed``.
     """
     m = samples.shape[2]
     for start in range(lo, hi, max(1, len(g))):
@@ -218,7 +168,7 @@ def _build_range(samples, enc, L, seed, lo, hi, g, rows) -> None:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             rng.standard_normal(out=g[k])
         synth = samples[start:stop, 1:]
-        _product(g[: stop - start], L, rows, synth)
+        np.matmul(g[: stop - start], L.T, out=synth)
         synth += enc.values[start:stop, None, :]
         discretize(samples[start:stop].reshape(-1, m), enc)
 
@@ -236,16 +186,17 @@ def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
     flat = ns.samples.reshape(n * S, m)
     p = len(bb.classes)
     probs = np.empty((n * S, p))
-    for start in range(0, flat.shape[0], _LABEL_CHUNK):
-        rows = flat[start : start + _LABEL_CHUNK]
-        part = bb.predict_batch(rows)
-        if part.shape != (rows.shape[0], p):
-            raise InputError(
-                f"black box returned outputs of shape {part.shape} "
-                f"for {rows.shape[0]} rows and {p} classes"
-            )
-        probs[start : start + rows.shape[0]] = part
-        del part  # free this chunk before the next call allocates its own
+    with kernels.one_blas_thread():
+        for start in range(0, flat.shape[0], _LABEL_CHUNK):
+            rows = flat[start : start + _LABEL_CHUNK]
+            part = bb.predict_batch(rows)
+            if part.shape != (rows.shape[0], p):
+                raise InputError(
+                    f"black box returned outputs of shape {part.shape} "
+                    f"for {rows.shape[0]} rows and {p} classes"
+                )
+            probs[start : start + rows.shape[0]] = part
+            del part  # free this chunk before the next call allocates its own
     ns.bb_outputs = probs.reshape(n, S, p)
     return ns
 

@@ -322,13 +322,14 @@ class _Engine:
         lam: float,
         min_support: int,
         columns: list[int],
+        threads: int = 1,
     ) -> None:
         self.enc = enc
         self.ns = ns
         self.lam = lam
         self.min_support = min_support
         self.columns = columns
-        self.grams = neighborhood_grams(ns)
+        self.grams = neighborhood_grams(ns, threads)
         self.npen = enc.m
         G_all, C_all, _ = self.grams
         self.bound_cols = _bound_design(enc, G_all)
@@ -703,8 +704,11 @@ def run(
 ) -> Partition:
     """Greedy partition of the explained objects into at most K subgroups.
 
-    ``threads`` reaches only the neighborhood build, when ``ns`` is not
-    given; the split search runs on the calling thread.
+    ``threads`` reaches the neighborhood build, when ``ns`` is not given,
+    and the per-object Gram pieces, when ``ns`` holds none yet; labeling
+    and the split search run on the calling thread.  The whole run holds
+    BLAS to one thread (:func:`kernels.one_blas_thread`), so the result
+    does not depend on ``threads``.
     """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
@@ -712,104 +716,107 @@ def run(
         raise InputError(f"lambda must be a finite number >= 0, got {lam}")
     if min_support < 1:
         raise InputError(f"min_support must be >= 1, got {min_support}")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     if enc.n < 1:
         raise InputError("no explained objects")
-    if ns is None:
-        if bb is None:
-            raise InputError("either a black box or labeled neighborhoods are required")
-        ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
-    if ns.bb_outputs is None:
-        raise InputError("neighborhoods are missing cached black-box outputs")
-    if ns.n_objects != enc.n:
-        raise InputError(
-            f"{ns.n_objects} neighborhoods vs {enc.n} encoded objects"
-        )
-
-    columns = _resolve_columns(enc, split_columns)
-    engine = _Engine(enc, ns, lam, min_support, columns)
-
-    members = np.arange(enc.n, dtype=np.int64)
-    root_model = fit_on_neighborhoods(ns, members, lam)
-    root = Subgroup(
-        id=0,
-        members=members,
-        pattern=Pattern.unrestricted(len(enc.attributes)),
-        model=root_model,
-        loss=subgroup_loss(ns, members, root_model),
-        loc=float(engine.loc.sum()),
-    )
-    active: dict[int, Subgroup] = {0: root}
-    candidates: dict[int, CandidateSplit | None] = {}
-    next_id = 1
-    trace: list[TraceEntry] = []
-
-    while len(active) < K:
-        best = _next_split(engine, active, candidates)
-        if best is None:
-            break
-        parent = active[best.subgroup_id]
-        parent_yy = float(engine.grams[2][parent.members].sum())
-        if best.gain <= _GAIN_GUARD * parent_yy:
-            break
-        col = enc.columns[best.column]
-        left = Subgroup(
-            id=next_id,
-            members=best.left_members,
-            pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
-            model=best.left_model,
-            loss=best.left_loss,
-            loc=float(engine.loc[best.left_members].sum()),
-        )
-        right = Subgroup(
-            id=next_id + 1,
-            members=best.right_members,
-            pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
-            model=best.right_model,
-            loss=best.right_loss,
-            loc=float(engine.loc[best.right_members].sum()),
-        )
-        next_id += 2
-        del active[parent.id]
-        candidates.pop(parent.id, None)
-        active[left.id] = left
-        active[right.id] = right
-        loss_after = float(sum(active[sid].loss for sid in sorted(active)))
-        trace.append(
-            TraceEntry(
-                iteration=len(trace) + 1,
-                subgroup=parent.id,
-                column=col.name,
-                threshold=best.threshold,
-                gain=best.gain,
-                loss_after=loss_after,
+    with kernels.one_blas_thread():
+        if ns is None:
+            if bb is None:
+                raise InputError("either a black box or labeled neighborhoods are required")
+            ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+        if ns.bb_outputs is None:
+            raise InputError("neighborhoods are missing cached black-box outputs")
+        if ns.n_objects != enc.n:
+            raise InputError(
+                f"{ns.n_objects} neighborhoods vs {enc.n} encoded objects"
             )
-        )
 
-    subgroups = [active[sid] for sid in sorted(active)]
-    global_loss = float(sum(sg.loss for sg in subgroups))
-    partition = Partition(
-        subgroups=subgroups,
-        trace=trace,
-        root_loss=root.loss,
-        global_loss=global_loss,
-        config={
-            "k": K,
-            "z": ns.z,
-            "n_synth": ns.n_synth,
-            "lambda": lam,
-            "min_support": min_support,
-            "seed": ns.seed,
-            "split_columns": (
-                split_columns
-                if split_columns in (None, "non-text")
-                else list(split_columns)
-            ),
-            "data_hash": content_hash(enc),
-        },
-    )
-    if validate:
-        validate_partition(partition, enc, K)
-    return partition
+        columns = _resolve_columns(enc, split_columns)
+        engine = _Engine(enc, ns, lam, min_support, columns, threads)
+
+        members = np.arange(enc.n, dtype=np.int64)
+        root_model = fit_on_neighborhoods(ns, members, lam)
+        root = Subgroup(
+            id=0,
+            members=members,
+            pattern=Pattern.unrestricted(len(enc.attributes)),
+            model=root_model,
+            loss=subgroup_loss(ns, members, root_model),
+            loc=float(engine.loc.sum()),
+        )
+        active: dict[int, Subgroup] = {0: root}
+        candidates: dict[int, CandidateSplit | None] = {}
+        next_id = 1
+        trace: list[TraceEntry] = []
+
+        while len(active) < K:
+            best = _next_split(engine, active, candidates)
+            if best is None:
+                break
+            parent = active[best.subgroup_id]
+            parent_yy = float(engine.grams[2][parent.members].sum())
+            if best.gain <= _GAIN_GUARD * parent_yy:
+                break
+            col = enc.columns[best.column]
+            left = Subgroup(
+                id=next_id,
+                members=best.left_members,
+                pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
+                model=best.left_model,
+                loss=best.left_loss,
+                loc=float(engine.loc[best.left_members].sum()),
+            )
+            right = Subgroup(
+                id=next_id + 1,
+                members=best.right_members,
+                pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
+                model=best.right_model,
+                loss=best.right_loss,
+                loc=float(engine.loc[best.right_members].sum()),
+            )
+            next_id += 2
+            del active[parent.id]
+            candidates.pop(parent.id, None)
+            active[left.id] = left
+            active[right.id] = right
+            loss_after = float(sum(active[sid].loss for sid in sorted(active)))
+            trace.append(
+                TraceEntry(
+                    iteration=len(trace) + 1,
+                    subgroup=parent.id,
+                    column=col.name,
+                    threshold=best.threshold,
+                    gain=best.gain,
+                    loss_after=loss_after,
+                )
+            )
+
+        subgroups = [active[sid] for sid in sorted(active)]
+        global_loss = float(sum(sg.loss for sg in subgroups))
+        partition = Partition(
+            subgroups=subgroups,
+            trace=trace,
+            root_loss=root.loss,
+            global_loss=global_loss,
+            config={
+                "k": K,
+                "z": ns.z,
+                "n_synth": ns.n_synth,
+                "lambda": lam,
+                "min_support": min_support,
+                "seed": ns.seed,
+                "split_columns": (
+                    split_columns
+                    if split_columns in (None, "non-text")
+                    else list(split_columns)
+                ),
+                "data_hash": content_hash(enc),
+            },
+        )
+        if validate:
+            validate_partition(partition, enc, K)
+        return partition
 
 
 def check_cover(partition: Partition, n: int, K: int | None = None) -> None:

@@ -14,9 +14,12 @@ and produce bit-identical models for equal inputs.
 The per-object Gram pieces come from batched BLAS products of each
 neighborhood with itself and with its black-box outputs, written straight
 into the Gram arrays; the intercept row and column are filled from the
-column sums, so no augmented copy of the neighborhoods is built.  BLAS
-sums in its own order, so the last bits of these pieces, and of every
-model fitted from them, can differ between BLAS builds.  Losses come
+column sums, so no augmented copy of the neighborhoods is built.  They
+are formed on a pool of the run's threads, each worker over a
+contiguous range of objects, with BLAS held to one thread, so every
+object's pieces have the bits of a one-thread pass.  BLAS sums in its
+own order, so the last bits of these pieces, and of every model fitted
+from them, can differ between BLAS builds.  Losses come
 from the same pieces: :func:`subgroup_loss` sums the members' pieces and
 evaluates the residual with :func:`kernels.residual_sse`, the formula the
 split scan uses, so no loss reads the neighborhood rows.
@@ -58,33 +61,48 @@ def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def neighborhood_grams(
+    ns: NeighborhoodSet, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-object Gram pieces (G_i, C_i, yy_i) of the augmented design.
 
     With X_i the object's (S, m) neighborhood and Y_i its (S, p) outputs,
     the augmented design is [X_i, 1].  The blocks X_i'X_i and X_i'Y_i are
-    batched BLAS products over all objects at once.  The intercept row
-    and column hold the column sums of X_i (and of Y_i in C_i), and the
-    corner G_i[m, m] is S.  yy_i is the sum of squared outputs.
+    batched BLAS products, one per object.  The intercept row and column
+    hold the column sums of X_i (and of Y_i in C_i), and the corner
+    G_i[m, m] is S.  yy_i is the sum of squared outputs.  With
+    ``threads > 1`` a pool of at most ``threads`` workers forms the
+    pieces of contiguous ranges of objects; BLAS is held to one thread,
+    so each object's pieces have the same bits at any thread count.
+    The pieces are cached on ``ns``.
     """
     if ns.grams is not None:
         return ns.grams
     if ns.bb_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     X = ns.samples
     Y = ns.bb_outputs
     n, S, m = X.shape
-    Xt = X.transpose(0, 2, 1)
     G = np.empty((n, m + 1, m + 1))
-    np.matmul(Xt, X, out=G[:, :m, :m])
-    sx = X.sum(axis=1)
-    G[:, :m, m] = sx
-    G[:, m, :m] = sx
-    G[:, m, m] = S
     C = np.empty((n, m + 1, Y.shape[2]))
-    np.matmul(Xt, Y, out=C[:, :m])
-    C[:, m] = Y.sum(axis=1)
-    yy = np.einsum("nsp,nsp->n", Y, Y)
+    yy = np.empty(n)
+
+    def work(w: int, lo: int, hi: int) -> None:
+        Xr, Yr = X[lo:hi], Y[lo:hi]
+        Xt = Xr.transpose(0, 2, 1)
+        np.matmul(Xt, Xr, out=G[lo:hi, :m, :m])
+        sx = Xr.sum(axis=1)
+        G[lo:hi, :m, m] = sx
+        G[lo:hi, m, :m] = sx
+        G[lo:hi, m, m] = S
+        np.matmul(Xt, Yr, out=C[lo:hi, :m])
+        C[lo:hi, m] = Yr.sum(axis=1)
+        yy[lo:hi] = np.einsum("nsp,nsp->n", Yr, Yr)
+
+    with kernels.one_blas_thread():
+        kernels.over_ranges(n, max(1, min(threads, n)), work)
     ns.grams = (G, C, yy)
     return ns.grams
 

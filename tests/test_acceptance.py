@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sd4x import evaluation, splitter
+from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import (
     Condition,
     LinearBlackBox,
@@ -629,3 +629,32 @@ def test_criterion_11_cli_byte_determinism(tmp_path):
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1] == blobs[2]
     _verdict(11, ok, f"3 runs, threads 1/4/1, {len(blobs[0])} bytes each")
+
+
+def test_criterion_11_run_bytes_on_wide_data_at_threads_1_and_2():
+    # At m = 100 and n_synth = 100 OpenBLAS's own threads give the build's
+    # and the Gram pieces' products other last bits than one thread does.
+    # The run holds BLAS to one thread and pools both stages, so its bytes
+    # depend neither on its threads nor on the caller's BLAS thread count.
+    rng = np.random.default_rng(12)
+    enc = numeric_enc(rng.random((100, 100)), classes=("a", "b", "c"))
+    bb = random_linear_bb(rng, enc)
+
+    def dump(threads):
+        partition = splitter.run(
+            enc, bb, K=3, n_synth=100, seed=5, threads=threads, split_columns=["x0", "x1", "x2"]
+        )
+        return json.dumps(splitter.partition_to_dict(partition, enc), sort_keys=True)
+
+    blobs = [dump(1), dump(2)]
+    funcs = kernels._find_openblas()
+    if funcs is not None:
+        get, put = funcs
+        saved = get()
+        try:
+            for count in (1, 2):
+                put(count)
+                blobs.append(dump(1))
+        finally:
+            put(saved)
+    assert all(blob == blobs[0] for blob in blobs)

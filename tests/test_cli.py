@@ -730,6 +730,8 @@ def test_non_finite_blackbox_parameters_exit_2(gen_dir, tmp_path, capsys, mangle
         ("explain", (), {"threads": "x"}, "threads"),
         ("synth", (), {"seed": "x"}, "seed"),
         ("featurize", (), {"top-n": "abc"}, "top-n"),
+        ("explain", (), {"lamda": -5, "K": 3}, "lamda"),
+        ("synth", (), {"seed": 1, "n_synth": 5}, "n_synth"),
     ],
     ids=[
         "explain-seed-negative",
@@ -741,6 +743,8 @@ def test_non_finite_blackbox_parameters_exit_2(gen_dir, tmp_path, capsys, mangle
         "threads-str",
         "synth-seed-str",
         "top-n-str",
+        "explain-unknown-keys",
+        "synth-unknown-key",
     ],
 )
 def test_bad_seed_or_config_value_exits_2(gen_dir, tmp_path, capsys, command, flags, config, key):
@@ -770,6 +774,21 @@ def test_bad_seed_or_config_value_exits_2(gen_dir, tmp_path, capsys, command, fl
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert err.count("\n") == 1
+
+
+def test_explain_passes_threads_to_the_run(gen_dir, tmp_path, monkeypatch):
+    from sd4x import splitter
+
+    seen = []
+    run = splitter.run
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs.get("threads"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(splitter, "run", recorded)
+    assert main(_explain_args(gen_dir, tmp_path / "p.json", extra=("--threads", "3"))) == 0
+    assert seen == [3]
 
 
 def _lambda_flag(value):

@@ -357,3 +357,108 @@ def test_solve_stack_peak_memory_stays_within_the_stack_budget():
     assert ok.all()
     extra = peak - base - B.nbytes - ok.nbytes
     assert extra <= 4 * kernels._STACK_BYTES, extra / 2**20
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread inside the pipeline
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set), set to 2 threads for the test and restored after."""
+    funcs = kernels._find_openblas()
+    if funcs is None:
+        pytest.skip("numpy does not use OpenBLAS")
+    get, put = funcs
+    saved = get()
+    put(2)
+    yield get
+    put(saved)
+
+
+def test_label_calls_the_black_box_on_one_blas_thread(blas_threads):
+    from sd4x.neighborhood import NeighborhoodSet, label
+
+    seen = []
+
+    class Probe:
+        classes = ("a", "b")
+
+        def predict_batch(self, rows):
+            seen.append(blas_threads())
+            return np.full((rows.shape[0], 2), 0.5)
+
+    ns = NeighborhoodSet(samples=np.zeros((3, 4, 2)), z=1, n_synth=3, seed=0)
+    label(ns, Probe())
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_nested_scopes_restore_the_count_once(blas_threads):
+    with kernels.one_blas_thread():
+        with kernels.one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    assert kernels._ONE_BLAS_THREAD._depth == 0
+
+
+def test_a_scope_restores_the_count_on_an_exception(blas_threads):
+    with pytest.raises(ValueError, match="inside"):
+        with kernels.one_blas_thread():
+            with kernels.one_blas_thread():
+                assert blas_threads() == 1
+                raise ValueError("inside")
+    assert blas_threads() == 2
+    assert kernels._ONE_BLAS_THREAD._depth == 0
+
+
+def test_concurrent_scopes_hold_one_thread_until_the_last_exits(blas_threads):
+    import threading
+
+    inside = threading.Barrier(2)
+    first_out = threading.Event()
+    seen = {}
+
+    def worker(name):
+        with kernels.one_blas_thread():
+            inside.wait(timeout=10)
+            if name == "first":
+                seen[name] = blas_threads()
+            else:
+                first_out.wait(timeout=10)
+                seen[name] = blas_threads()  # the first scope has closed
+        if name == "first":
+            first_out.set()
+
+    threads = [threading.Thread(target=worker, args=(name,)) for name in ("first", "second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert seen == {"first": 1, "second": 1}
+    assert blas_threads() == 2
+    assert kernels._ONE_BLAS_THREAD._depth == 0
+
+
+def test_a_failed_lookup_makes_the_scope_do_nothing(monkeypatch):
+    def refuse(path):
+        raise OSError("no library")
+
+    monkeypatch.setattr(kernels.ctypes, "CDLL", refuse)
+    assert kernels._find_openblas() is None
+    monkeypatch.undo()
+
+    real = kernels._find_openblas()
+    scope = kernels._ONE_BLAS_THREAD
+    monkeypatch.setattr(kernels, "_find_openblas", lambda: None)
+    monkeypatch.setattr(scope, "_looked_up", False)
+    monkeypatch.setattr(scope, "_funcs", scope._funcs)
+    before = real[0]() if real is not None else None
+    with kernels.one_blas_thread():
+        with kernels.one_blas_thread():
+            assert (real[0]() if real is not None else None) == before
+    assert scope._funcs is None and scope._depth == 0
+    assert (real[0]() if real is not None else None) == before

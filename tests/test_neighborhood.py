@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sd4x import neighborhood
+from sd4x import kernels, neighborhood
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError
 from sd4x.neighborhood import (
@@ -165,31 +165,23 @@ def test_chunked_build_equals_per_object_reference(monkeypatch, threads, chunk_r
     assert np.array_equal(ns.samples, _reference_build(enc, 3, n_synth, 11))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-@pytest.mark.parametrize("block_rows", [6, 7])  # 15 rows as 6 + 6 + 3, and 7 + 7 + 1
-def test_blocked_build_equals_per_object_reference(monkeypatch, threads, block_rows):
-    # A one-row block is a gemv rather than a gemm and may round
-    # differently; the build must then give up blocking, not its bits.
-    enc = mixed_enc(np.random.default_rng(21), n=13)
-    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 64)
-    monkeypatch.setattr(neighborhood, "_POOL_PRODUCT_MULADDS", block_rows * enc.m**2)
-    ns = build(enc, z=3, n_synth=15, seed=11, threads=threads)
-    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 11))
-
-
 @pytest.mark.parametrize(
     "m,n_synth",
     [
-        (35, 600),  # blocks of 213 + 213 + 174 rows
-        (35, 430),  # a 4-row last block: OpenBLAS's small-matrix kernel
-        (100, 600),  # blocks of 26 rows
+        (35, 600),  # each product above OpenBLAS's threading size
+        (35, 430),
+        (100, 600),
+        (100, 100),  # OpenBLAS's own threads would move these products' bits
     ],
 )
 def test_real_size_blocked_build_equals_per_object_reference(monkeypatch, m, n_synth):
+    # Both sides hold BLAS to one thread, which the build does itself.
     enc = numeric_enc(np.random.default_rng(23).normal(size=(4, m)))
     monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 1)
     ns = build(enc, z=10, n_synth=n_synth, seed=3, threads=2)
-    assert np.array_equal(ns.samples, _reference_build(enc, 10, n_synth, 3))
+    with kernels.one_blas_thread():
+        reference = _reference_build(enc, 10, n_synth, 3)
+    assert np.array_equal(ns.samples, reference)
 
 
 @pytest.mark.parametrize(
@@ -218,7 +210,7 @@ def test_pool_has_no_more_workers_than_one_thread_chunks(monkeypatch, chunk_rows
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(neighborhood, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", chunk_rows)
     enc = mixed_enc(np.random.default_rng(21), n=13)
     ns = build(enc, z=3, n_synth=15, seed=11, threads=10_000)

@@ -66,8 +66,8 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
 
 
 def test_scale_probe_counts_do_not_depend_on_build_threads(tmp_path):
-    # The build's threads change how the samples are made, not their
-    # bytes, so the split search solves the same systems.
+    # The threads change how the samples and Gram pieces are made, not
+    # their bytes, so the split search solves the same systems.
     records = []
     for threads in (1, 2):
         path = tmp_path / f"probe-{threads}.json"

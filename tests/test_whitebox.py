@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,45 @@ def test_grams_match_direct_products():
         assert yy[i] == pytest.approx(float(np.sum(Y * Y)), rel=1e-12)
     again = neighborhood_grams(ns)
     assert again[0] is G  # cached on the neighborhood set
+
+
+@pytest.mark.parametrize(
+    "n,S,m",
+    [
+        (13, 25, 4),  # small products, uneven ranges
+        (3, 600, 100),  # OpenBLAS's own threads would move these products' bits
+    ],
+)
+def test_pooled_grams_have_the_bits_of_one_thread(n, S, m):
+    rng = np.random.default_rng(5)
+    samples, outputs = rng.normal(size=(n, S, m)), rng.random(size=(n, S, 3))
+    with kernels.one_blas_thread():
+        XtX = [x.T @ x for x in samples]
+        XtY = [x.T @ y for x, y in zip(samples, outputs)]
+
+    def grams(threads):
+        ns = NeighborhoodSet(samples, 10, S - 1, 0, bb_outputs=outputs)
+        return neighborhood_grams(ns, threads)
+
+    def check(G, C, yy):
+        for i in range(n):
+            assert np.array_equal(G[i, :m, :m], XtX[i]) and np.array_equal(C[i, :m], XtY[i])
+
+    one = grams(1)
+    check(*one)
+    for threads in (2, 4):
+        for a, b in zip(one, grams(threads)):
+            assert np.array_equal(a, b), threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fast = grams(8)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(one, fast):
+        assert np.array_equal(a, b)
+    with pytest.raises(InputError, match="threads"):
+        grams(0)
 
 
 def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2) -> NeighborhoodSet:

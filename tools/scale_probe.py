@@ -9,9 +9,11 @@ softmax-linear regimes cut at 0.5 on x0 and x1.  One run builds and
 labels the neighborhoods, forms the per-object Gram pieces, searches
 the splits and validates the partition, each stage timed on its own,
 with lambda = 1.  ``--threads N`` (default 1) is the thread count given
-to the neighborhood build, the one stage that takes one; the other
-stages run on one thread either way.  The probe prints each stage's wall
-time, the process's peak RSS, and what the split search solved:
+to every stage that takes one: the neighborhood build, the per-object
+Gram pieces and the split search (``splitter.run``, whose search itself
+runs on the calling thread).  Labeling and validation run on one
+thread.  The probe prints each stage's wall time, the process's peak
+RSS, and what the split search solved:
 
 * ridge systems, every matrix given to ``kernels.solve_stack`` (grid
   points, interval boundaries and the winners' refits);
@@ -91,7 +93,10 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=10, help="subgroup budget")
     parser.add_argument("--n-synth", type=int, default=100, help="synthetic rows per object")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--threads", type=int, default=1, help="threads of the neighborhood build")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="threads of the build, the Gram pieces and the split search",
+    )
     parser.add_argument("--json", metavar="PATH", help="also write the results to PATH")
     args = parser.parse_args(argv)
     if args.m < 2:
@@ -135,12 +140,13 @@ def main(argv=None) -> int:
         "build", build, enc, z=10, n_synth=args.n_synth, seed=args.seed, threads=args.threads
     )
     ns = timed("label", label, ns, bb)
-    timed("grams", neighborhood_grams, ns)
+    timed("grams", neighborhood_grams, ns, args.threads)
     kernels.solve_stack, kernels.least_squares_sse = ridge_counted, bound_counted
     kernels.scan_sse, np.linalg.cholesky = scan_counted, cholesky_counted
     try:
         partition = timed(
-            "split search", splitter.run, enc, K=args.k, lam=1.0, ns=ns, validate=False
+            "split search", splitter.run, enc, K=args.k, lam=1.0, threads=args.threads, ns=ns,
+            validate=False,
         )
     finally:
         kernels.solve_stack, kernels.least_squares_sse = solve_stack, least_squares_sse
