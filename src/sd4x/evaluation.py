@@ -168,6 +168,7 @@ def diversity(models: list[WhiteBoxModel], class_index: int = 0) -> float:
     return float(1.0 - cos.mean())
 
 
+@kernels.one_blas_thread()
 def build_report(
     partition: Partition,
     ns: NeighborhoodSet,
@@ -178,11 +179,10 @@ def build_report(
     if ns.bb_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
     n = ns.n_objects
-    with kernels.one_blas_thread():
-        global_model, global_total = fit_global_wb(ns, lam)
-        local_total = fit_local_wb(ns, lam)
-        scores = partition_scores(partition, values)
+    global_model, global_total = fit_global_wb(ns, lam)
+    local_total = fit_local_wb(ns, lam)
     bb_probs = ns.bb_outputs[:, 0, :]
+    scores = partition_scores(partition, values)
     p = bb_probs.shape[1]
     f1 = {str(k): topk_f1(bb_probs, scores, k) for k in (1, 2, 3) if k <= p}
     report = {

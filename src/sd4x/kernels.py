@@ -51,7 +51,9 @@ the bits of a one-thread pass whichever worker makes it.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -71,12 +73,14 @@ def backend() -> str:
     return "numpy"
 
 
+@functools.lru_cache(maxsize=None)
 def _find_openblas():
     """(get, set) thread-count functions of numpy's OpenBLAS, or None.
 
     They are looked up through numpy's own extension module, since a
     symbol lookup on a library also searches the libraries it links.
-    None on any other BLAS, or if the lookup fails in any way.
+    None on any other BLAS, or if the lookup fails in any way.  The
+    lookup runs once, when a scope first opens.
     """
     try:
         try:
@@ -98,23 +102,19 @@ def _find_openblas():
     return None
 
 
-class _OneBlasThread:
+class _OneBlasThread(contextlib.ContextDecorator):
     """See :func:`one_blas_thread`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = 1
-        self._funcs = None
-        self._looked_up = False
 
     def __enter__(self):
         with self._lock:
-            if not self._looked_up:
-                self._funcs = _find_openblas()
-                self._looked_up = True
-            if self._depth == 0 and self._funcs is not None:
-                get, put = self._funcs
+            funcs = _find_openblas()
+            if self._depth == 0 and funcs is not None:
+                get, put = funcs
                 self._saved = get()
                 if self._saved != 1:
                     put(1)
@@ -124,8 +124,9 @@ class _OneBlasThread:
     def __exit__(self, *exc) -> bool:
         with self._lock:
             self._depth -= 1
-            if self._depth == 0 and self._funcs is not None and self._saved != 1:
-                self._funcs[1](self._saved)
+            funcs = _find_openblas()
+            if self._depth == 0 and funcs is not None and self._saved != 1:
+                funcs[1](self._saved)
         return False
 
 
@@ -133,14 +134,15 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def one_blas_thread() -> _OneBlasThread:
-    """Scope that holds numpy's OpenBLAS to one thread: ``with one_blas_thread():``.
+    """Scope that holds numpy's OpenBLAS to one thread.
 
-    The caller's thread count is read when the outermost scope opens and
-    restored when it closes, also on an exception; scopes may nest and
-    may be entered from several threads at once.  The count is
-    process-wide, so any BLAS call made meanwhile runs on one thread.
-    On a BLAS other than OpenBLAS, or when its functions cannot be
-    found, the scope does nothing.
+    Use it as ``with one_blas_thread():`` or as the decorator
+    ``@one_blas_thread()``.  The caller's thread count is read when the
+    outermost scope opens and restored when it closes, also on an
+    exception; scopes may nest and may be entered from several threads
+    at once.  The count is process-wide, so any BLAS call made meanwhile
+    runs on one thread.  On a BLAS other than OpenBLAS, or when its
+    functions cannot be found, the scope does nothing.
     """
     return _ONE_BLAS_THREAD
 

@@ -115,6 +115,7 @@ def discretize(samples: np.ndarray, enc: EncodedMatrix) -> np.ndarray:
     return samples
 
 
+@kernels.one_blas_thread()
 def build(
     enc: EncodedMatrix,
     z: int = 10,
@@ -136,23 +137,22 @@ def build(
         raise InputError(f"seed must be >= 0, got {seed}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    with kernels.one_blas_thread():
-        sigma = estimate_covariance(enc.values)
-        L = scaled_cholesky(sigma, z)
-        n, m = enc.n, enc.m
-        size = 1 + n_synth
-        samples = np.empty((n, size, m))
-        samples[:, 0] = enc.values
-        workers = min(threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
-        step = max(1, _BUILD_CHUNK_ROWS // workers // size)
-        # Allocated here rather than in the workers, whose allocations would
-        # each grow a malloc arena of their own.
-        buffers = [np.empty((min(step, -(-n // workers)), n_synth, m)) for _ in range(workers)]
+    sigma = estimate_covariance(enc.values)
+    L = scaled_cholesky(sigma, z)
+    n, m = enc.n, enc.m
+    size = 1 + n_synth
+    samples = np.empty((n, size, m))
+    samples[:, 0] = enc.values
+    workers = min(threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
+    step = max(1, _BUILD_CHUNK_ROWS // workers // size)
+    # Allocated here rather than in the workers, whose allocations would
+    # each grow a malloc arena of their own.
+    buffers = [np.empty((min(step, -(-n // workers)), n_synth, m)) for _ in range(workers)]
 
-        def work(w: int, lo: int, hi: int) -> None:
-            _build_range(samples, enc, L, seed, lo, hi, buffers[w])
+    def work(w: int, lo: int, hi: int) -> None:
+        _build_range(samples, enc, L, seed, lo, hi, buffers[w])
 
-        kernels.over_ranges(n, workers, work)
+    kernels.over_ranges(n, workers, work)
     return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
 
 
@@ -173,6 +173,7 @@ def _build_range(samples, enc, L, seed, lo, hi, g) -> None:
         discretize(samples[start:stop].reshape(-1, m), enc)
 
 
+@kernels.one_blas_thread()
 def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
     """Run the black box over every neighborhood row, in fixed-size chunks.
 
@@ -186,17 +187,16 @@ def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
     flat = ns.samples.reshape(n * S, m)
     p = len(bb.classes)
     probs = np.empty((n * S, p))
-    with kernels.one_blas_thread():
-        for start in range(0, flat.shape[0], _LABEL_CHUNK):
-            rows = flat[start : start + _LABEL_CHUNK]
-            part = bb.predict_batch(rows)
-            if part.shape != (rows.shape[0], p):
-                raise InputError(
-                    f"black box returned outputs of shape {part.shape} "
-                    f"for {rows.shape[0]} rows and {p} classes"
-                )
-            probs[start : start + rows.shape[0]] = part
-            del part  # free this chunk before the next call allocates its own
+    for start in range(0, flat.shape[0], _LABEL_CHUNK):
+        rows = flat[start : start + _LABEL_CHUNK]
+        part = bb.predict_batch(rows)
+        if part.shape != (rows.shape[0], p):
+            raise InputError(
+                f"black box returned outputs of shape {part.shape} "
+                f"for {rows.shape[0]} rows and {p} classes"
+            )
+        probs[start : start + rows.shape[0]] = part
+        del part  # free this chunk before the next call allocates its own
     ns.bb_outputs = probs.reshape(n, S, p)
     return ns
 

@@ -706,7 +706,7 @@ def run(
 
     ``threads`` reaches the neighborhood build, when ``ns`` is not given,
     and the per-object Gram pieces, when ``ns`` holds none yet; labeling
-    and the split search run on the calling thread.  The whole run holds
+    and the split search run on the calling thread.  Every stage holds
     BLAS to one thread (:func:`kernels.one_blas_thread`), so the result
     does not depend on ``threads``.
     """
@@ -720,103 +720,108 @@ def run(
         raise InputError(f"threads must be >= 1, got {threads}")
     if enc.n < 1:
         raise InputError("no explained objects")
+    if ns is None:
+        if bb is None:
+            raise InputError("either a black box or labeled neighborhoods are required")
+        ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+    if ns.bb_outputs is None:
+        raise InputError("neighborhoods are missing cached black-box outputs")
+    if ns.n_objects != enc.n:
+        raise InputError(
+            f"{ns.n_objects} neighborhoods vs {enc.n} encoded objects"
+        )
+
     with kernels.one_blas_thread():
-        if ns is None:
-            if bb is None:
-                raise InputError("either a black box or labeled neighborhoods are required")
-            ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
-        if ns.bb_outputs is None:
-            raise InputError("neighborhoods are missing cached black-box outputs")
-        if ns.n_objects != enc.n:
-            raise InputError(
-                f"{ns.n_objects} neighborhoods vs {enc.n} encoded objects"
-            )
+        return _greedy_partition(enc, ns, K, lam, min_support, threads, split_columns, validate)
 
-        columns = _resolve_columns(enc, split_columns)
-        engine = _Engine(enc, ns, lam, min_support, columns, threads)
 
-        members = np.arange(enc.n, dtype=np.int64)
-        root_model = fit_on_neighborhoods(ns, members, lam)
-        root = Subgroup(
-            id=0,
-            members=members,
-            pattern=Pattern.unrestricted(len(enc.attributes)),
-            model=root_model,
-            loss=subgroup_loss(ns, members, root_model),
-            loc=float(engine.loc.sum()),
+def _greedy_partition(enc, ns, K, lam, min_support, threads, split_columns, validate) -> Partition:
+    """The greedy split search of :func:`run` on labeled neighborhoods."""
+    columns = _resolve_columns(enc, split_columns)
+    engine = _Engine(enc, ns, lam, min_support, columns, threads)
+
+    members = np.arange(enc.n, dtype=np.int64)
+    root_model = fit_on_neighborhoods(ns, members, lam)
+    root = Subgroup(
+        id=0,
+        members=members,
+        pattern=Pattern.unrestricted(len(enc.attributes)),
+        model=root_model,
+        loss=subgroup_loss(ns, members, root_model),
+        loc=float(engine.loc.sum()),
+    )
+    active: dict[int, Subgroup] = {0: root}
+    candidates: dict[int, CandidateSplit | None] = {}
+    next_id = 1
+    trace: list[TraceEntry] = []
+
+    while len(active) < K:
+        best = _next_split(engine, active, candidates)
+        if best is None:
+            break
+        parent = active[best.subgroup_id]
+        parent_yy = float(engine.grams[2][parent.members].sum())
+        if best.gain <= _GAIN_GUARD * parent_yy:
+            break
+        col = enc.columns[best.column]
+        left = Subgroup(
+            id=next_id,
+            members=best.left_members,
+            pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
+            model=best.left_model,
+            loss=best.left_loss,
+            loc=float(engine.loc[best.left_members].sum()),
         )
-        active: dict[int, Subgroup] = {0: root}
-        candidates: dict[int, CandidateSplit | None] = {}
-        next_id = 1
-        trace: list[TraceEntry] = []
-
-        while len(active) < K:
-            best = _next_split(engine, active, candidates)
-            if best is None:
-                break
-            parent = active[best.subgroup_id]
-            parent_yy = float(engine.grams[2][parent.members].sum())
-            if best.gain <= _GAIN_GUARD * parent_yy:
-                break
-            col = enc.columns[best.column]
-            left = Subgroup(
-                id=next_id,
-                members=best.left_members,
-                pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
-                model=best.left_model,
-                loss=best.left_loss,
-                loc=float(engine.loc[best.left_members].sum()),
-            )
-            right = Subgroup(
-                id=next_id + 1,
-                members=best.right_members,
-                pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
-                model=best.right_model,
-                loss=best.right_loss,
-                loc=float(engine.loc[best.right_members].sum()),
-            )
-            next_id += 2
-            del active[parent.id]
-            candidates.pop(parent.id, None)
-            active[left.id] = left
-            active[right.id] = right
-            loss_after = float(sum(active[sid].loss for sid in sorted(active)))
-            trace.append(
-                TraceEntry(
-                    iteration=len(trace) + 1,
-                    subgroup=parent.id,
-                    column=col.name,
-                    threshold=best.threshold,
-                    gain=best.gain,
-                    loss_after=loss_after,
-                )
-            )
-
-        subgroups = [active[sid] for sid in sorted(active)]
-        global_loss = float(sum(sg.loss for sg in subgroups))
-        partition = Partition(
-            subgroups=subgroups,
-            trace=trace,
-            root_loss=root.loss,
-            global_loss=global_loss,
-            config={
-                "k": K,
-                "z": ns.z,
-                "n_synth": ns.n_synth,
-                "lambda": lam,
-                "min_support": min_support,
-                "seed": ns.seed,
-                "split_columns": (
-                    split_columns
-                    if split_columns in (None, "non-text")
-                    else list(split_columns)
-                ),
-                "data_hash": content_hash(enc),
-            },
+        right = Subgroup(
+            id=next_id + 1,
+            members=best.right_members,
+            pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
+            model=best.right_model,
+            loss=best.right_loss,
+            loc=float(engine.loc[best.right_members].sum()),
         )
-        if validate:
-            validate_partition(partition, enc, K)
-        return partition
+        next_id += 2
+        del active[parent.id]
+        candidates.pop(parent.id, None)
+        active[left.id] = left
+        active[right.id] = right
+        loss_after = float(sum(active[sid].loss for sid in sorted(active)))
+        trace.append(
+            TraceEntry(
+                iteration=len(trace) + 1,
+                subgroup=parent.id,
+                column=col.name,
+                threshold=best.threshold,
+                gain=best.gain,
+                loss_after=loss_after,
+            )
+        )
+
+    subgroups = [active[sid] for sid in sorted(active)]
+    global_loss = float(sum(sg.loss for sg in subgroups))
+    partition = Partition(
+        subgroups=subgroups,
+        trace=trace,
+        root_loss=root.loss,
+        global_loss=global_loss,
+        config={
+            "k": K,
+            "z": ns.z,
+            "n_synth": ns.n_synth,
+            "lambda": lam,
+            "min_support": min_support,
+            "seed": ns.seed,
+            "split_columns": (
+                split_columns
+                if split_columns in (None, "non-text")
+                else list(split_columns)
+            ),
+            "data_hash": content_hash(enc),
+        },
+    )
+    if validate:
+        validate_partition(partition, enc, K)
+    return partition
 
 
 def check_cover(partition: Partition, n: int, K: int | None = None) -> None:

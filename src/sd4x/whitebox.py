@@ -61,6 +61,7 @@ def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@kernels.one_blas_thread()
 def neighborhood_grams(
     ns: NeighborhoodSet, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,8 +102,7 @@ def neighborhood_grams(
         C[lo:hi, m] = Yr.sum(axis=1)
         yy[lo:hi] = np.einsum("nsp,nsp->n", Yr, Yr)
 
-    with kernels.one_blas_thread():
-        kernels.over_ranges(n, max(1, min(threads, n)), work)
+    kernels.over_ranges(n, max(1, min(threads, n)), work)
     ns.grams = (G, C, yy)
     return ns.grams
 

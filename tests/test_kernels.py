@@ -443,22 +443,20 @@ def test_concurrent_scopes_hold_one_thread_until_the_last_exits(blas_threads):
     assert kernels._ONE_BLAS_THREAD._depth == 0
 
 
-def test_a_failed_lookup_makes_the_scope_do_nothing(monkeypatch):
+def test_a_failed_lookup_finds_nothing(monkeypatch):
     def refuse(path):
         raise OSError("no library")
 
     monkeypatch.setattr(kernels.ctypes, "CDLL", refuse)
-    assert kernels._find_openblas() is None
-    monkeypatch.undo()
+    assert kernels._find_openblas.__wrapped__() is None
 
-    real = kernels._find_openblas()
-    scope = kernels._ONE_BLAS_THREAD
+
+def test_a_scope_without_openblas_changes_nothing(blas_threads, monkeypatch):
     monkeypatch.setattr(kernels, "_find_openblas", lambda: None)
-    monkeypatch.setattr(scope, "_looked_up", False)
-    monkeypatch.setattr(scope, "_funcs", scope._funcs)
-    before = real[0]() if real is not None else None
-    with kernels.one_blas_thread():
-        with kernels.one_blas_thread():
-            assert (real[0]() if real is not None else None) == before
-    assert scope._funcs is None and scope._depth == 0
-    assert (real[0]() if real is not None else None) == before
+    scope = kernels._OneBlasThread()
+    with scope:
+        with scope:
+            assert blas_threads() == 2
+    assert blas_threads() == 2
+    assert scope._depth == 0
+
