@@ -731,6 +731,8 @@ def run(
             f"{ns.n_objects} neighborhoods vs {enc.n} encoded objects"
         )
 
+    # A with block rather than a decorator, whose __wrapped__ the
+    # benchmark's tracer would take for a wrapper of its own left behind.
     with kernels.one_blas_thread():
         return _greedy_partition(enc, ns, K, lam, min_support, threads, split_columns, validate)
 

@@ -459,4 +459,3 @@ def test_a_scope_without_openblas_changes_nothing(blas_threads, monkeypatch):
             assert blas_threads() == 2
     assert blas_threads() == 2
     assert scope._depth == 0
-
