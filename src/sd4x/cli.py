@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, splitter
+from . import evaluation, splitter, whitebox
 from .blackbox import ExternalBlackBox, load_blackbox, save_blackbox
 from .dataset import (
     JSON_NAMES,
@@ -135,16 +135,23 @@ def _load_bb(args: argparse.Namespace, classes, columns):
 
 
 def _cache_fits(ns, enc, bb, z, n_synth, seed) -> bool:
-    """Whether cached neighborhoods have the shapes and settings of this run."""
-    rows = (enc.n, 1 + n_synth)
+    """Whether a cached set has the shapes and settings of this run."""
+    G, C, _ = ns.grams
+    d, p = enc.m + 1, len(bb.classes)
     return (
-        ns.samples.shape == (*rows, enc.m)
-        and ns.bb_outputs.shape == (*rows, len(bb.classes))
+        G.shape == (enc.n, d, d)
+        and C.shape == (enc.n, d, p)
+        and ns.object_outputs.shape == (enc.n, p)
         and (ns.z, ns.n_synth, ns.seed) == (z, n_synth, seed)
     )
 
 
 def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
+    """Labeled neighborhoods with their Gram pieces, from the cache when it fits.
+
+    A miss builds and labels the neighborhoods and forms the pieces on
+    ``threads``, then writes them to the cache when there is one.
+    """
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         key = cache_key(content_hash(enc), seed, z, n_synth, bb_tag)
@@ -153,6 +160,8 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
         if cached is not None and _cache_fits(cached, enc, bb, z, n_synth, seed):
             return cached
     ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
+    # Looked up on its module, where the benchmark's tracer wraps it.
+    whitebox.neighborhood_grams(ns, threads)
     if cache_dir:
         save_cache(path, ns)
     return ns
@@ -438,6 +447,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CACHE_HELP = (
+    "reuse each object's Gram pieces, keyed by the data, seed, z, n-synth "
+    "and black box; with --blackbox-cmd the key holds only the command "
+    "string, so clear this directory when the model behind it changes"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sd4x",
@@ -483,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="split_columns",
         help="comma-separated column names, or non-text",
     )
-    p_expl.add_argument("--cache-dir", default=None, dest="cache_dir")
+    p_expl.add_argument("--cache-dir", default=None, dest="cache_dir", help=_CACHE_HELP)
     p_expl.add_argument("--curve", default=None, help="also write the loss curve CSV here")
     p_expl.add_argument("--out", required=True, help="partition JSON path")
     p_expl.add_argument("--config", default=None)
@@ -496,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--blackbox", default=None)
     p_eval.add_argument("--blackbox-cmd", default=None)
     p_eval.add_argument("--threads", type=int, default=None)
-    p_eval.add_argument("--cache-dir", default=None, dest="cache_dir")
+    p_eval.add_argument("--cache-dir", default=None, dest="cache_dir", help=_CACHE_HELP)
     p_eval.add_argument("--out-dir", required=True)
     p_eval.add_argument("--config", default=None)
     p_eval.set_defaults(func=cmd_eval)

@@ -176,12 +176,12 @@ def build_report(
     lam: float,
     curve: list[tuple[int, float]] | None = None,
 ) -> dict:
-    if ns.bb_outputs is None:
+    if ns.object_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
     n = ns.n_objects
     global_model, global_total = fit_global_wb(ns, lam)
     local_total = fit_local_wb(ns, lam)
-    bb_probs = ns.bb_outputs[:, 0, :]
+    bb_probs = ns.object_outputs
     scores = partition_scores(partition, values)
     p = bb_probs.shape[1]
     f1 = {str(k): topk_f1(bb_probs, scores, k) for k in (1, 2, 3) if k <= p}

@@ -49,22 +49,39 @@ _BUILD_CHUNK_ROWS = 8192
 
 @dataclass
 class NeighborhoodSet:
-    """Discretized neighborhoods and, once labeled, black-box outputs."""
+    """Neighborhoods of the explained objects and what later stages read of them.
 
-    samples: np.ndarray  # (n_objects, 1 + n_synth, m')
+    :func:`build` fills ``samples``, the discretized rows.  :func:`label`
+    adds every row's black-box outputs (``bb_outputs``) and each object's
+    own outputs (``object_outputs``, a view of the first row's), which
+    the top-k F1 check reads.  The per-object Gram pieces (``grams``, see
+    the whitebox module) are formed once from rows and outputs, and every
+    later stage reads only them and the object outputs.  A set read back
+    by :func:`load_cache` holds just those two, with no rows.
+    """
+
+    samples: np.ndarray | None  # (n_objects, 1 + n_synth, m'); None when cached
     z: int
     n_synth: int
     seed: int
-    bb_outputs: np.ndarray | None = None
-    grams: tuple | None = None  # lazy per-object Gram cache, see whitebox module
+    bb_outputs: np.ndarray | None = None  # (n_objects, 1 + n_synth, p)
+    object_outputs: np.ndarray | None = None  # (n_objects, p); None until labeled
+    grams: tuple | None = None  # (G, C, yy), see the whitebox module
+
+    def __post_init__(self) -> None:
+        if self.object_outputs is None and self.bb_outputs is not None:
+            self.object_outputs = self.bb_outputs[:, 0]
 
     @property
     def n_objects(self) -> int:
-        return int(self.samples.shape[0])
+        """Objects in the set: rows of the outputs once labeled, else of the samples."""
+        held = self.samples if self.object_outputs is None else self.object_outputs
+        return int(held.shape[0])
 
     @property
     def size(self) -> int:
-        return int(self.samples.shape[1])
+        """Rows per neighborhood: the object itself and its synthetic points."""
+        return 1 + self.n_synth
 
 
 def estimate_covariance(X: np.ndarray) -> np.ndarray:
@@ -198,6 +215,7 @@ def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
         probs[start : start + rows.shape[0]] = part
         del part  # free this chunk before the next call allocates its own
     ns.bb_outputs = probs.reshape(n, S, p)
+    ns.object_outputs = ns.bb_outputs[:, 0]
     return ns
 
 
@@ -224,13 +242,19 @@ def cache_key(data_hash: str, seed: int, z: int, n_synth: int, bb_tag: str) -> s
 
 
 def save_cache(path: str, ns: NeighborhoodSet) -> None:
-    """Write labeled neighborhoods to ``path`` (an uncompressed ``.npz``).
+    """Write a labeled set's Gram pieces and object outputs to ``path``.
 
-    The file is written under a temporary name in the same directory and
-    then renamed into place, so ``path`` never holds a partial write.
+    The file is an uncompressed ``.npz`` of ``G``, ``C``, ``yy`` (the
+    pieces, float64), ``outputs`` (the object rows' outputs) and ``meta``
+    (z, n_synth, seed); it holds no neighborhood rows.  It is written
+    under a temporary name in the same directory and then renamed into
+    place, so ``path`` never holds a partial write.
     """
-    if ns.bb_outputs is None:
+    if ns.object_outputs is None:
         raise InputError("refusing to cache unlabeled neighborhoods")
+    if ns.grams is None:
+        raise InputError("refusing to cache neighborhoods without Gram pieces")
+    G, C, yy = ns.grams
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)), prefix=".ns-", suffix=".tmp"
     )
@@ -239,8 +263,10 @@ def save_cache(path: str, ns: NeighborhoodSet) -> None:
         with os.fdopen(fd, "wb") as fh:
             np.savez(
                 fh,
-                samples=ns.samples,
-                bb_outputs=ns.bb_outputs,
+                G=G,
+                C=C,
+                yy=yy,
+                outputs=ns.object_outputs,
                 meta=np.array([ns.z, ns.n_synth, ns.seed], dtype=np.int64),
             )
         os.replace(tmp, path)
@@ -251,38 +277,60 @@ def save_cache(path: str, ns: NeighborhoodSet) -> None:
 
 
 def load_cache(path: str) -> NeighborhoodSet | None:
-    """Neighborhoods from a cache file, or None if it is missing or corrupt.
+    """A labeled set of Gram pieces and object outputs, or None for a miss.
 
-    A file that is not a readable ``.npz``, lacks an array, holds arrays
-    of the wrong dtype or rank, or holds a non-finite sample or output is
-    treated as corrupt.  Whether the shapes fit the current data is the
-    caller's check.
+    The file is outside input.  It is a miss, and is closed, when it is
+    missing, is not a readable ``.npz`` or lacks one of its arrays (as a
+    file of the older row format, with ``samples`` and ``bb_outputs``,
+    does), or unless all of these hold:
+
+    * ``G``, ``C``, ``yy`` and ``outputs`` are float64 arrays of ranks 3,
+      3, 1 and 2 over one object count; ``G`` is square, ``C`` has as
+      many rows as ``G`` and as many columns as ``outputs``; ``meta`` is
+      3 integers;
+    * every value is finite and every ``yy`` is at least 0;
+    * every ``G`` is exactly symmetric, as
+      :func:`whitebox.neighborhood_grams` forms it;
+    * every corner ``G[:, m, m]`` equals ``1 + n_synth``.
+
+    Whether the shapes and settings fit the current run is the caller's
+    check.  Values that pass are trusted as they are: nothing here can
+    tell pieces formed from other rows or from another model's outputs,
+    so a file edited to keep these properties, or one written for a
+    black box that has since changed behind the same cache key, yields
+    wrong surrogates and losses without an error.
     """
     try:
         # Through a file object that this block closes: np.load leaves a
         # path it opened itself open when the archive is corrupt.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            samples = data["samples"]
-            outputs = data["bb_outputs"]
-            meta = data["meta"]
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                return None  # a bare .npy array
+            with data:
+                G, C, yy, outputs, meta = (data[k] for k in ("G", "C", "yy", "outputs", "meta"))
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         return None
-    if (
-        samples.dtype != np.float64
-        or outputs.dtype != np.float64
-        or samples.ndim != 3
-        or outputs.ndim != 3
-        or outputs.shape[:2] != samples.shape[:2]
-        or meta.shape != (3,)
-        or meta.dtype.kind != "i"
-        or not np.isfinite(samples).all()
-        or not np.isfinite(outputs).all()
+    arrays = (G, C, yy, outputs)
+    if not (
+        all(a.dtype == np.float64 for a in arrays)
+        and tuple(a.ndim for a in arrays) == (3, 3, 1, 2)
+        and len({a.shape[0] for a in arrays}) == 1
+        and 1 <= G.shape[1] == G.shape[2] == C.shape[1]
+        and C.shape[2] == outputs.shape[1]
+        and meta.shape == (3,)
+        and meta.dtype.kind == "i"
+        and all(np.isfinite(a).all() for a in arrays)
+        and (yy >= 0.0).all()
+        and np.array_equal(G, G.transpose(0, 2, 1))
+        and (G[:, -1, -1] == 1.0 + float(meta[1])).all()
     ):
         return None
     return NeighborhoodSet(
-        samples=samples,
+        samples=None,
         z=int(meta[0]),
         n_synth=int(meta[1]),
         seed=int(meta[2]),
-        bb_outputs=outputs,
+        object_outputs=outputs,
+        grams=(G, C, yy),
     )

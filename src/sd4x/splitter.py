@@ -724,7 +724,7 @@ def run(
         if bb is None:
             raise InputError("either a black box or labeled neighborhoods are required")
         ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
-    if ns.bb_outputs is None:
+    if ns.object_outputs is None:
         raise InputError("neighborhoods are missing cached black-box outputs")
     if ns.n_objects != enc.n:
         raise InputError(

@@ -23,6 +23,11 @@ from them, can differ between BLAS builds.  Losses come
 from the same pieces: :func:`subgroup_loss` sums the members' pieces and
 evaluates the residual with :func:`kernels.residual_sse`, the formula the
 split scan uses, so no loss reads the neighborhood rows.
+
+The pieces are the only per-object state that fits and losses read, so
+they are also what the neighborhood cache stores
+(:func:`neighborhood.save_cache`).  A set read back from a cache file
+holds the pieces and no rows, and every function here works on it.
 """
 from __future__ import annotations
 
@@ -61,7 +66,6 @@ def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@kernels.one_blas_thread()
 def neighborhood_grams(
     ns: NeighborhoodSet, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,16 +79,21 @@ def neighborhood_grams(
     ``threads > 1`` a pool of at most ``threads`` workers forms the
     pieces of contiguous ranges of objects; BLAS is held to one thread,
     so each object's pieces have the same bits at any thread count.
-    The pieces are cached on ``ns``.
+    The pieces are cached on ``ns``, and a set that holds them already,
+    as one read back from a cache file does, returns them without rows.
     """
-    if ns.grams is not None:
-        return ns.grams
-    if ns.bb_outputs is None:
-        raise InputError("neighborhoods are missing cached black-box outputs")
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    X = ns.samples
-    Y = ns.bb_outputs
+    if ns.grams is None:
+        if ns.bb_outputs is None:
+            raise InputError("neighborhoods are missing cached black-box outputs")
+        if threads < 1:
+            raise InputError(f"threads must be >= 1, got {threads}")
+        ns.grams = _grams_from_rows(ns.samples, ns.bb_outputs, threads)
+    return ns.grams
+
+
+@kernels.one_blas_thread()
+def _grams_from_rows(X: np.ndarray, Y: np.ndarray, threads: int) -> tuple:
+    """The pieces of :func:`neighborhood_grams`, formed from rows X and outputs Y."""
     n, S, m = X.shape
     G = np.empty((n, m + 1, m + 1))
     C = np.empty((n, m + 1, Y.shape[2]))
@@ -103,8 +112,7 @@ def neighborhood_grams(
         yy[lo:hi] = np.einsum("nsp,nsp->n", Yr, Yr)
 
     kernels.over_ranges(n, max(1, min(threads, n)), work)
-    ns.grams = (G, C, yy)
-    return ns.grams
+    return G, C, yy
 
 
 def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -> WhiteBoxModel:

@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from sd4x import cli, whitebox
 from sd4x.blackbox import load_blackbox
 from sd4x.cli import main
+from sd4x.dataset import encode, load_dataset
 from sd4x.errors import InputError
-from sd4x.neighborhood import load_cache
+from sd4x.neighborhood import build, label, load_cache
 from sd4x.synth import generate_synthetic, spec_from_dict
 
 from conftest import TOY_CSV, TOY_SCHEMA
@@ -164,25 +166,35 @@ def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
     path = cache / entry
     good = load_cache(str(path))
     blob = path.read_bytes()
+    G, C, yy = good.grams
+    meta = np.array([good.z, good.n_synth, good.seed])
 
     def wrong_shapes(fh):
+        # consistent in itself, so only the comparison with the run rejects it
+        G = np.tile(np.eye(2), (3, 1, 1))
+        G[:, 1, 1] = 26.0
         np.savez(
             fh,
-            samples=np.zeros((3, 2, 2)),
-            bb_outputs=np.zeros((3, 2, 7)),
+            G=G,
+            C=np.zeros((3, 2, 7)),
+            yy=np.zeros(3),
+            outputs=np.zeros((3, 7)),
             meta=np.array([10, 25, 2], dtype=np.int64),
         )
 
+    def other_settings(fh):
+        np.savez(fh, G=G, C=C, yy=yy, outputs=good.object_outputs, meta=meta + [0, 0, 1])
+
     def nan_output(fh):
-        outputs = good.bb_outputs.copy()
-        outputs[1, 2, 0] = np.nan
-        meta = np.array([good.z, good.n_synth, good.seed])
-        np.savez(fh, samples=good.samples, bb_outputs=outputs, meta=meta)
+        outputs = good.object_outputs.copy()
+        outputs[1, 0] = np.nan
+        np.savez(fh, G=G, C=C, yy=yy, outputs=outputs, meta=meta)
 
     for spoil in (
         lambda fh: fh.write(blob[: len(blob) // 2]),
         lambda fh: fh.write(blob[:10]),
         wrong_shapes,
+        other_settings,
         nan_output,
     ):
         with open(path, "wb") as fh:
@@ -193,8 +205,64 @@ def test_explain_recomputes_over_a_corrupt_cache_file(gen_dir, tmp_path):
         assert os.listdir(cache) == [entry]
         rewritten = load_cache(str(path))
         assert rewritten is not None
-        assert np.array_equal(rewritten.samples, good.samples)
-        assert np.array_equal(rewritten.bb_outputs, good.bb_outputs)
+        for got, want in zip(rewritten.grams, good.grams):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rewritten.object_outputs, good.object_outputs)
+
+
+def test_explain_rebuilds_a_row_format_cache_file_once(gen_dir, tmp_path):
+    plain = tmp_path / "plain.json"
+    assert main(_explain_args(gen_dir, plain)) == 0
+    cache = tmp_path / "cache"
+    first = tmp_path / "first.json"
+    assert main(_explain_args(gen_dir, first, extra=("--cache-dir", str(cache)))) == 0
+    (entry,) = os.listdir(cache)
+    path = cache / entry
+    # The file an older sd4x wrote under the same key: every row and its outputs.
+    enc = encode(load_dataset(str(gen_dir / "data.csv"), str(gen_dir / "schema.json")))
+    ns = label(build(enc, z=10, n_synth=25, seed=2), load_blackbox(str(gen_dir / "blackbox.json")))
+    with open(path, "wb") as fh:
+        np.savez(
+            fh,
+            samples=ns.samples,
+            bb_outputs=ns.bb_outputs,
+            meta=np.array([10, 25, 2], dtype=np.int64),
+        )
+    assert load_cache(str(path)) is None
+    again = tmp_path / "again.json"
+    assert main(_explain_args(gen_dir, again, extra=("--cache-dir", str(cache)))) == 0
+    assert again.read_bytes() == first.read_bytes() == plain.read_bytes()
+    assert os.listdir(cache) == [entry]
+    with np.load(path) as data:
+        assert sorted(data.files) == ["C", "G", "meta", "outputs", "yy"]
+    assert np.array_equal(load_cache(str(path)).object_outputs, ns.bb_outputs[:, 0])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eval_on_a_warm_cache_reads_no_rows(gen_dir, tmp_path, monkeypatch, threads):
+    partition = tmp_path / "partition.json"
+    assert main(_explain_args(gen_dir, partition)) == 0
+    cache = tmp_path / "cache"
+
+    def eval_args(out_dir):
+        args = _eval_args(gen_dir, partition, out_dir)
+        return args + ["--cache-dir", str(cache), "--threads", threads]
+
+    assert main(eval_args(tmp_path / "cold")) == 0
+    assert len(os.listdir(cache)) == 1
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a cache hit reads neighborhood rows")
+
+    monkeypatch.setattr(cli, "build", no_rows)
+    monkeypatch.setattr(cli, "label", no_rows)
+    monkeypatch.setattr(whitebox, "_grams_from_rows", no_rows)
+    assert main(eval_args(tmp_path / "warm")) == 0
+    cold = (tmp_path / "cold" / "report.json").read_bytes()
+    assert (tmp_path / "warm" / "report.json").read_bytes() == cold
+    monkeypatch.undo()
+    assert main(_eval_args(gen_dir, partition, tmp_path / "uncached")) == 0
+    assert (tmp_path / "uncached" / "report.json").read_bytes() == cold
 
 
 def test_explain_rejects_a_schema_with_repeated_encoded_columns(tmp_path, capsys):

@@ -24,6 +24,8 @@ from sd4x.neighborhood import (
     scaled_cholesky,
 )
 
+from sd4x.whitebox import neighborhood_grams
+
 from conftest import mixed_enc, numeric_enc, random_linear_bb
 
 
@@ -321,38 +323,76 @@ def test_label_rejects_outputs_of_the_wrong_width(width):
         label(ns, _FixedWidthBox(("a", "b", "c"), width))
 
 
+def _labeled_with_grams(enc, bb, **params) -> NeighborhoodSet:
+    ns = label(build(enc, **params), bb)
+    neighborhood_grams(ns)
+    return ns
+
+
 def test_cache_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    enc = numeric_enc(rng.normal(size=(7, 2)))
+    enc = mixed_enc(rng, n=7)
     bb = random_linear_bb(rng, enc)
-    ns = label(build(enc, z=10, n_synth=10, seed=3), bb)
+    ns = _labeled_with_grams(enc, bb, z=10, n_synth=10, seed=3)
     path = str(tmp_path / "ns.npz")
     save_cache(path, ns)
     loaded = load_cache(path)
     assert loaded is not None
-    assert np.array_equal(loaded.samples, ns.samples)
-    assert np.array_equal(loaded.bb_outputs, ns.bb_outputs)
+    for got, want in zip(loaded.grams, ns.grams):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(loaded.object_outputs, ns.bb_outputs[:, 0])
     assert (loaded.z, loaded.n_synth, loaded.seed) == (10, 10, 3)
+    assert loaded.samples is None and loaded.bb_outputs is None
+    assert (loaded.n_objects, loaded.size) == (ns.n_objects, ns.size) == (7, 11)
 
 
 def test_cache_refuses_unlabeled_and_tolerates_garbage(tmp_path):
     rng = np.random.default_rng(4)
     enc = numeric_enc(rng.normal(size=(4, 2)))
     ns = build(enc, z=10, n_synth=5, seed=3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unlabeled"):
         save_cache(str(tmp_path / "x.npz"), ns)
+    label(ns, random_linear_bb(rng, enc))
+    with pytest.raises(InputError, match="Gram pieces"):
+        save_cache(str(tmp_path / "x.npz"), ns)
+    assert os.listdir(tmp_path) == []
     assert load_cache(str(tmp_path / "missing.npz")) is None
     bad = tmp_path / "bad.npz"
     bad.write_bytes(b"not a zip")
     assert load_cache(str(bad)) is None
     bad.write_bytes(b"")
     assert load_cache(str(bad)) is None
+    with open(bad, "wb") as fh:
+        np.save(fh, np.zeros(3))  # a bare .npy array, not an archive
+    assert load_cache(str(bad)) is None
+
+
+def _spoiled(key, index, value):
+    """(key, edit): set one entry of the good file's array ``key``."""
+
+    def edit(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key][index] = value
+
+    return key, edit
+
+
+def _replaced(key, value):
+    """(key, edit): replace the good file's array ``key``, or drop it for None."""
+
+    def edit(arrays):
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+
+    return key, edit
 
 
 def test_cache_rejects_truncated_and_malformed_files(tmp_path):
     rng = np.random.default_rng(5)
     enc = numeric_enc(rng.normal(size=(6, 2)))
-    ns = label(build(enc, z=10, n_synth=40, seed=3), random_linear_bb(rng, enc))
+    ns = _labeled_with_grams(enc, random_linear_bb(rng, enc), z=10, n_synth=40, seed=3)
     path = tmp_path / "ns.npz"
     save_cache(str(path), ns)
     blob = path.read_bytes()
@@ -366,41 +406,79 @@ def test_cache_rejects_truncated_and_malformed_files(tmp_path):
     unclosed = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not unclosed, str(unclosed[0].message)
     malformed = tmp_path / "malformed.npz"
+    # Six objects, m = 2 columns plus the intercept, p = 2 classes, and
+    # n_synth = 40: symmetric Gram matrices whose corners hold 41 rows.
+    G = np.tile(np.eye(3), (6, 1, 1))
+    G[:, 0, 1] = G[:, 1, 0] = 0.25
+    G[:, 2, 2] = 41.0
     good = {
-        "samples": np.zeros((6, 41, 2)),
-        "bb_outputs": np.zeros((6, 41, 2)),
+        "G": G,
+        "C": np.ones((6, 3, 2)),
+        "yy": np.ones(6),
+        "outputs": np.full((6, 2), 0.5),
         "meta": np.array([10, 40, 3], dtype=np.int64),
     }
-
-    def one_entry(value):
-        out = np.zeros((6, 41, 2))
-        out[2, 5, 1] = value
-        return out
-
-    for key, value in (
-        ("samples", np.zeros((6, 41))),
-        ("samples", np.zeros((6, 41, 2), dtype=np.int64)),
-        ("bb_outputs", np.zeros((6, 40, 2))),
-        ("meta", good["meta"][:2]),
-        ("bb_outputs", None),
-        ("samples", one_entry(np.nan)),
-        ("samples", one_entry(-np.inf)),
-        ("bb_outputs", one_entry(np.nan)),
-        ("bb_outputs", one_entry(np.inf)),
-    ):
-        arrays = {k: v for k, v in {**good, key: value}.items() if v is not None}
+    cases = [
+        # wrong rank
+        _replaced("G", np.ones((6, 3))),
+        _replaced("C", np.ones((6, 3))),
+        _replaced("yy", np.ones((6, 1))),
+        _replaced("outputs", np.ones((6, 41, 2))),
+        # wrong dtype
+        _replaced("G", G.astype(np.int64)),
+        _replaced("C", np.ones((6, 3, 2), dtype=np.float32)),
+        _replaced("yy", np.ones(6, dtype=np.int64)),
+        _replaced("outputs", np.ones((6, 2), dtype=np.int64)),
+        # shapes that disagree
+        _replaced("G", np.ones((6, 3, 4))),
+        _replaced("G", G[:5]),
+        _replaced("C", np.ones((5, 3, 2))),
+        _replaced("C", np.ones((6, 4, 2))),
+        _replaced("yy", np.ones(7)),
+        _replaced("outputs", np.ones((5, 2))),
+        _replaced("outputs", np.ones((6, 3))),
+        _replaced("G", np.ones((6, 0, 0))),
+        # meta
+        _replaced("meta", good["meta"][:2]),
+        _replaced("meta", np.array([10.0, 40.0, 3.0])),
+        # missing arrays
+        *(_replaced(key, None) for key in good),
+        # values
+        _spoiled("G", (2, 0, 1), 0.25 + 1e-12),  # not symmetric
+        _spoiled("G", (2, 2, 2), 40.0),  # corner other than 1 + n_synth
+        _spoiled("yy", 2, -1e-300),
+        *(
+            _spoiled(key, index, value)
+            for key, index in (
+                ("G", (2, 1, 1)),
+                ("C", (2, 1, 0)),
+                ("yy", 2),
+                ("outputs", (2, 1)),
+            )
+            for value in (np.nan, np.inf, -np.inf)
+        ),
+    ]
+    for key, edit in cases:
+        arrays = dict(good)
+        edit(arrays)
         with open(malformed, "wb") as fh:
             np.savez(fh, **arrays)
         assert load_cache(str(malformed)) is None, key
     with open(malformed, "wb") as fh:
         np.savez(fh, **good)
     assert load_cache(str(malformed)) is not None
+    # A file in the older row format is a miss.
+    with open(malformed, "wb") as fh:
+        np.savez(
+            fh, samples=ns.samples, bb_outputs=ns.bb_outputs, meta=good["meta"]
+        )
+    assert load_cache(str(malformed)) is None
 
 
 def test_cache_save_that_raises_leaves_no_file(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     enc = numeric_enc(rng.normal(size=(4, 2)))
-    ns = label(build(enc, z=10, n_synth=5, seed=3), random_linear_bb(rng, enc))
+    ns = _labeled_with_grams(enc, random_linear_bb(rng, enc), z=10, n_synth=5, seed=3)
 
     def partial_write(fh, **arrays):
         fh.write(b"PK\x03\x04 partial")

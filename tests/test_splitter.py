@@ -10,7 +10,7 @@ from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, InvariantError
-from sd4x.neighborhood import NeighborhoodSet, build, label
+from sd4x.neighborhood import NeighborhoodSet, build, label, load_cache, save_cache
 from sd4x.patterns import extent
 from sd4x.splitter import (
     Partition,
@@ -198,6 +198,20 @@ def test_determinism_across_threads_and_repeats(toy_enc):
     d2 = json.dumps(partition_to_dict(second, toy_enc), sort_keys=True)
     d3 = json.dumps(partition_to_dict(third, toy_enc), sort_keys=True)
     assert d1 == d2 == d3
+
+
+def test_run_on_cached_grams_dumps_the_bytes_of_the_fresh_set(tmp_path):
+    rng = np.random.default_rng(23)
+    enc = mixed_enc(rng, n=50)
+    ns = label(build(enc, z=10, n_synth=30, seed=5), random_linear_bb(rng, enc))
+    params = dict(K=4, lam=0.5, min_support=3)
+    fresh = json.dumps(partition_to_dict(run(enc, ns=ns, **params), enc), sort_keys=True)
+    path = str(tmp_path / "ns.npz")
+    save_cache(path, ns)  # the run formed the Gram pieces on ns
+    cached = load_cache(path)
+    assert cached.samples is None
+    again = json.dumps(partition_to_dict(run(enc, ns=cached, **params), enc), sort_keys=True)
+    assert again == fresh
 
 
 def test_greedy_picks_the_largest_gain_first():
