@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import evaluation, splitter, whitebox
+from . import evaluation, splitter
 from .blackbox import ExternalBlackBox, load_blackbox, save_blackbox
 from .dataset import (
     JSON_NAMES,
@@ -149,8 +149,10 @@ def _cache_fits(ns, enc, bb, z, n_synth, seed) -> bool:
 def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
     """Labeled neighborhoods with their Gram pieces, from the cache when it fits.
 
-    A miss builds and labels the neighborhoods and forms the pieces on
-    ``threads``, then writes them to the cache when there is one.
+    A miss plans the neighborhoods and labels them on ``threads``
+    workers, which draw, label and form the pieces one chunk of objects
+    at a time and keep no rows, then writes the pieces to the cache
+    when there is one.
     """
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -160,8 +162,6 @@ def _neighborhoods(enc, bb, bb_tag, *, z, n_synth, seed, threads, cache_dir):
         if cached is not None and _cache_fits(cached, enc, bb, z, n_synth, seed):
             return cached
     ns = label(build(enc, z=z, n_synth=n_synth, seed=seed, threads=threads), bb)
-    # Looked up on its module, where the benchmark's tracer wraps it.
-    whitebox.neighborhood_grams(ns, threads)
     if cache_dir:
         save_cache(path, ns)
     return ns

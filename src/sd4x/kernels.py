@@ -42,7 +42,9 @@ mixes two matrices, the chunk size never changes a result.  The budget
 is in bytes rather than in matrices so that small systems stay in one
 chunk, where the per-call numpy overhead is paid once.
 
-The per-object stages run on a pool of the run's threads through
+Every solve starts from the per-object pieces that
+:func:`gram_pieces` forms from neighborhood rows and outputs.  The
+per-object stages run on a pool of the run's threads through
 :func:`over_ranges`, and the pipeline holds BLAS to one thread with
 :func:`one_blas_thread`.  OpenBLAS runs a product of about 2**19
 multiply-adds or more on all of its threads, whose helpers would then
@@ -147,20 +149,50 @@ def one_blas_thread() -> _OneBlasThread:
     return _ONE_BLAS_THREAD
 
 
-def over_ranges(n: int, workers: int, work) -> None:
+def over_ranges(n: int, workers: int, work, step: int = 1) -> None:
     """Call ``work(w, lo, hi)`` for ``workers`` contiguous ranges covering ``0..n-1``.
 
-    Range ``w`` is ``[n * w // workers, n * (w + 1) // workers)``.  With
-    more than one worker each range runs on a thread of a pool while the
-    caller waits, and an exception in any range is raised here; with
-    one, ``work`` runs on the calling thread and no pool is started.
+    The ranges are cut between blocks of ``step`` items: with ``c =
+    ceil(n / step)`` blocks, range ``w`` is ``[step * (c * w // workers),
+    step * (c * (w + 1) // workers))``, clipped to ``n``, so only the last
+    block may be short.  With more than one worker each range runs on a
+    thread of a pool while the caller waits, and an exception in any
+    range is raised here; with one, ``work`` runs on the calling thread
+    and no pool is started.
     """
     if workers <= 1:
         work(0, 0, n)
         return
-    bounds = [n * w // workers for w in range(workers + 1)]
+    blocks = -(-n // step)
+    bounds = [min(n, step * (blocks * w // workers)) for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(work, range(workers), bounds, bounds[1:]))
+
+
+def gram_pieces(
+    X: np.ndarray, Y: np.ndarray, G: np.ndarray, C: np.ndarray, yy: np.ndarray
+) -> None:
+    """Write the Gram pieces of neighborhoods X and outputs Y into G, C and yy.
+
+    X is (k, S, m) and Y (k, S, p); G is (k, m + 1, m + 1), C is
+    (k, m + 1, p) and yy is (k,).  With the augmented design [X_i, 1],
+    ``G_i`` is its Gram matrix, ``C_i`` its product with Y_i and ``yy_i``
+    the sum of squared outputs: the blocks X_i'X_i and X_i'Y_i are
+    batched BLAS products, one per object, the intercept row and column
+    hold the column sums, and the corner is S.  Every object's pieces
+    are formed from its own rows alone, so they have the same bits
+    whichever objects share the call.
+    """
+    S, m = X.shape[1], X.shape[2]
+    Xt = X.transpose(0, 2, 1)
+    np.matmul(Xt, X, out=G[:, :m, :m])
+    sx = X.sum(axis=1)
+    G[:, :m, m] = sx
+    G[:, m, :m] = sx
+    G[:, m, m] = S
+    np.matmul(Xt, Y, out=C[:, :m])
+    C[:, m] = Y.sum(axis=1)
+    yy[:] = np.einsum("nsp,nsp->n", Y, Y)
 
 
 def _pinv_solve(A: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -10,20 +10,26 @@ threshold at 0.5, ordinal codes round half-up and clamp to the level
 range, and each one-hot block activates the category whose raw value is
 closest to 1.
 
-The objects are built in chunks of about ``_BUILD_CHUNK_ROWS`` rows: each
-object's normals are drawn from its own substream into its own slice of
-a reused buffer, one stacked product applies the Cholesky factor to the
-whole chunk, and the chunk is discretized in place.  With more threads
-each worker of a pool (:func:`kernels.over_ranges`) builds a contiguous
-range of objects the same way, in chunks of ``_BUILD_CHUNK_ROWS //
-workers`` rows, while the calling thread waits.
+:func:`build` only plans: it checks its inputs and factors the
+covariance.  :func:`label` streams the neighborhoods in chunks of whole
+objects: for each chunk it draws the rows, makes one black-box call,
+forms the chunk's Gram pieces (:func:`kernels.gram_pieces`) and keeps
+only those and the objects' own outputs, so no run holds every
+neighborhood row.  With more threads each worker of a pool
+(:func:`kernels.over_ranges`) streams a contiguous range of chunks
+through buffers of its own.  A set's ``samples``, every row at once,
+are drawn only when read.
 
-The build and labeling run with BLAS held to one thread
-(:func:`kernels.one_blas_thread`), so every worker's products run on
-the worker's own thread.  The stacked product makes the same per-object
+Rows are drawn ``len(g)`` objects at a time into a reused buffer ``g``
+of normals: each object's from its own substream, then one stacked
+product applies the Cholesky factor and the rows are discretized in
+place.  Everything runs with BLAS held to one thread
+(:func:`kernels.one_blas_thread`), so every worker's products run on the
+worker's own thread.  The stacked product makes the same per-object
 BLAS call as a product over one object, and discretization works row by
-row, so the samples are bit-identical for any thread count and chunk
-size.  A black box that ``label`` calls also sees one BLAS thread.
+row, so the rows and their pieces are bit-identical for any thread
+count and chunk size.  A black box that ``label`` calls also sees one
+BLAS thread.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -42,40 +49,74 @@ from .blackbox import BlackBox
 from .dataset import AttributeKind, EncodedMatrix, attribute_slices
 from .errors import InputError
 
+# Rows per black-box call, rounded down to whole objects (at least one).
 _LABEL_CHUNK = 65536
-# Neighborhood rows per chunk of build; bounds the draw buffers.
+# Rows drawn per use of the normals buffer, across all workers.
 _BUILD_CHUNK_ROWS = 8192
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Plan:
+    """What drawing a built set's rows takes: the objects, the factor, the threads."""
+
+    enc: EncodedMatrix
+    L: np.ndarray  # Cholesky factor of Sigma / z
+    threads: int
+
+
 class NeighborhoodSet:
     """Neighborhoods of the explained objects and what later stages read of them.
 
-    :func:`build` fills ``samples``, the discretized rows.  :func:`label`
-    adds every row's black-box outputs (``bb_outputs``) and each object's
-    own outputs (``object_outputs``, a view of the first row's), which
-    the top-k F1 check reads.  The per-object Gram pieces (``grams``, see
-    the whitebox module) are formed once from rows and outputs, and every
-    later stage reads only them and the object outputs.  A set read back
-    by :func:`load_cache` holds just those two, with no rows.
+    Later stages read only the per-object Gram pieces (``grams``, see the
+    whitebox module) and each object's own outputs (``object_outputs``,
+    which the top-k F1 check reads).  :func:`label` forms both from a
+    set that :func:`build` planned, without keeping its rows, and
+    :func:`load_cache` reads both back from a file.
+
+    ``samples``, the (n_objects, 1 + n_synth, m') discretized rows, is
+    held only by a set made with explicit rows; a built set draws every
+    row when ``samples`` is first read and keeps them, and :func:`label`
+    then labels those.  A set made with explicit rows and their outputs
+    (``bb_outputs``, (n_objects, 1 + n_synth, p)) gets its pieces from
+    :func:`whitebox.neighborhood_grams`; ``label`` never stores
+    ``bb_outputs``.
     """
 
-    samples: np.ndarray | None  # (n_objects, 1 + n_synth, m'); None when cached
-    z: int
-    n_synth: int
-    seed: int
-    bb_outputs: np.ndarray | None = None  # (n_objects, 1 + n_synth, p)
-    object_outputs: np.ndarray | None = None  # (n_objects, p); None until labeled
-    grams: tuple | None = None  # (G, C, yy), see the whitebox module
+    def __init__(
+        self,
+        samples: np.ndarray | None,
+        z: int,
+        n_synth: int,
+        seed: int,
+        bb_outputs: np.ndarray | None = None,
+        object_outputs: np.ndarray | None = None,
+        grams: tuple | None = None,
+        plan: _Plan | None = None,
+    ) -> None:
+        self._samples = samples
+        self.z = z
+        self.n_synth = n_synth
+        self.seed = seed
+        self.bb_outputs = bb_outputs
+        if object_outputs is None and bb_outputs is not None:
+            object_outputs = bb_outputs[:, 0]
+        self.object_outputs = object_outputs  # (n_objects, p); None until labeled
+        self.grams = grams  # (G, C, yy), see the whitebox module
+        self._plan = plan
 
-    def __post_init__(self) -> None:
-        if self.object_outputs is None and self.bb_outputs is not None:
-            self.object_outputs = self.bb_outputs[:, 0]
+    @property
+    def samples(self) -> np.ndarray | None:
+        """Every neighborhood row, drawn on first read for a built set; None when cached."""
+        if self._samples is None and self._plan is not None:
+            self._samples = _draw_all(self._plan, self.n_synth, self.seed)
+        return self._samples
 
     @property
     def n_objects(self) -> int:
-        """Objects in the set: rows of the outputs once labeled, else of the samples."""
-        held = self.samples if self.object_outputs is None else self.object_outputs
+        """Objects in the set, counted without drawing rows."""
+        if self._plan is not None:
+            return self._plan.enc.n
+        held = self._samples if self.object_outputs is None else self.object_outputs
         return int(held.shape[0])
 
     @property
@@ -140,13 +181,12 @@ def build(
     seed: int = 0,
     threads: int = 1,
 ) -> NeighborhoodSet:
-    """Generate discretized neighborhoods for every encoded object.
+    """Plan discretized neighborhoods for every encoded object.
 
-    With ``threads > 1`` a pool of at most ``threads`` workers, and no
-    more than the chunks a one-thread build walks (so no more than there
-    are objects), runs the whole build: each worker draws, multiplies
-    and discretizes its own range of objects.  The samples do not depend
-    on ``threads``.
+    This checks the inputs and factors the covariance; it draws no rows.
+    :func:`label` draws, labels and forms the pieces on at most
+    ``threads`` workers, and reading ``samples`` draws every row on as
+    many.  The rows do not depend on ``threads``.
     """
     if n_synth < 0:
         raise InputError(f"n_synth must be >= 0, got {n_synth}")
@@ -154,68 +194,126 @@ def build(
         raise InputError(f"seed must be >= 0, got {seed}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    sigma = estimate_covariance(enc.values)
-    L = scaled_cholesky(sigma, z)
+    L = scaled_cholesky(estimate_covariance(enc.values), z)
+    return NeighborhoodSet(None, z, n_synth, seed, plan=_Plan(enc, L, threads))
+
+
+@kernels.one_blas_thread()
+def _draw_all(plan: _Plan, n_synth: int, seed: int) -> np.ndarray:
+    """Every row of a planned set, in chunks of about ``_BUILD_CHUNK_ROWS`` rows.
+
+    A pool of at most ``plan.threads`` workers, and no more than the
+    chunks a one-thread draw walks (so no more than there are objects),
+    draws contiguous ranges of objects, in chunks of
+    ``_BUILD_CHUNK_ROWS // workers`` rows.
+    """
+    enc = plan.enc
     n, m = enc.n, enc.m
     size = 1 + n_synth
     samples = np.empty((n, size, m))
-    samples[:, 0] = enc.values
-    workers = min(threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
-    step = max(1, _BUILD_CHUNK_ROWS // workers // size)
-    # Allocated here rather than in the workers, whose allocations would
-    # each grow a malloc arena of their own.
-    buffers = [np.empty((min(step, -(-n // workers)), n_synth, m)) for _ in range(workers)]
+    workers = min(plan.threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
+    buffers = _normals_buffers(-(-n // workers), n_synth, m, workers)
 
     def work(w: int, lo: int, hi: int) -> None:
-        _build_range(samples, enc, L, seed, lo, hi, buffers[w])
+        _build_range(samples[lo:hi], enc, plan.L, seed, lo, hi, buffers[w])
 
     kernels.over_ranges(n, workers, work)
-    return NeighborhoodSet(samples=samples, z=z, n_synth=n_synth, seed=seed)
+    return samples
 
 
-def _build_range(samples, enc, L, seed, lo, hi, g) -> None:
-    """Build objects ``lo:hi`` into ``samples``, ``len(g)`` objects at a time.
+def _normals_buffers(objects: int, n_synth: int, m: int, workers: int) -> list:
+    """One normals buffer per worker, for at most ``objects`` objects each.
 
-    Each object's normals come from its own substream of ``seed``.
+    Each holds ``_BUILD_CHUNK_ROWS // workers`` rows' worth of objects,
+    and at least one.  They are allocated by the calling thread rather
+    than by the workers, whose allocations would each grow a malloc
+    arena of their own.
     """
-    m = samples.shape[2]
+    step = max(1, _BUILD_CHUNK_ROWS // workers // (1 + n_synth))
+    return [np.empty((min(step, objects), n_synth, m)) for _ in range(workers)]
+
+
+def _build_range(out, enc, L, seed, lo, hi, g) -> None:
+    """Draw the rows of objects ``lo:hi`` into ``out``, ``len(g)`` objects at a time.
+
+    ``out`` is (hi - lo, 1 + n_synth, m); its first row per object is
+    the object itself.  Each object's normals come from its own
+    substream of ``seed``.
+    """
+    m = out.shape[2]
+    out[:, 0] = enc.values[lo:hi]
     for start in range(lo, hi, max(1, len(g))):
         stop = min(start + len(g), hi)
         for k, i in enumerate(range(start, stop)):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
             rng.standard_normal(out=g[k])
-        synth = samples[start:stop, 1:]
+        rows = out[start - lo : stop - lo]
+        synth = rows[:, 1:]
         np.matmul(g[: stop - start], L.T, out=synth)
         synth += enc.values[start:stop, None, :]
-        discretize(samples[start:stop].reshape(-1, m), enc)
+        discretize(rows.reshape(-1, m), enc)
 
 
 @kernels.one_blas_thread()
 def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
-    """Run the black box over every neighborhood row, in fixed-size chunks.
+    """Label every neighborhood row and form the per-object Gram pieces.
 
-    ``_LABEL_CHUNK`` rows go to the black box per call, which sets the
-    number of external black-box processes.  Each chunk's outputs are
-    written into one preallocated array, so the outputs are held once,
-    plus one chunk.  A chunk whose outputs are not one probability per
-    class and row is bad input.
+    The objects are streamed in chunks of ``_LABEL_CHUNK // (1 +
+    n_synth)`` whole objects, and at least one: each chunk's rows are
+    drawn (or sliced from the rows ``ns`` holds), go to the black box in
+    one call, and give the chunk's Gram pieces and object outputs, after
+    which its rows and outputs are dropped.  So a labeled set holds only
+    ``grams`` and ``object_outputs``, and the chunk size sets the number
+    of external black-box processes.  A built set with more than one
+    chunk streams on a pool of at most its ``threads`` workers, each over
+    a contiguous range of chunks with row buffers of its own; the
+    black-box calls are made under one lock, so they are never
+    concurrent, but their order across workers may vary.  Rows, outputs
+    and pieces do not depend on the workers.  A chunk whose outputs are
+    not one probability per class and row is bad input.
     """
-    n, S, m = ns.samples.shape
-    flat = ns.samples.reshape(n * S, m)
-    p = len(bb.classes)
-    probs = np.empty((n * S, p))
-    for start in range(0, flat.shape[0], _LABEL_CHUNK):
-        rows = flat[start : start + _LABEL_CHUNK]
-        part = bb.predict_batch(rows)
-        if part.shape != (rows.shape[0], p):
-            raise InputError(
-                f"black box returned outputs of shape {part.shape} "
-                f"for {rows.shape[0]} rows and {p} classes"
-            )
-        probs[start : start + rows.shape[0]] = part
-        del part  # free this chunk before the next call allocates its own
-    ns.bb_outputs = probs.reshape(n, S, p)
-    ns.object_outputs = ns.bb_outputs[:, 0]
+    plan, held = ns._plan, ns._samples
+    n, size, p = ns.n_objects, ns.size, len(bb.classes)
+    m = held.shape[2] if held is not None else plan.enc.m
+    per_call = max(1, _LABEL_CHUNK // size)
+    threads = plan.threads if plan is not None else 1
+    workers = max(1, min(threads, -(-n // per_call)))
+    G = np.empty((n, m + 1, m + 1))
+    C = np.empty((n, m + 1, p))
+    yy = np.empty(n)
+    outputs = np.empty((n, p))
+    if held is None:
+        # Allocated here rather than in the workers; see _normals_buffers.
+        rows = [np.empty((min(per_call, n), size, m)) for _ in range(workers)]
+        normals = _normals_buffers(min(per_call, n), ns.n_synth, m, workers)
+    lock = threading.Lock()
+
+    def work(w: int, lo: int, hi: int) -> None:
+        for start in range(lo, hi, per_call):
+            stop = min(start + per_call, hi)
+            if held is None:
+                X = rows[w][: stop - start]
+                _build_range(X, plan.enc, plan.L, ns.seed, start, stop, normals[w])
+                if stop == hi:
+                    normals[w] = None  # drawn the worker's last chunk: free it before the call
+            else:
+                X = held[start:stop]
+            with lock:
+                Y = bb.predict_batch(X.reshape(-1, m))
+            if Y.shape != ((stop - start) * size, p):
+                raise InputError(
+                    f"black box returned outputs of shape {Y.shape} "
+                    f"for {(stop - start) * size} rows and {p} classes"
+                )
+            Y = Y.reshape(stop - start, size, p)
+            outputs[start:stop] = Y[:, 0]
+            kernels.gram_pieces(X, Y, G[start:stop], C[start:stop], yy[start:stop])
+            del Y  # free this chunk's outputs before the next chunk is drawn
+
+    kernels.over_ranges(n, workers, work, step=per_call)
+    ns.bb_outputs = None
+    ns.object_outputs = outputs
+    ns.grams = (G, C, yy)
     return ns
 
 

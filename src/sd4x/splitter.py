@@ -704,11 +704,13 @@ def run(
 ) -> Partition:
     """Greedy partition of the explained objects into at most K subgroups.
 
-    ``threads`` reaches the neighborhood build, when ``ns`` is not given,
-    and the per-object Gram pieces, when ``ns`` holds none yet; labeling
-    and the split search run on the calling thread.  Every stage holds
-    BLAS to one thread (:func:`kernels.one_blas_thread`), so the result
-    does not depend on ``threads``.
+    When ``ns`` is not given, the neighborhoods are built and labeled
+    here, and labeling draws the rows, calls the black box and forms the
+    per-object Gram pieces on at most ``threads`` workers; ``threads``
+    also reaches the pieces of a given ``ns`` that holds rows and outputs
+    but none yet.  The split search runs on the calling thread.  Every
+    stage holds BLAS to one thread (:func:`kernels.one_blas_thread`), so
+    the result does not depend on ``threads``.
     """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")

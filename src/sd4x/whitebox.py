@@ -13,13 +13,13 @@ and produce bit-identical models for equal inputs.
 
 The per-object Gram pieces come from batched BLAS products of each
 neighborhood with itself and with its black-box outputs, written straight
-into the Gram arrays; the intercept row and column are filled from the
-column sums, so no augmented copy of the neighborhoods is built.  They
-are formed on a pool of the run's threads, each worker over a
-contiguous range of objects, with BLAS held to one thread, so every
-object's pieces have the bits of a one-thread pass.  BLAS sums in its
-own order, so the last bits of these pieces, and of every model fitted
-from them, can differ between BLAS builds.  Losses come
+into the Gram arrays (:func:`kernels.gram_pieces`); the intercept row and
+column are filled from the column sums, so no augmented copy of the
+neighborhoods is built.  :func:`neighborhood.label` forms them chunk by
+chunk as it streams the rows, on the build's workers, with BLAS held to
+one thread, so every object's pieces have the bits of a one-thread pass.
+BLAS sums in its own order, so the last bits of these pieces, and of
+every model fitted from them, can differ between BLAS builds.  Losses come
 from the same pieces: :func:`subgroup_loss` sums the members' pieces and
 evaluates the residual with :func:`kernels.residual_sse`, the formula the
 split scan uses, so no loss reads the neighborhood rows.
@@ -72,15 +72,15 @@ def neighborhood_grams(
     """Per-object Gram pieces (G_i, C_i, yy_i) of the augmented design.
 
     With X_i the object's (S, m) neighborhood and Y_i its (S, p) outputs,
-    the augmented design is [X_i, 1].  The blocks X_i'X_i and X_i'Y_i are
-    batched BLAS products, one per object.  The intercept row and column
-    hold the column sums of X_i (and of Y_i in C_i), and the corner
-    G_i[m, m] is S.  yy_i is the sum of squared outputs.  With
-    ``threads > 1`` a pool of at most ``threads`` workers forms the
-    pieces of contiguous ranges of objects; BLAS is held to one thread,
-    so each object's pieces have the same bits at any thread count.
-    The pieces are cached on ``ns``, and a set that holds them already,
-    as one read back from a cache file does, returns them without rows.
+    the augmented design is [X_i, 1]; :func:`kernels.gram_pieces` says
+    how each piece is formed.  :func:`neighborhood.label` forms them as
+    it streams the rows, and a set read back from a cache file holds
+    them too, so for those sets this is a lookup.  A set made with
+    explicit rows and outputs (``samples`` and ``bb_outputs``) gets its
+    pieces formed here, once, and cached on ``ns``: with ``threads > 1``
+    a pool of at most ``threads`` workers forms those of contiguous
+    ranges of objects, with BLAS held to one thread, so each object's
+    pieces have the same bits at any thread count.
     """
     if ns.grams is None:
         if ns.bb_outputs is None:
@@ -94,22 +94,13 @@ def neighborhood_grams(
 @kernels.one_blas_thread()
 def _grams_from_rows(X: np.ndarray, Y: np.ndarray, threads: int) -> tuple:
     """The pieces of :func:`neighborhood_grams`, formed from rows X and outputs Y."""
-    n, S, m = X.shape
+    n, _, m = X.shape
     G = np.empty((n, m + 1, m + 1))
     C = np.empty((n, m + 1, Y.shape[2]))
     yy = np.empty(n)
 
     def work(w: int, lo: int, hi: int) -> None:
-        Xr, Yr = X[lo:hi], Y[lo:hi]
-        Xt = Xr.transpose(0, 2, 1)
-        np.matmul(Xt, Xr, out=G[lo:hi, :m, :m])
-        sx = Xr.sum(axis=1)
-        G[lo:hi, :m, m] = sx
-        G[lo:hi, m, :m] = sx
-        G[lo:hi, m, m] = S
-        np.matmul(Xt, Yr, out=C[lo:hi, :m])
-        C[lo:hi, m] = Yr.sum(axis=1)
-        yy[lo:hi] = np.einsum("nsp,nsp->n", Yr, Yr)
+        kernels.gram_pieces(X[lo:hi], Y[lo:hi], G[lo:hi], C[lo:hi], yy[lo:hi])
 
     kernels.over_ranges(n, max(1, min(threads, n)), work)
     return G, C, yy

@@ -65,6 +65,17 @@ def fit_rows(X, Y, lam) -> WhiteBoxModel:
     return fit_on_neighborhoods(ns, [0], lam)
 
 
+def row_outputs(ns: NeighborhoodSet, bb) -> np.ndarray:
+    """Every neighborhood row's black-box outputs, (n, 1 + n_synth, p), from ``ns.samples``.
+
+    A labeled set keeps only its objects' own outputs, so a test that
+    needs every row's compares against these.  One call over all rows:
+    the last bits may differ from those of ``label``'s chunked calls.
+    """
+    X = ns.samples
+    return bb.predict_batch(X.reshape(-1, X.shape[2])).reshape(X.shape[0], X.shape[1], -1)
+
+
 def numeric_enc(values, classes=("c0", "c1"), prefix="x") -> EncodedMatrix:
     """Encoded matrix over purely numeric attributes, for synthetic tests."""
     values = np.asarray(values, dtype=np.float64)

@@ -373,7 +373,7 @@ def test_criterion_7_exhaustive_agreement_on_small_instances():
         ns = label(build(enc, z=10, n_synth=0, seed=0), bb)
 
         A = np.hstack([x.reshape(-1, 1), np.ones((n, 1))])
-        Y = ns.bb_outputs[:, 0, :]
+        Y = ns.object_outputs  # n_synth = 0: the objects' rows are every row
         table = []
         for t in range(1, n):
             sse = 0.0

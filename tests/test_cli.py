@@ -15,7 +15,7 @@ from sd4x.errors import InputError
 from sd4x.neighborhood import build, label, load_cache
 from sd4x.synth import generate_synthetic, spec_from_dict
 
-from conftest import TOY_CSV, TOY_SCHEMA
+from conftest import TOY_CSV, TOY_SCHEMA, row_outputs
 
 _SPEC = {
     "attributes": [
@@ -220,12 +220,13 @@ def test_explain_rebuilds_a_row_format_cache_file_once(gen_dir, tmp_path):
     path = cache / entry
     # The file an older sd4x wrote under the same key: every row and its outputs.
     enc = encode(load_dataset(str(gen_dir / "data.csv"), str(gen_dir / "schema.json")))
-    ns = label(build(enc, z=10, n_synth=25, seed=2), load_blackbox(str(gen_dir / "blackbox.json")))
+    bb = load_blackbox(str(gen_dir / "blackbox.json"))
+    ns = label(build(enc, z=10, n_synth=25, seed=2), bb)
     with open(path, "wb") as fh:
         np.savez(
             fh,
             samples=ns.samples,
-            bb_outputs=ns.bb_outputs,
+            bb_outputs=row_outputs(ns, bb),
             meta=np.array([10, 25, 2], dtype=np.int64),
         )
     assert load_cache(str(path)) is None
@@ -235,7 +236,7 @@ def test_explain_rebuilds_a_row_format_cache_file_once(gen_dir, tmp_path):
     assert os.listdir(cache) == [entry]
     with np.load(path) as data:
         assert sorted(data.files) == ["C", "G", "meta", "outputs", "yy"]
-    assert np.array_equal(load_cache(str(path)).object_outputs, ns.bb_outputs[:, 0])
+    assert np.array_equal(load_cache(str(path)).object_outputs, ns.object_outputs)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

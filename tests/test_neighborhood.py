@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import os
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -24,9 +26,9 @@ from sd4x.neighborhood import (
     scaled_cholesky,
 )
 
-from sd4x.whitebox import neighborhood_grams
+from sd4x.whitebox import _grams_from_rows
 
-from conftest import mixed_enc, numeric_enc, random_linear_bb
+from conftest import mixed_enc, numeric_enc, random_linear_bb, row_outputs
 
 
 def test_covariance_frozen_two_points():
@@ -216,8 +218,10 @@ def test_pool_has_no_more_workers_than_one_thread_chunks(monkeypatch, chunk_rows
     monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", chunk_rows)
     enc = mixed_enc(np.random.default_rng(21), n=13)
     ns = build(enc, z=3, n_synth=15, seed=11, threads=10_000)
+    assert started == []  # build only plans
+    samples = ns.samples
     assert started == ([workers] if workers else [])
-    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 11))
+    assert np.array_equal(samples, _reference_build(enc, 3, 15, 11))
     for threads in (0, -1):
         with pytest.raises(InputError, match="threads"):
             build(enc, z=3, n_synth=15, seed=11, threads=threads)
@@ -231,21 +235,23 @@ def test_pooled_build_under_rapid_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        ns = build(enc, z=3, n_synth=15, seed=2, threads=8)
+        samples = build(enc, z=3, n_synth=15, seed=2, threads=8).samples
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(ns.samples, _reference_build(enc, 3, 15, 2))
+    assert np.array_equal(samples, _reference_build(enc, 3, 15, 2))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_build_peak_memory_is_the_samples_plus_a_few_chunks(threads):
+    # Measured over the first read of the samples, which draws them all.
     rng = np.random.default_rng(22)
     enc = mixed_enc(rng, n=300)
     n_synth = 300
-    build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)  # warm up lazy imports
+    build(enc, z=10, n_synth=n_synth, seed=1, threads=threads).samples  # warm up lazy imports
+    ns = build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)
     tracemalloc.start()
     try:
-        ns = build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)
+        ns.samples
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -278,11 +284,17 @@ def test_label_shapes_and_probability_rows():
     enc = numeric_enc(rng.normal(size=(9, 3)), classes=("a", "b", "c"))
     bb = random_linear_bb(rng, enc)
     ns = label(build(enc, z=10, n_synth=12, seed=2), bb)
-    assert ns.bb_outputs is not None
-    assert ns.bb_outputs.shape == (9, 13, 3)
-    assert np.allclose(ns.bb_outputs.sum(axis=2), 1.0, atol=1e-9)
+    assert ns.bb_outputs is None  # a labeled set keeps no row's outputs
+    G, C, yy = ns.grams
+    assert G.shape == (9, 4, 4) and C.shape == (9, 4, 3) and yy.shape == (9,)
+    # Every row's outputs sum to 1, so the outputs' column sums add up to the rows.
+    assert np.allclose(C[:, 3].sum(axis=1), 13.0, atol=1e-9)
+    assert ns.object_outputs.shape == (9, 3)
     direct = bb.predict_batch(enc.values)
-    assert np.allclose(ns.bb_outputs[:, 0, :], direct, atol=1e-12)
+    assert np.allclose(ns.object_outputs, direct, atol=1e-12)
+    outputs = row_outputs(ns, bb)
+    assert outputs.shape == (9, 13, 3)
+    assert np.allclose(outputs.sum(axis=2), 1.0, atol=1e-9)
 
 
 class _FixedWidthBox:
@@ -296,8 +308,141 @@ class _FixedWidthBox:
         return np.zeros((X.shape[0], self.width))
 
 
-def test_label_peak_memory_is_the_outputs_plus_two_chunks(monkeypatch):
-    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 1000)
+def _chunked_reference(ns, bb, per_call):
+    """Rows from ``ns.samples``, outputs from a call per ``per_call`` objects, pieces from rows."""
+    X = ns.samples
+    n, S, m = X.shape
+    Y = np.concatenate(
+        [
+            bb.predict_batch(X[start : start + per_call].reshape(-1, m))
+            for start in range(0, n, per_call)
+        ]
+    ).reshape(n, S, -1)
+    with kernels.one_blas_thread():
+        return _grams_from_rows(X, Y, 1), Y[:, 0]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("objects_per_call", [1, 3, None])  # None: the default chunk
+def test_streamed_label_has_the_bits_of_the_rows_reference(monkeypatch, threads, objects_per_call):
+    rng = np.random.default_rng(25)
+    enc = mixed_enc(rng, n=13)
+    bb = random_linear_bb(rng, enc)
+    n_synth = 15
+    if objects_per_call is not None:
+        monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", objects_per_call * (1 + n_synth))
+    per_call = max(1, neighborhood._LABEL_CHUNK // (1 + n_synth))
+    ns = label(build(enc, z=3, n_synth=n_synth, seed=11, threads=threads), bb)
+    (G, C, yy), outputs = _chunked_reference(ns, bb, per_call)
+    assert np.array_equal(ns.grams[0], G)
+    assert np.array_equal(ns.grams[1], C)
+    assert np.array_equal(ns.grams[2], yy)
+    assert np.array_equal(ns.object_outputs, outputs)
+    # The rows read afterwards are those of the per-object reference.
+    assert np.array_equal(ns.samples, _reference_build(enc, 3, n_synth, 11))
+    # A set that holds its rows is labeled through the same chunks.
+    held = build(enc, z=3, n_synth=n_synth, seed=11, threads=threads)
+    held.samples
+    label(held, bb)
+    for a, b in zip(held.grams, ns.grams):
+        assert np.array_equal(a, b)
+    assert np.array_equal(held.object_outputs, ns.object_outputs)
+
+
+def test_streamed_label_under_rapid_thread_switching(monkeypatch):
+    # Eight workers streaming one object per chunk, switching every
+    # microsecond: an overlap of buffers would show in the bits.
+    rng = np.random.default_rng(26)
+    enc = mixed_enc(rng, n=40)
+    bb = random_linear_bb(rng, enc)
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ns = label(build(enc, z=3, n_synth=15, seed=2, threads=8), bb)
+    finally:
+        sys.setswitchinterval(interval)
+    (G, C, yy), outputs = _chunked_reference(ns, bb, 1)
+    for a, b in zip(ns.grams, (G, C, yy)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(ns.object_outputs, outputs)
+
+
+def test_label_makes_one_call_at_a_time_on_whole_objects(monkeypatch):
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 50)  # three objects of 16 rows
+    rng = np.random.default_rng(27)
+    enc = mixed_enc(rng, n=20)
+    inner = random_linear_bb(rng, enc)
+    active, calls = [], []
+    lock = threading.Lock()
+
+    class Watch:
+        classes = inner.classes
+
+        def predict_batch(self, X):
+            with lock:
+                active.append(1)
+                overlap = len(active) > 1
+            calls.append((X.shape[0], overlap))
+            try:
+                time.sleep(0.002)  # let the other workers run meanwhile
+                return inner.predict_batch(X)
+            finally:
+                with lock:
+                    active.pop()
+
+    label(build(enc, z=3, n_synth=15, seed=4, threads=4), Watch())
+    assert sorted(rows for rows, _ in calls) == [32] + [48] * 6
+    assert not any(overlap for _, overlap in calls)
+
+
+def _label_bound(ns, m, p, per_call, workers) -> int:
+    """Bytes that labeling ``ns`` may add at its peak.
+
+    The pieces and object outputs of every object, and per worker one
+    chunk's rows and outputs, one normals buffer and one chunk's worth of
+    pieces, for the temporaries of forming them.
+    """
+    n, size = ns.n_objects, ns.size
+    per_object = (m + 1) ** 2 + (m + 1) * p + 1 + p
+    objects = min(per_call, n)
+    normals = min(max(1, neighborhood._BUILD_CHUNK_ROWS // workers // size), objects)
+    per_worker = objects * (size * (m + p) + per_object) + normals * ns.n_synth * m
+    return (n * per_object + workers * per_worker) * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_streamed_label_peak_memory_is_the_pieces_plus_a_chunk_per_worker(monkeypatch, threads):
+    # Thirty objects per call, ten chunks.  Discretizing a normals
+    # buffer's rows takes temporaries of about that buffer's size while
+    # no chunk outputs are held; with 2048 rows per buffer (6, 3 and 1
+    # objects at 1, 2 and 4 workers) they stay below a chunk's outputs,
+    # as on neighborhood-mixed, where a buffer holds 6 of a call's 109
+    # objects.
+    n, n_synth, per_call = 300, 300, 30
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", per_call * (1 + n_synth))
+    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 2048)
+    enc = mixed_enc(np.random.default_rng(28), n=n)
+    bb = _FixedWidthBox(("a", "b", "c"), 3)
+    label(build(enc, z=10, n_synth=n_synth, seed=1, threads=threads), bb)  # warm up
+    ns = build(enc, z=10, n_synth=n_synth, seed=1, threads=threads)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        label(ns, bb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = n * (1 + n_synth) * enc.m * 8
+    chunk = per_call * (1 + n_synth) * enc.m * 8
+    assert rows >= 8 * chunk
+    bound = _label_bound(ns, enc.m, 3, per_call, threads)
+    assert peak - base <= bound, (peak - base) / bound
+    assert ns._samples is None  # no row is kept
+
+
+def test_label_peak_memory_on_held_rows_is_the_pieces_plus_a_chunk(monkeypatch):
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 1000)  # two objects per call
     rng = np.random.default_rng(12)
     ns = NeighborhoodSet(samples=rng.normal(size=(40, 500, 4)), z=10, n_synth=499, seed=0)
     bb = _FixedWidthBox(("a", "b", "c"), 3)
@@ -309,10 +454,8 @@ def test_label_peak_memory_is_the_outputs_plus_two_chunks(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    outputs = ns.bb_outputs.nbytes
-    chunk = 1000 * 3 * 8
-    assert outputs == 20 * chunk
-    assert peak - base <= outputs + 2 * chunk, (peak - base - outputs) / chunk
+    bound = _label_bound(ns, 4, 3, 2, 1)
+    assert peak - base <= bound, (peak - base) / bound
 
 
 @pytest.mark.parametrize("width", [2, 4])
@@ -323,24 +466,18 @@ def test_label_rejects_outputs_of_the_wrong_width(width):
         label(ns, _FixedWidthBox(("a", "b", "c"), width))
 
 
-def _labeled_with_grams(enc, bb, **params) -> NeighborhoodSet:
-    ns = label(build(enc, **params), bb)
-    neighborhood_grams(ns)
-    return ns
-
-
 def test_cache_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     enc = mixed_enc(rng, n=7)
     bb = random_linear_bb(rng, enc)
-    ns = _labeled_with_grams(enc, bb, z=10, n_synth=10, seed=3)
+    ns = label(build(enc, z=10, n_synth=10, seed=3), bb)
     path = str(tmp_path / "ns.npz")
     save_cache(path, ns)
     loaded = load_cache(path)
     assert loaded is not None
     for got, want in zip(loaded.grams, ns.grams):
         assert got.dtype == np.float64 and np.array_equal(got, want)
-    assert np.array_equal(loaded.object_outputs, ns.bb_outputs[:, 0])
+    assert np.array_equal(loaded.object_outputs, ns.object_outputs)
     assert (loaded.z, loaded.n_synth, loaded.seed) == (10, 10, 3)
     assert loaded.samples is None and loaded.bb_outputs is None
     assert (loaded.n_objects, loaded.size) == (ns.n_objects, ns.size) == (7, 11)
@@ -352,9 +489,11 @@ def test_cache_refuses_unlabeled_and_tolerates_garbage(tmp_path):
     ns = build(enc, z=10, n_synth=5, seed=3)
     with pytest.raises(InputError, match="unlabeled"):
         save_cache(str(tmp_path / "x.npz"), ns)
-    label(ns, random_linear_bb(rng, enc))
+    # Rows and outputs without pieces: label forms them, so make one by hand.
+    bb = random_linear_bb(rng, enc)
+    unformed = NeighborhoodSet(ns.samples, 10, 5, 3, bb_outputs=row_outputs(ns, bb))
     with pytest.raises(InputError, match="Gram pieces"):
-        save_cache(str(tmp_path / "x.npz"), ns)
+        save_cache(str(tmp_path / "x.npz"), unformed)
     assert os.listdir(tmp_path) == []
     assert load_cache(str(tmp_path / "missing.npz")) is None
     bad = tmp_path / "bad.npz"
@@ -392,7 +531,8 @@ def _replaced(key, value):
 def test_cache_rejects_truncated_and_malformed_files(tmp_path):
     rng = np.random.default_rng(5)
     enc = numeric_enc(rng.normal(size=(6, 2)))
-    ns = _labeled_with_grams(enc, random_linear_bb(rng, enc), z=10, n_synth=40, seed=3)
+    bb = random_linear_bb(rng, enc)
+    ns = label(build(enc, z=10, n_synth=40, seed=3), bb)
     path = tmp_path / "ns.npz"
     save_cache(str(path), ns)
     blob = path.read_bytes()
@@ -469,16 +609,14 @@ def test_cache_rejects_truncated_and_malformed_files(tmp_path):
     assert load_cache(str(malformed)) is not None
     # A file in the older row format is a miss.
     with open(malformed, "wb") as fh:
-        np.savez(
-            fh, samples=ns.samples, bb_outputs=ns.bb_outputs, meta=good["meta"]
-        )
+        np.savez(fh, samples=ns.samples, bb_outputs=row_outputs(ns, bb), meta=good["meta"])
     assert load_cache(str(malformed)) is None
 
 
 def test_cache_save_that_raises_leaves_no_file(tmp_path, monkeypatch):
     rng = np.random.default_rng(6)
     enc = numeric_enc(rng.normal(size=(4, 2)))
-    ns = _labeled_with_grams(enc, random_linear_bb(rng, enc), z=10, n_synth=5, seed=3)
+    ns = label(build(enc, z=10, n_synth=5, seed=3), random_linear_bb(rng, enc))
 
     def partial_write(fh, **arrays):
         fh.write(b"PK\x03\x04 partial")

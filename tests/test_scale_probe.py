@@ -49,7 +49,7 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    record = json.loads(path.read_text())
+    (record,) = json.loads(path.read_text())["runs"]
     assert record["sizes"] == {"n": 60, "m": 3, "k": 3, "n_synth": 5, "seed": 1, "threads": 1}
     assert set(record["stages_s"]) == {"build", "label", "grams", "split search", "validate"}
     assert all(t >= 0 for t in record["stages_s"].values())
@@ -66,7 +66,7 @@ def test_scale_probe_writes_its_numbers_as_json(tmp_path):
 
 
 def test_scale_probe_counts_do_not_depend_on_build_threads(tmp_path):
-    # The threads change how the samples and Gram pieces are made, not
+    # The threads change how the rows and Gram pieces are made, not
     # their bytes, so the split search solves the same systems.
     records = []
     for threads in (1, 2):
@@ -79,9 +79,37 @@ def test_scale_probe_counts_do_not_depend_on_build_threads(tmp_path):
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        records.append(json.loads(path.read_text()))
+        records.append(json.loads(path.read_text())["runs"][-1])
     one, two = records
     assert one["sizes"]["threads"] == 1 and two["sizes"]["threads"] == 2
     for name in _COUNTS + ("subgroups",):
         key = name.replace(" ", "_")
         assert one[key] == two[key] > 0, name
+
+
+def test_scale_probe_appends_to_its_json_file(tmp_path):
+    # Earlier runs and other keys stay; each run is keyed by its commit and sizes.
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"what": "notes", "runs": [{"sizes": {"n": 1}}]}))
+    for k in (2, 3):
+        out = subprocess.run(
+            [sys.executable, PROBE, "--n", "60", "--m", "3", "--k", str(k), "--n-synth", "5",
+             "--json", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+    history = json.loads(path.read_text())
+    assert history["what"] == "notes"
+    assert [run["sizes"].get("k") for run in history["runs"]] == [None, 2, 3]
+    assert all("git_sha" in run for run in history["runs"][1:])
+    path.write_text("[]")
+    out = subprocess.run(
+        [sys.executable, PROBE, "--n", "60", "--m", "3", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 2 and "runs" in out.stderr
+    assert path.read_text() == "[]"

@@ -27,6 +27,7 @@ from conftest import (
     numeric_enc,
     random_linear_bb,
     ridge_sse_stack,
+    row_outputs,
 )
 
 
@@ -330,7 +331,7 @@ def test_scan_agrees_with_exhaustive_search_small():
         got_threshold = partition.trace[0].threshold
 
         A = np.hstack([x.reshape(-1, 1), np.ones((n, 1))])
-        Y = ns.bb_outputs[:, 0, :]
+        Y = ns.object_outputs  # n_synth = 0: the objects' rows are every row
         best = None
         for t in range(1, n):
             sse = 0.0
@@ -1224,17 +1225,19 @@ def test_least_squares_bound_is_monotone_and_below_the_ridge_sse():
                 assert np.all(ols <= ridge + tol)
 
 
-def _pooled_lstsq_sse(ns, members):
-    X = ns.samples[members].reshape(-1, ns.samples.shape[2])
+def _pooled_lstsq_sse(X, Y, members):
+    X = X[members].reshape(-1, X.shape[2])
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
-    Y = ns.bb_outputs[members].reshape(-1, ns.bb_outputs.shape[2])
+    Y = Y[members].reshape(-1, Y.shape[2])
     return float(np.sum((Xa @ (np.linalg.pinv(Xa) @ Y) - Y) ** 2))
 
 
 def test_reduced_design_bound_matches_a_pseudoinverse_fit_on_one_hot_data():
     rng = np.random.default_rng(67)
     enc = mixed_enc(rng, n=60)
-    ns = label(build(enc, z=10, n_synth=6, seed=5), random_linear_bb(rng, enc))
+    bb = random_linear_bb(rng, enc)
+    ns = label(build(enc, z=10, n_synth=6, seed=5), bb)
+    outputs = row_outputs(ns, bb)
     engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
     keep = engine.bound_cols
     assert keep is not None and keep.size == enc.m  # one color column dropped
@@ -1247,7 +1250,7 @@ def test_reduced_design_bound_matches_a_pseudoinverse_fit_on_one_hot_data():
         (got,) = kernels.least_squares_sse(
             G[np.ix_(keep, keep)][None], C[keep][None], np.array([yy])
         )
-        assert got == pytest.approx(_pooled_lstsq_sse(ns, members), rel=1e-9)
+        assert got == pytest.approx(_pooled_lstsq_sse(ns.samples, outputs, members), rel=1e-9)
 
 
 def test_a_nominal_row_with_two_ones_keeps_the_full_design(monkeypatch):

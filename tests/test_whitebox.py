@@ -21,7 +21,7 @@ from sd4x.whitebox import (
     subgroup_loss,
 )
 
-from conftest import fit_rows, mixed_enc, numeric_enc, random_linear_bb
+from conftest import fit_rows, mixed_enc, numeric_enc, random_linear_bb, row_outputs
 
 
 def test_ridge_single_row_puts_mean_in_intercept():
@@ -101,9 +101,10 @@ def test_grams_match_direct_products():
     G, C, yy = neighborhood_grams(ns)
     assert G.shape == (n, m + 1, m + 1) and C.shape == (n, m + 1, 2) and yy.shape == (n,)
     assert np.all(G[:, m, m] == S)
+    outputs = row_outputs(ns, bb)
     for i in range(n):
         A = np.hstack([ns.samples[i], np.ones((S, 1))])
-        Y = ns.bb_outputs[i]
+        Y = outputs[i]
         # summation order differs from the reference: bound the error by
         # 1e-12 of the sum of absolute products, which is exact for 0/1 cells
         absA = np.abs(A)
@@ -163,11 +164,11 @@ def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2) -> NeighborhoodSet:
     )
 
 
-def _one_shot_loss(ns: NeighborhoodSet, members: np.ndarray, model: WhiteBoxModel) -> float:
-    # Reference loss from the neighborhood rows, against which the
-    # Gram-form subgroup_loss is checked.
-    pred = ns.samples[members] @ model.coefficients.T + model.intercepts
-    diff = ns.bb_outputs[members] - pred
+def _one_shot_loss(X, Y, members: np.ndarray, model: WhiteBoxModel) -> float:
+    # Reference loss from the neighborhood rows X and their outputs Y,
+    # against which the Gram-form subgroup_loss is checked.
+    pred = X[members] @ model.coefficients.T + model.intercepts
+    diff = Y[members] - pred
     return float(np.sum(diff * diff))
 
 
@@ -178,7 +179,7 @@ def test_subgroup_loss_over_several_blocks_matches_one_shot_sum():
         coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
     )
     for members in (np.arange(80), np.arange(79, -1, -2), rng.permutation(80)[:50]):
-        expected = _one_shot_loss(ns, members, model)
+        expected = _one_shot_loss(ns.samples, ns.bb_outputs, members, model)
         assert subgroup_loss(ns, members, model) == pytest.approx(expected, rel=1e-12)
     assert subgroup_loss(ns, np.array([], dtype=np.int64), model) == 0.0
 
@@ -222,8 +223,9 @@ def test_subgroup_loss_matches_the_reference_on_criterion_3_runs():
         bb = random_linear_bb(rng, enc, scale=2.0)
         ns = label(build(enc, z=10, n_synth=15, seed=seed), bb)
         partition = splitter.run(enc, K=6, lam=1.0, ns=ns)
+        outputs = row_outputs(ns, bb)
         for sg in partition.subgroups:
-            expected = _one_shot_loss(ns, sg.members, sg.model)
+            expected = _one_shot_loss(ns.samples, outputs, sg.members, sg.model)
             assert subgroup_loss(ns, sg.members, sg.model) == pytest.approx(expected, rel=1e-9)
 
 
@@ -258,7 +260,7 @@ def test_fit_on_neighborhoods_equals_stacked_ridge():
     for lam in (0.0, 1.0):
         pooled = fit_on_neighborhoods(ns, members, lam)
         X = ns.samples[members].reshape(-1, 3)
-        Y = ns.bb_outputs[members].reshape(-1, 3)
+        Y = row_outputs(ns, bb)[members].reshape(-1, 3)
         A = np.hstack([X, np.ones((X.shape[0], 1))])
         M = A.T @ A + lam * np.diag([1.0] * 3 + [0.0])
         expected = np.linalg.solve(M, A.T @ Y)
@@ -305,7 +307,7 @@ def test_fit_on_neighborhoods_never_raises_on_singular():
     member = np.array([0], dtype=np.int64)
     model = fit_on_neighborhoods(ns, member, 0.0)
     X = ns.samples[0]
-    Y = ns.bb_outputs[0]
+    Y = row_outputs(ns, bb)[0]
     A = np.hstack([X, np.ones((X.shape[0], 1))])
     best = float(np.sum((A @ np.linalg.pinv(A) @ Y - Y) ** 2))
     assert subgroup_loss(ns, member, model) == pytest.approx(best, rel=1e-7, abs=1e-9)

@@ -5,15 +5,17 @@ Usage (from the repository root):
     python3 tools/scale_probe.py --n 2000 --m 12 --k 10
 
 The world has m uniform numeric attributes, three classes and four
-softmax-linear regimes cut at 0.5 on x0 and x1.  One run builds and
-labels the neighborhoods, forms the per-object Gram pieces, searches
+softmax-linear regimes cut at 0.5 on x0 and x1.  One run plans and
+labels the neighborhoods, looks up the per-object Gram pieces, searches
 the splits and validates the partition, each stage timed on its own,
-with lambda = 1.  ``--threads N`` (default 1) is the thread count given
-to every stage that takes one: the neighborhood build, the per-object
-Gram pieces and the split search (``splitter.run``, whose search itself
-runs on the calling thread).  Labeling and validation run on one
-thread.  The probe prints each stage's wall time, the process's peak
-RSS, and what the split search solved:
+with lambda = 1.  "build" only plans (it factors the covariance);
+"label" draws the rows, calls the black box and forms the Gram pieces,
+one chunk of objects at a time, so "grams" is a lookup.  ``--threads N``
+(default 1) is the thread count given to every stage that takes one:
+labeling, which runs on the build's workers, and the split search
+(``splitter.run``, whose search itself runs on the calling thread).
+Validation runs on one thread.  The probe prints each stage's wall
+time, the process's peak RSS, and what the split search solved:
 
 * ridge systems, every matrix given to ``kernels.solve_stack`` (grid
   points, interval boundaries and the winners' refits);
@@ -22,11 +24,13 @@ RSS, and what the split search solved:
 * solve calls, the calls of ``np.linalg.cholesky`` that factor them;
 * the ``kernels.scan_sse`` calls and the interval boundaries they solve.
 
-With ``--json PATH`` it also writes these numbers to PATH, with the
-sizes, the git commit of the checkout, the CPU count and the Python and
-numpy versions, so runs on one machine can be compared later.  The
-program is imported from ``src/`` next to this directory; nothing is
-installed.
+With ``--json PATH`` it also appends these numbers to the ``runs`` list
+of the JSON object in PATH (a new file holds ``{"runs": [...]}``; other
+keys and earlier runs are kept), with the sizes and the git commit of
+the checkout, which key the run, and the CPU count and the Python and
+numpy versions, so runs on one machine can be compared across commits.
+The program is imported from ``src/`` next to this directory; nothing
+is installed.
 """
 from __future__ import annotations
 
@@ -86,6 +90,20 @@ def _git_sha() -> str | None:
     return out.stdout.strip() if out.returncode == 0 else None
 
 
+def _read_history(path: str) -> dict | None:
+    """The probe file at ``path``, a new one if there is none, or None if it is something else."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            history = json.load(fh)
+    except FileNotFoundError:
+        return {"runs": []}
+    except (OSError, ValueError):
+        return None
+    if not (isinstance(history, dict) and isinstance(history.get("runs"), list)):
+        return None
+    return history
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, required=True, help="explained objects")
@@ -95,14 +113,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="threads of the build, the Gram pieces and the split search",
+        help="threads of labeling and the split search",
     )
-    parser.add_argument("--json", metavar="PATH", help="also write the results to PATH")
+    parser.add_argument("--json", metavar="PATH", help="also append the results to PATH")
     args = parser.parse_args(argv)
     if args.m < 2:
         parser.error("--m must be at least 2: the regimes cut on x0 and x1")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    history = _read_history(args.json) if args.json else None
+    if args.json and history is None:
+        parser.error(f"--json {args.json}: not a JSON object with a 'runs' list")
 
     enc, bb = _world(args.n, args.m, args.seed)
     counts = dict.fromkeys(
@@ -177,8 +198,9 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
         }
+        history["runs"].append(record)
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+            json.dump(history, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return 0
 
