@@ -326,8 +326,9 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
     """Rebuild the subgroups, models and trace of a dumped partition.
 
     Every field read here is type-checked, so a malformed file is bad
-    input.  Whether the subgroups cover the objects within the budget
-    and match their stored losses is left to ``_check_dump_invariants``.
+    input.  Whether the subgroups cover the objects within the budget is
+    left to ``splitter.check_cover``, and whether they match their stored
+    losses to ``_check_dump_invariants``.
     """
     config = _field(dump, "config", dict)
     for key in ("k", "z", "n_synth", "seed"):
@@ -378,13 +379,12 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
 
 
 def _check_dump_invariants(partition: Partition, enc, ns) -> None:
-    """Cover and budget, then each dumped model's loss recomputed from the Gram pieces.
+    """Each dumped model's loss recomputed from the Gram pieces.
 
     Every subgroup's stored loss must match its own recomputed loss, and
     the stored total their sum, each within ``_LOSS_REL_TOL`` of
     max(1, |stored|).
     """
-    splitter.check_cover(partition, enc.n)
     recomputed = 0.0
     for sg in partition.subgroups:
         loss = subgroup_loss(ns, sg.members, sg.model)
@@ -410,6 +410,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     enc = encode(dataset)
     dump = read_json(args.partition, "partition")
     partition = _partition_from_dump(dump, enc, dataset.classes)
+    # Before labeling: a dump that cannot cover the objects needs no black box.
+    splitter.check_cover(partition, enc.n)
     pconf = partition.config
     bb, bb_tag = _load_bb(args, dataset.classes, enc.column_names)
     ns = _neighborhoods(

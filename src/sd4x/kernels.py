@@ -43,8 +43,8 @@ is in bytes rather than in matrices so that small systems stay in one
 chunk, where the per-call numpy overhead is paid once.
 
 Every solve starts from the per-object pieces that
-:func:`gram_pieces` forms from neighborhood rows and outputs.  The
-per-object stages run on a pool of the run's threads through
+:func:`gram_pieces` forms from neighborhood rows and outputs.
+Labeling runs on a pool of the run's threads through
 :func:`over_ranges`, and the pipeline holds BLAS to one thread with
 :func:`one_blas_thread`.  OpenBLAS runs a product of about 2**19
 multiply-adds or more on all of its threads, whose helpers would then
@@ -149,7 +149,7 @@ def one_blas_thread() -> _OneBlasThread:
     return _ONE_BLAS_THREAD
 
 
-def over_ranges(n: int, workers: int, work, step: int = 1) -> None:
+def over_ranges(n: int, workers: int, work, step: int) -> None:
     """Call ``work(w, lo, hi)`` for ``workers`` contiguous ranges covering ``0..n-1``.
 
     The ranges are cut between blocks of ``step`` items: with ``c =

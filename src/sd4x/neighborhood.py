@@ -18,7 +18,7 @@ only those and the objects' own outputs, so no run holds every
 neighborhood row.  With more threads each worker of a pool
 (:func:`kernels.over_ranges`) streams a contiguous range of chunks
 through buffers of its own.  A set's ``samples``, every row at once,
-are drawn only when read.
+are drawn only when read, on the reading thread.
 
 Rows are drawn ``len(g)`` objects at a time into a reused buffer ``g``
 of normals: each object's from its own substream, then one stacked
@@ -71,42 +71,34 @@ class NeighborhoodSet:
     whitebox module) and each object's own outputs (``object_outputs``,
     which the top-k F1 check reads).  :func:`label` forms both from a
     set that :func:`build` planned, without keeping its rows, and
-    :func:`load_cache` reads both back from a file.
+    :func:`load_cache` reads both back from a file; these are the only
+    ways a set gets them.
 
-    ``samples``, the (n_objects, 1 + n_synth, m') discretized rows, is
-    held only by a set made with explicit rows; a built set draws every
-    row when ``samples`` is first read and keeps them, and :func:`label`
-    then labels those.  A set made with explicit rows and their outputs
-    (``bb_outputs``, (n_objects, 1 + n_synth, p)) gets its pieces from
-    :func:`whitebox.neighborhood_grams`; ``label`` never stores
-    ``bb_outputs``.
+    ``samples``, the (n_objects, 1 + n_synth, m') discretized rows, are
+    drawn on one thread when first read and kept; only a built set has
+    them, and :func:`label` never reads them.
     """
 
     def __init__(
         self,
-        samples: np.ndarray | None,
         z: int,
         n_synth: int,
         seed: int,
-        bb_outputs: np.ndarray | None = None,
         object_outputs: np.ndarray | None = None,
         grams: tuple | None = None,
         plan: _Plan | None = None,
     ) -> None:
-        self._samples = samples
+        self._samples = None
         self.z = z
         self.n_synth = n_synth
         self.seed = seed
-        self.bb_outputs = bb_outputs
-        if object_outputs is None and bb_outputs is not None:
-            object_outputs = bb_outputs[:, 0]
         self.object_outputs = object_outputs  # (n_objects, p); None until labeled
         self.grams = grams  # (G, C, yy), see the whitebox module
         self._plan = plan
 
     @property
     def samples(self) -> np.ndarray | None:
-        """Every neighborhood row, drawn on first read for a built set; None when cached."""
+        """Every neighborhood row, drawn on first read for a built set; None otherwise."""
         if self._samples is None and self._plan is not None:
             self._samples = _draw_all(self._plan, self.n_synth, self.seed)
         return self._samples
@@ -116,8 +108,7 @@ class NeighborhoodSet:
         """Objects in the set, counted without drawing rows."""
         if self._plan is not None:
             return self._plan.enc.n
-        held = self._samples if self.object_outputs is None else self.object_outputs
-        return int(held.shape[0])
+        return int(self.object_outputs.shape[0])
 
     @property
     def size(self) -> int:
@@ -185,8 +176,8 @@ def build(
 
     This checks the inputs and factors the covariance; it draws no rows.
     :func:`label` draws, labels and forms the pieces on at most
-    ``threads`` workers, and reading ``samples`` draws every row on as
-    many.  The rows do not depend on ``threads``.
+    ``threads`` workers, and reading ``samples`` draws every row on the
+    reading thread.  The rows do not depend on ``threads``.
     """
     if n_synth < 0:
         raise InputError(f"n_synth must be >= 0, got {n_synth}")
@@ -195,29 +186,20 @@ def build(
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     L = scaled_cholesky(estimate_covariance(enc.values), z)
-    return NeighborhoodSet(None, z, n_synth, seed, plan=_Plan(enc, L, threads))
+    return NeighborhoodSet(z, n_synth, seed, plan=_Plan(enc, L, threads))
 
 
 @kernels.one_blas_thread()
 def _draw_all(plan: _Plan, n_synth: int, seed: int) -> np.ndarray:
-    """Every row of a planned set, in chunks of about ``_BUILD_CHUNK_ROWS`` rows.
+    """Every row of a planned set, drawn on the calling thread.
 
-    A pool of at most ``plan.threads`` workers, and no more than the
-    chunks a one-thread draw walks (so no more than there are objects),
-    draws contiguous ranges of objects, in chunks of
-    ``_BUILD_CHUNK_ROWS // workers`` rows.
+    The normals buffer holds about ``_BUILD_CHUNK_ROWS`` rows' worth of
+    objects.
     """
     enc = plan.enc
-    n, m = enc.n, enc.m
-    size = 1 + n_synth
-    samples = np.empty((n, size, m))
-    workers = min(plan.threads, max(1, -(-n // max(1, _BUILD_CHUNK_ROWS // size))))
-    buffers = _normals_buffers(-(-n // workers), n_synth, m, workers)
-
-    def work(w: int, lo: int, hi: int) -> None:
-        _build_range(samples[lo:hi], enc, plan.L, seed, lo, hi, buffers[w])
-
-    kernels.over_ranges(n, workers, work)
+    samples = np.empty((enc.n, 1 + n_synth, enc.m))
+    (g,) = _normals_buffers(enc.n, n_synth, enc.m, 1)
+    _build_range(samples, enc, plan.L, seed, 0, enc.n, g)
     return samples
 
 
@@ -256,48 +238,46 @@ def _build_range(out, enc, L, seed, lo, hi, g) -> None:
 
 @kernels.one_blas_thread()
 def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
-    """Label every neighborhood row and form the per-object Gram pieces.
+    """Label every neighborhood row of a built set and form the per-object Gram pieces.
 
     The objects are streamed in chunks of ``_LABEL_CHUNK // (1 +
     n_synth)`` whole objects, and at least one: each chunk's rows are
-    drawn (or sliced from the rows ``ns`` holds), go to the black box in
-    one call, and give the chunk's Gram pieces and object outputs, after
-    which its rows and outputs are dropped.  So a labeled set holds only
-    ``grams`` and ``object_outputs``, and the chunk size sets the number
-    of external black-box processes.  A built set with more than one
-    chunk streams on a pool of at most its ``threads`` workers, each over
-    a contiguous range of chunks with row buffers of its own; the
-    black-box calls are made under one lock, so they are never
-    concurrent, but their order across workers may vary.  Rows, outputs
-    and pieces do not depend on the workers.  A chunk whose outputs are
-    not one probability per class and row is bad input.
+    drawn from the plan, go to the black box in one call, and give the
+    chunk's Gram pieces and object outputs, after which its rows and
+    outputs are dropped.  So a labeled set holds only ``grams`` and
+    ``object_outputs``, and the chunk size sets the number of external
+    black-box processes.  Rows the set already holds (its ``samples``,
+    once read) are not used: the chunks draw the same rows.  With more
+    than one chunk the set streams on a pool of at most its ``threads``
+    workers, each over a contiguous range of chunks with row buffers of
+    its own; the black-box calls are made under one lock, so they are
+    never concurrent, but their order across workers may vary.  Rows,
+    outputs and pieces do not depend on the workers.  A set that
+    :func:`build` did not plan, or a chunk whose outputs are not one
+    probability per class and row, is bad input.
     """
-    plan, held = ns._plan, ns._samples
-    n, size, p = ns.n_objects, ns.size, len(bb.classes)
-    m = held.shape[2] if held is not None else plan.enc.m
+    plan = ns._plan
+    if plan is None:
+        raise InputError("only neighborhoods planned by build can be labeled")
+    n, m, size, p = plan.enc.n, plan.enc.m, ns.size, len(bb.classes)
     per_call = max(1, _LABEL_CHUNK // size)
-    threads = plan.threads if plan is not None else 1
-    workers = max(1, min(threads, -(-n // per_call)))
+    workers = max(1, min(plan.threads, -(-n // per_call)))
     G = np.empty((n, m + 1, m + 1))
     C = np.empty((n, m + 1, p))
     yy = np.empty(n)
     outputs = np.empty((n, p))
-    if held is None:
-        # Allocated here rather than in the workers; see _normals_buffers.
-        rows = [np.empty((min(per_call, n), size, m)) for _ in range(workers)]
-        normals = _normals_buffers(min(per_call, n), ns.n_synth, m, workers)
+    # Allocated here rather than in the workers; see _normals_buffers.
+    rows = [np.empty((min(per_call, n), size, m)) for _ in range(workers)]
+    normals = _normals_buffers(min(per_call, n), ns.n_synth, m, workers)
     lock = threading.Lock()
 
     def work(w: int, lo: int, hi: int) -> None:
         for start in range(lo, hi, per_call):
             stop = min(start + per_call, hi)
-            if held is None:
-                X = rows[w][: stop - start]
-                _build_range(X, plan.enc, plan.L, ns.seed, start, stop, normals[w])
-                if stop == hi:
-                    normals[w] = None  # drawn the worker's last chunk: free it before the call
-            else:
-                X = held[start:stop]
+            X = rows[w][: stop - start]
+            _build_range(X, plan.enc, plan.L, ns.seed, start, stop, normals[w])
+            if stop == hi:
+                normals[w] = None  # drawn the worker's last chunk: free it before the call
             with lock:
                 Y = bb.predict_batch(X.reshape(-1, m))
             if Y.shape != ((stop - start) * size, p):
@@ -311,7 +291,6 @@ def label(ns: NeighborhoodSet, bb: BlackBox) -> NeighborhoodSet:
             del Y  # free this chunk's outputs before the next chunk is drawn
 
     kernels.over_ranges(n, workers, work, step=per_call)
-    ns.bb_outputs = None
     ns.object_outputs = outputs
     ns.grams = (G, C, yy)
     return ns
@@ -379,7 +358,7 @@ def load_cache(path: str) -> NeighborhoodSet | None:
 
     The file is outside input.  It is a miss, and is closed, when it is
     missing, is not a readable ``.npz`` or lacks one of its arrays (as a
-    file of the older row format, with ``samples`` and ``bb_outputs``,
+    file of the older row format, which held every row and its outputs,
     does), or unless all of these hold:
 
     * ``G``, ``C``, ``yy`` and ``outputs`` are float64 arrays of ranks 3,
@@ -425,7 +404,6 @@ def load_cache(path: str) -> NeighborhoodSet | None:
     ):
         return None
     return NeighborhoodSet(
-        samples=None,
         z=int(meta[0]),
         n_synth=int(meta[1]),
         seed=int(meta[2]),

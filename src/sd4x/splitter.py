@@ -322,14 +322,13 @@ class _Engine:
         lam: float,
         min_support: int,
         columns: list[int],
-        threads: int = 1,
     ) -> None:
         self.enc = enc
         self.ns = ns
         self.lam = lam
         self.min_support = min_support
         self.columns = columns
-        self.grams = neighborhood_grams(ns, threads)
+        self.grams = neighborhood_grams(ns)
         self.npen = enc.m
         G_all, C_all, _ = self.grams
         self.bound_cols = _bound_design(enc, G_all)
@@ -706,11 +705,11 @@ def run(
 
     When ``ns`` is not given, the neighborhoods are built and labeled
     here, and labeling draws the rows, calls the black box and forms the
-    per-object Gram pieces on at most ``threads`` workers; ``threads``
-    also reaches the pieces of a given ``ns`` that holds rows and outputs
-    but none yet.  The split search runs on the calling thread.  Every
-    stage holds BLAS to one thread (:func:`kernels.one_blas_thread`), so
-    the result does not depend on ``threads``.
+    per-object Gram pieces on at most ``threads`` workers.  A given
+    ``ns`` must be labeled or read from a cache.  The split search runs
+    on the calling thread.  Every stage holds BLAS to one thread
+    (:func:`kernels.one_blas_thread`), so the result does not depend on
+    ``threads``.
     """
     if K < 1:
         raise InputError(f"K must be >= 1, got {K}")
@@ -736,13 +735,13 @@ def run(
     # A with block rather than a decorator, whose __wrapped__ the
     # benchmark's tracer would take for a wrapper of its own left behind.
     with kernels.one_blas_thread():
-        return _greedy_partition(enc, ns, K, lam, min_support, threads, split_columns, validate)
+        return _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate)
 
 
-def _greedy_partition(enc, ns, K, lam, min_support, threads, split_columns, validate) -> Partition:
+def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> Partition:
     """The greedy split search of :func:`run` on labeled neighborhoods."""
     columns = _resolve_columns(enc, split_columns)
-    engine = _Engine(enc, ns, lam, min_support, columns, threads)
+    engine = _Engine(enc, ns, lam, min_support, columns)
 
     members = np.arange(enc.n, dtype=np.int64)
     root_model = fit_on_neighborhoods(ns, members, lam)

@@ -15,19 +15,21 @@ The per-object Gram pieces come from batched BLAS products of each
 neighborhood with itself and with its black-box outputs, written straight
 into the Gram arrays (:func:`kernels.gram_pieces`); the intercept row and
 column are filled from the column sums, so no augmented copy of the
-neighborhoods is built.  :func:`neighborhood.label` forms them chunk by
-chunk as it streams the rows, on the build's workers, with BLAS held to
-one thread, so every object's pieces have the bits of a one-thread pass.
-BLAS sums in its own order, so the last bits of these pieces, and of
-every model fitted from them, can differ between BLAS builds.  Losses come
-from the same pieces: :func:`subgroup_loss` sums the members' pieces and
-evaluates the residual with :func:`kernels.residual_sse`, the formula the
-split scan uses, so no loss reads the neighborhood rows.
+neighborhoods is built.  :func:`neighborhood.label` is the one place
+that forms them: chunk by chunk as it streams the rows, on its workers,
+with BLAS held to one thread, so every object's pieces have the bits of
+a one-thread pass.  BLAS sums in its own order, so the last bits of
+these pieces, and of every model fitted from them, can differ between
+BLAS builds.  Losses come from the same pieces: :func:`subgroup_loss`
+sums the members' pieces and evaluates the residual with
+:func:`kernels.residual_sse`, the formula the split scan uses, so no
+loss reads the neighborhood rows.
 
 The pieces are the only per-object state that fits and losses read, so
 they are also what the neighborhood cache stores
 (:func:`neighborhood.save_cache`).  A set read back from a cache file
-holds the pieces and no rows, and every function here works on it.
+holds the pieces and no rows, and every function here works on it, as
+on a labeled set; an unlabeled set is bad input.
 """
 from __future__ import annotations
 
@@ -66,44 +68,18 @@ def predict(model: WhiteBoxModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def neighborhood_grams(
-    ns: NeighborhoodSet, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def neighborhood_grams(ns: NeighborhoodSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-object Gram pieces (G_i, C_i, yy_i) of the augmented design.
 
     With X_i the object's (S, m) neighborhood and Y_i its (S, p) outputs,
     the augmented design is [X_i, 1]; :func:`kernels.gram_pieces` says
     how each piece is formed.  :func:`neighborhood.label` forms them as
-    it streams the rows, and a set read back from a cache file holds
-    them too, so for those sets this is a lookup.  A set made with
-    explicit rows and outputs (``samples`` and ``bb_outputs``) gets its
-    pieces formed here, once, and cached on ``ns``: with ``threads > 1``
-    a pool of at most ``threads`` workers forms those of contiguous
-    ranges of objects, with BLAS held to one thread, so each object's
-    pieces have the same bits at any thread count.
+    it streams the rows and :func:`neighborhood.load_cache` reads them
+    back, so this is a lookup; a set that is not labeled is bad input.
     """
     if ns.grams is None:
-        if ns.bb_outputs is None:
-            raise InputError("neighborhoods are missing cached black-box outputs")
-        if threads < 1:
-            raise InputError(f"threads must be >= 1, got {threads}")
-        ns.grams = _grams_from_rows(ns.samples, ns.bb_outputs, threads)
+        raise InputError("neighborhoods are not labeled: they hold no Gram pieces")
     return ns.grams
-
-
-@kernels.one_blas_thread()
-def _grams_from_rows(X: np.ndarray, Y: np.ndarray, threads: int) -> tuple:
-    """The pieces of :func:`neighborhood_grams`, formed from rows X and outputs Y."""
-    n, _, m = X.shape
-    G = np.empty((n, m + 1, m + 1))
-    C = np.empty((n, m + 1, Y.shape[2]))
-    yy = np.empty(n)
-
-    def work(w: int, lo: int, hi: int) -> None:
-        kernels.gram_pieces(X[lo:hi], Y[lo:hi], G[lo:hi], C[lo:hi], yy[lo:hi])
-
-    kernels.over_ranges(n, max(1, min(threads, n)), work)
-    return G, C, yy
 
 
 def fit_on_neighborhoods(ns: NeighborhoodSet, members: np.ndarray, lam: float) -> WhiteBoxModel:

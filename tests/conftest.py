@@ -51,17 +51,30 @@ def ridge_sse_stack(G, C, yy, lam, npen) -> np.ndarray:
     return kernels.residual_sse(G, C, yy, B)
 
 
+def labeled_from_rows(X, Y) -> NeighborhoodSet:
+    """A labeled set of neighborhood rows X, (n, S, m), with outputs Y, (n, S, p).
+
+    Its pieces are those ``label`` forms from such rows and outputs: one
+    ``kernels.gram_pieces`` call with BLAS held to one thread.  Like a
+    labeled set it holds no rows, so a test keeps its own X and Y for
+    reference sums.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    n, S, m = X.shape
+    G, C, yy = np.empty((n, m + 1, m + 1)), np.empty((n, m + 1, Y.shape[2])), np.empty(n)
+    with kernels.one_blas_thread():
+        kernels.gram_pieces(X, Y, G, C, yy)
+    return NeighborhoodSet(z=1, n_synth=S - 1, seed=0, object_outputs=Y[:, 0], grams=(G, C, yy))
+
+
 def fit_rows(X, Y, lam) -> WhiteBoxModel:
     """The ridge surrogate of rows X with (k, p) targets Y, as the program fits it.
 
     The rows go in as the neighborhood of one object, so the fit runs
     through the Gram pieces and the stacked solve of every other fit.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    ns = NeighborhoodSet(
-        samples=X[None], bb_outputs=Y[None], z=1, n_synth=X.shape[0] - 1, seed=0
-    )
+    ns = labeled_from_rows(np.asarray(X)[None], np.asarray(Y)[None])
     return fit_on_neighborhoods(ns, [0], lam)
 
 

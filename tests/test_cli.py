@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sd4x import cli, whitebox
+from sd4x import cli, neighborhood
 from sd4x.blackbox import load_blackbox
 from sd4x.cli import main
 from sd4x.dataset import encode, load_dataset
@@ -257,7 +257,7 @@ def test_eval_on_a_warm_cache_reads_no_rows(gen_dir, tmp_path, monkeypatch, thre
 
     monkeypatch.setattr(cli, "build", no_rows)
     monkeypatch.setattr(cli, "label", no_rows)
-    monkeypatch.setattr(whitebox, "_grams_from_rows", no_rows)
+    monkeypatch.setattr(neighborhood, "_build_range", no_rows)
     assert main(eval_args(tmp_path / "warm")) == 0
     cold = (tmp_path / "cold" / "report.json").read_bytes()
     assert (tmp_path / "warm" / "report.json").read_bytes() == cold
@@ -310,7 +310,7 @@ def _over_budget(dump):
 
 
 @pytest.mark.parametrize("tamper", [_overlap, _over_budget], ids=["overlap", "budget"])
-def test_eval_rejects_tampered_members(gen_dir, tmp_path, tamper):
+def test_eval_rejects_tampered_members(gen_dir, tmp_path, monkeypatch, tamper):
     out = tmp_path / "partition.json"
     assert main(_explain_args(gen_dir, out)) == 0
     dump = json.loads(out.read_text())
@@ -319,6 +319,13 @@ def test_eval_rejects_tampered_members(gen_dir, tmp_path, tamper):
     tamper(dump)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(dump))
+
+    def no_labels(*args, **kwargs):
+        raise AssertionError("a dump that fails to cover the objects is labeled")
+
+    # The cover is checked before any neighborhood is built or labeled.
+    monkeypatch.setattr(cli, "build", no_labels)
+    monkeypatch.setattr(cli, "label", no_labels)
     assert main(_eval_args(gen_dir, tampered, tmp_path / "r")) == 1
 
 

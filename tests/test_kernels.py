@@ -7,7 +7,7 @@ import pytest
 
 from sd4x import kernels
 
-from conftest import ridge_sse_stack
+from conftest import numeric_enc, ridge_sse_stack
 
 
 def oracle_ridge(X, Y, lam, fit_intercept=True):
@@ -378,7 +378,7 @@ def blas_threads():
 
 
 def test_label_calls_the_black_box_on_one_blas_thread(blas_threads):
-    from sd4x.neighborhood import NeighborhoodSet, label
+    from sd4x.neighborhood import build, label
 
     seen = []
 
@@ -389,7 +389,7 @@ def test_label_calls_the_black_box_on_one_blas_thread(blas_threads):
             seen.append(blas_threads())
             return np.full((rows.shape[0], 2), 0.5)
 
-    ns = NeighborhoodSet(samples=np.zeros((3, 4, 2)), z=1, n_synth=3, seed=0)
+    ns = build(numeric_enc(np.arange(6.0).reshape(3, 2)), z=1, n_synth=3, seed=0)
     label(ns, Probe())
     assert seen == [1]
     assert blas_threads() == 2

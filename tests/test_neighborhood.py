@@ -26,9 +26,7 @@ from sd4x.neighborhood import (
     scaled_cholesky,
 )
 
-from sd4x.whitebox import _grams_from_rows
-
-from conftest import mixed_enc, numeric_enc, random_linear_bb, row_outputs
+from conftest import labeled_from_rows, mixed_enc, numeric_enc, random_linear_bb, row_outputs
 
 
 def test_covariance_frozen_two_points():
@@ -193,10 +191,11 @@ def test_real_size_blocked_build_equals_per_object_reference(monkeypatch, m, n_s
     [
         (1, 13),  # one object per chunk: a worker per object
         (64, 4),  # four chunks
-        (neighborhood._BUILD_CHUNK_ROWS, None),  # one chunk: no pool
+        (8192, None),  # one chunk: no pool
     ],
 )
 def test_pool_has_no_more_workers_than_one_thread_chunks(monkeypatch, chunk_rows, workers):
+    # chunk_rows: rows per black-box call of label, over 13 objects of 16 rows.
     started = []
 
     class SerialPool:
@@ -215,30 +214,24 @@ def test_pool_has_no_more_workers_than_one_thread_chunks(monkeypatch, chunk_rows
             return map(fn, *iterables)
 
     monkeypatch.setattr(kernels, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", chunk_rows)
-    enc = mixed_enc(np.random.default_rng(21), n=13)
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", chunk_rows)
+    rng = np.random.default_rng(21)
+    enc = mixed_enc(rng, n=13)
+    bb = random_linear_bb(rng, enc)
     ns = build(enc, z=3, n_synth=15, seed=11, threads=10_000)
     assert started == []  # build only plans
-    samples = ns.samples
+    label(ns, bb)
+    assert started == ([workers] if workers else [])
+    (G, C, yy), outputs = _chunked_reference(ns, bb, max(1, chunk_rows // 16))
+    for a, b in zip(ns.grams, (G, C, yy)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(ns.object_outputs, outputs)
+    samples = ns.samples  # drawn on this thread
     assert started == ([workers] if workers else [])
     assert np.array_equal(samples, _reference_build(enc, 3, 15, 11))
     for threads in (0, -1):
         with pytest.raises(InputError, match="threads"):
             build(enc, z=3, n_synth=15, seed=11, threads=threads)
-
-
-def test_pooled_build_under_rapid_thread_switching(monkeypatch):
-    # Eight workers on disjoint ranges of 40 objects, switching every
-    # microsecond: an overlap of ranges or buffers would show in the bits.
-    enc = mixed_enc(np.random.default_rng(24), n=40)
-    monkeypatch.setattr(neighborhood, "_BUILD_CHUNK_ROWS", 32)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        samples = build(enc, z=3, n_synth=15, seed=2, threads=8).samples
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(samples, _reference_build(enc, 3, 15, 2))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -284,7 +277,7 @@ def test_label_shapes_and_probability_rows():
     enc = numeric_enc(rng.normal(size=(9, 3)), classes=("a", "b", "c"))
     bb = random_linear_bb(rng, enc)
     ns = label(build(enc, z=10, n_synth=12, seed=2), bb)
-    assert ns.bb_outputs is None  # a labeled set keeps no row's outputs
+    assert ns._samples is None  # a labeled set keeps no rows
     G, C, yy = ns.grams
     assert G.shape == (9, 4, 4) and C.shape == (9, 4, 3) and yy.shape == (9,)
     # Every row's outputs sum to 1, so the outputs' column sums add up to the rows.
@@ -318,8 +311,7 @@ def _chunked_reference(ns, bb, per_call):
             for start in range(0, n, per_call)
         ]
     ).reshape(n, S, -1)
-    with kernels.one_blas_thread():
-        return _grams_from_rows(X, Y, 1), Y[:, 0]
+    return labeled_from_rows(X, Y).grams, Y[:, 0]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -340,13 +332,37 @@ def test_streamed_label_has_the_bits_of_the_rows_reference(monkeypatch, threads,
     assert np.array_equal(ns.object_outputs, outputs)
     # The rows read afterwards are those of the per-object reference.
     assert np.array_equal(ns.samples, _reference_build(enc, 3, n_synth, 11))
-    # A set that holds its rows is labeled through the same chunks.
-    held = build(enc, z=3, n_synth=n_synth, seed=11, threads=threads)
-    held.samples
-    label(held, bb)
-    for a, b in zip(held.grams, ns.grams):
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_label_draws_its_rows_whether_or_not_samples_were_read(monkeypatch, threads):
+    # Reading samples first keeps every row on the set; label draws its
+    # own chunks all the same and gives the bits of a set never read,
+    # even when the kept rows are changed.
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 3 * 16)
+    rng = np.random.default_rng(29)
+    enc = mixed_enc(rng, n=13)
+    bb = random_linear_bb(rng, enc)
+    fresh = label(build(enc, z=3, n_synth=15, seed=11, threads=threads), bb)
+    read = build(enc, z=3, n_synth=15, seed=11, threads=threads)
+    read.samples[:, 1:] += 1.0
+    label(read, bb)
+    for a, b in zip(read.grams, fresh.grams):
         assert np.array_equal(a, b)
-    assert np.array_equal(held.object_outputs, ns.object_outputs)
+    assert np.array_equal(read.object_outputs, fresh.object_outputs)
+
+
+def test_label_rejects_a_set_that_build_did_not_plan(tmp_path):
+    rng = np.random.default_rng(30)
+    enc = numeric_enc(rng.normal(size=(4, 2)))
+    bb = random_linear_bb(rng, enc)
+    path = str(tmp_path / "ns.npz")
+    save_cache(path, label(build(enc, z=10, n_synth=5, seed=3), bb))
+    cached = load_cache(path)
+    for unbuilt in (cached, NeighborhoodSet(10, 5, 3)):
+        with pytest.raises(InputError, match="build"):
+            label(unbuilt, bb)
+    assert cached.grams is not None  # the cached pieces are left as they were
 
 
 def test_streamed_label_under_rapid_thread_switching(monkeypatch):
@@ -441,27 +457,10 @@ def test_streamed_label_peak_memory_is_the_pieces_plus_a_chunk_per_worker(monkey
     assert ns._samples is None  # no row is kept
 
 
-def test_label_peak_memory_on_held_rows_is_the_pieces_plus_a_chunk(monkeypatch):
-    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", 1000)  # two objects per call
-    rng = np.random.default_rng(12)
-    ns = NeighborhoodSet(samples=rng.normal(size=(40, 500, 4)), z=10, n_synth=499, seed=0)
-    bb = _FixedWidthBox(("a", "b", "c"), 3)
-    label(ns, bb)  # warm up
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        label(ns, bb)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    bound = _label_bound(ns, 4, 3, 2, 1)
-    assert peak - base <= bound, (peak - base) / bound
-
-
 @pytest.mark.parametrize("width", [2, 4])
 def test_label_rejects_outputs_of_the_wrong_width(width):
     rng = np.random.default_rng(13)
-    ns = NeighborhoodSet(samples=rng.normal(size=(3, 5, 2)), z=10, n_synth=4, seed=0)
+    ns = build(numeric_enc(rng.normal(size=(3, 2))), z=10, n_synth=4, seed=0)
     with pytest.raises(InputError, match="shape"):
         label(ns, _FixedWidthBox(("a", "b", "c"), width))
 
@@ -479,7 +478,7 @@ def test_cache_round_trip(tmp_path):
         assert got.dtype == np.float64 and np.array_equal(got, want)
     assert np.array_equal(loaded.object_outputs, ns.object_outputs)
     assert (loaded.z, loaded.n_synth, loaded.seed) == (10, 10, 3)
-    assert loaded.samples is None and loaded.bb_outputs is None
+    assert loaded.samples is None
     assert (loaded.n_objects, loaded.size) == (ns.n_objects, ns.size) == (7, 11)
 
 
@@ -489,9 +488,9 @@ def test_cache_refuses_unlabeled_and_tolerates_garbage(tmp_path):
     ns = build(enc, z=10, n_synth=5, seed=3)
     with pytest.raises(InputError, match="unlabeled"):
         save_cache(str(tmp_path / "x.npz"), ns)
-    # Rows and outputs without pieces: label forms them, so make one by hand.
+    # Object outputs without pieces: label forms both, so make one by hand.
     bb = random_linear_bb(rng, enc)
-    unformed = NeighborhoodSet(ns.samples, 10, 5, 3, bb_outputs=row_outputs(ns, bb))
+    unformed = NeighborhoodSet(10, 5, 3, object_outputs=bb.predict_batch(enc.values))
     with pytest.raises(InputError, match="Gram pieces"):
         save_cache(str(tmp_path / "x.npz"), unformed)
     assert os.listdir(tmp_path) == []

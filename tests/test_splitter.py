@@ -10,7 +10,7 @@ from sd4x import evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, InvariantError
-from sd4x.neighborhood import NeighborhoodSet, build, label, load_cache, save_cache
+from sd4x.neighborhood import build, label, load_cache, save_cache
 from sd4x.patterns import extent
 from sd4x.splitter import (
     Partition,
@@ -23,6 +23,7 @@ from sd4x.whitebox import fit_on_neighborhoods, subgroup_loss
 
 from conftest import (
     candidate_thresholds,
+    labeled_from_rows,
     mixed_enc,
     numeric_enc,
     random_linear_bb,
@@ -421,9 +422,7 @@ def test_scan_right_child_missing_a_one_hot_level_gets_exact_zeros(monkeypatch):
     enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
     samples = np.repeat(enc.values[:, None, :], S, axis=1)
     samples[:, 1:, 0] += rng.normal(scale=0.01, size=(n, S - 1))
-    ns = NeighborhoodSet(
-        samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=rng.random(size=(n, S, p))
-    )
+    ns = labeled_from_rows(samples, rng.random(size=(n, S, p)))
     seen = []
     original = kernels.solve_stack
 
@@ -599,9 +598,7 @@ def test_coded_children_missing_a_one_hot_level_get_exact_zeros(monkeypatch):
     enc = encode(Dataset(attributes=attrs, classes=("c0", "c1"), rows=rows))
     samples = np.repeat(enc.values[:, None, :], S, axis=1)
     samples[:, 1:, 0] += rng.normal(scale=0.01, size=(n, S - 1))
-    ns = NeighborhoodSet(
-        samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=rng.random(size=(n, S, p))
-    )
+    ns = labeled_from_rows(samples, rng.random(size=(n, S, p)))
     seen = []
     original = kernels.solve_stack
 
@@ -667,9 +664,7 @@ def _narrow_coded_problem(rng, n):
     assert enc.m == 3
     samples = np.repeat(enc.values[:, None, :], 2, axis=1)
     samples[:, 1, 0] = 1.0 - samples[:, 1, 0]
-    ns = NeighborhoodSet(
-        samples=samples, z=1, n_synth=1, seed=0, bb_outputs=rng.random(size=(n, 2, 2))
-    )
+    ns = labeled_from_rows(samples, rng.random(size=(n, 2, 2)))
     return enc, ns
 
 
@@ -1140,7 +1135,7 @@ def test_each_objects_own_bound_is_the_least_squares_sse_of_its_rows(
     vary[..., 5] = rng.integers(4, size=vary.shape[:2])
     vary[..., 6] = rng.integers(40, size=vary.shape[:2])
     Y = rng.normal(size=(n, S, 3))
-    ns = NeighborhoodSet(samples=samples, z=1, n_synth=S - 1, seed=0, bb_outputs=Y)
+    ns = labeled_from_rows(samples, Y)
     engine = splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m)))
     keep = engine.bound_cols
     assert keep is not None
@@ -1262,14 +1257,15 @@ def test_a_nominal_row_with_two_ones_keeps_the_full_design(monkeypatch):
     enc = mixed_enc(rng, n=200)
     color = splitter.attribute_slices(enc.attributes)[3]
     blue = color.stop - 1
-    ns = build(enc, z=10, n_synth=8, seed=6)
-    tampered = rng.random(ns.samples.shape[:2]) < 0.5
+    built = build(enc, z=10, n_synth=8, seed=6)
+    X = built.samples
+    tampered = rng.random(X.shape[:2]) < 0.5
     tampered[:, 0] = False  # the objects' own rows stay as encoded
-    ns.samples[..., blue][tampered] = 1.0
-    assert np.any(ns.samples[..., color].sum(axis=2) == 2.0)
+    X[..., blue][tampered] = 1.0
+    assert np.any(X[..., color].sum(axis=2) == 2.0)
     bb = random_linear_bb(rng, enc, scale=1.0)
     bb.weights[:, blue] = [6.0, -6.0]
-    ns = label(ns, bb)
+    ns = labeled_from_rows(X, row_outputs(built, bb))
     assert splitter._Engine(enc, ns, 1.0, 1, list(range(enc.m))).bound_cols is None
     for K in (2, 6):
         for min_support in (1, 5):

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sd4x import evaluation, kernels, splitter
+from sd4x import evaluation, kernels, neighborhood, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError
-from sd4x.neighborhood import NeighborhoodSet, build, label
+from sd4x.neighborhood import build, label
 from sd4x.whitebox import (
     WhiteBoxModel,
     feature_importance,
@@ -21,7 +21,14 @@ from sd4x.whitebox import (
     subgroup_loss,
 )
 
-from conftest import fit_rows, mixed_enc, numeric_enc, random_linear_bb, row_outputs
+from conftest import (
+    fit_rows,
+    labeled_from_rows,
+    mixed_enc,
+    numeric_enc,
+    random_linear_bb,
+    row_outputs,
+)
 
 
 def test_ridge_single_row_puts_mean_in_intercept():
@@ -70,13 +77,11 @@ def test_predict_frozen_subgroup_model(toy_enc):
     assert scores[0, 0] == pytest.approx(0.68, abs=1e-12)
 
 
-def _uniform_ns(k: int, p: int) -> NeighborhoodSet:
+def _uniform_ns(k: int, p: int):
     samples = np.zeros((1, k, 2))
     samples[0, :, 0] = np.linspace(-1, 1, k)
     outputs = np.full((1, k, p), 1.0 / p)
-    return NeighborhoodSet(
-        samples=samples, z=10, n_synth=k - 1, seed=0, bb_outputs=outputs
-    )
+    return labeled_from_rows(samples, outputs)
 
 
 def test_zero_model_loss_against_uniform_outputs():
@@ -122,16 +127,20 @@ def test_grams_match_direct_products():
         (3, 600, 100),  # OpenBLAS's own threads would move these products' bits
     ],
 )
-def test_pooled_grams_have_the_bits_of_one_thread(n, S, m):
+def test_pooled_grams_have_the_bits_of_one_thread(monkeypatch, n, S, m):
+    # One object per chunk, so every worker of the pool labels some.
+    monkeypatch.setattr(neighborhood, "_LABEL_CHUNK", S)
     rng = np.random.default_rng(5)
-    samples, outputs = rng.normal(size=(n, S, m)), rng.random(size=(n, S, 3))
-    with kernels.one_blas_thread():
-        XtX = [x.T @ x for x in samples]
-        XtY = [x.T @ y for x, y in zip(samples, outputs)]
+    enc = numeric_enc(rng.normal(size=(n, m)), classes=("a", "b", "c"))
+    bb = random_linear_bb(rng, enc)
 
     def grams(threads):
-        ns = NeighborhoodSet(samples, 10, S - 1, 0, bb_outputs=outputs)
-        return neighborhood_grams(ns, threads)
+        return label(build(enc, z=10, n_synth=S - 1, seed=0, threads=threads), bb).grams
+
+    samples = build(enc, z=10, n_synth=S - 1, seed=0).samples
+    with kernels.one_blas_thread():
+        XtX = [x.T @ x for x in samples]
+        XtY = [x.T @ bb.predict_batch(x) for x in samples]
 
     def check(G, C, yy):
         for i in range(n):
@@ -154,14 +163,10 @@ def test_pooled_grams_have_the_bits_of_one_thread(n, S, m):
         grams(0)
 
 
-def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2) -> NeighborhoodSet:
-    return NeighborhoodSet(
-        samples=rng.normal(size=(n, S, m)),
-        z=10,
-        n_synth=S - 1,
-        seed=0,
-        bb_outputs=rng.random(size=(n, S, p)),
-    )
+def _random_ns(rng, n: int, S: int, m: int = 3, p: int = 2):
+    """A labeled set of random rows and outputs, with those rows X and outputs Y."""
+    X, Y = rng.normal(size=(n, S, m)), rng.random(size=(n, S, p))
+    return labeled_from_rows(X, Y), X, Y
 
 
 def _one_shot_loss(X, Y, members: np.ndarray, model: WhiteBoxModel) -> float:
@@ -174,19 +179,19 @@ def _one_shot_loss(X, Y, members: np.ndarray, model: WhiteBoxModel) -> float:
 
 def test_subgroup_loss_over_several_blocks_matches_one_shot_sum():
     rng = np.random.default_rng(7)
-    ns = _random_ns(rng, n=80, S=1001)
+    ns, X, Y = _random_ns(rng, n=80, S=1001)
     model = WhiteBoxModel(
         coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
     )
     for members in (np.arange(80), np.arange(79, -1, -2), rng.permutation(80)[:50]):
-        expected = _one_shot_loss(ns.samples, ns.bb_outputs, members, model)
+        expected = _one_shot_loss(X, Y, members, model)
         assert subgroup_loss(ns, members, model) == pytest.approx(expected, rel=1e-12)
     assert subgroup_loss(ns, np.array([], dtype=np.int64), model) == 0.0
 
 
 def test_subgroup_loss_counts_the_members_rows_in_any_order():
     rng = np.random.default_rng(8)
-    ns = _random_ns(rng, n=40, S=1001)
+    ns, _, _ = _random_ns(rng, n=40, S=1001)
     model = WhiteBoxModel(
         coefficients=rng.normal(size=(2, 3)), intercepts=rng.normal(size=2), lam=1.0
     )
@@ -199,7 +204,7 @@ def test_subgroup_loss_counts_the_members_rows_in_any_order():
 def test_subgroup_loss_peak_memory_is_a_few_gathers():
     # neighborhood-mixed sizes: S = 601, m = 35, p = 3.
     rng = np.random.default_rng(10)
-    ns = _random_ns(rng, n=60, S=601, m=35, p=3)
+    ns, _, _ = _random_ns(rng, n=60, S=601, m=35, p=3)
     model = WhiteBoxModel(
         coefficients=rng.normal(size=(3, 35)), intercepts=rng.normal(size=3), lam=1.0
     )

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         "build", build, enc, z=10, n_synth=args.n_synth, seed=args.seed, threads=args.threads
     )
     ns = timed("label", label, ns, bb)
-    timed("grams", neighborhood_grams, ns, args.threads)
+    timed("grams", neighborhood_grams, ns)
     kernels.solve_stack, kernels.least_squares_sse = ridge_counted, bound_counted
     kernels.scan_sse, np.linalg.cholesky = scan_counted, cholesky_counted
     try:
