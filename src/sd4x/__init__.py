@@ -1,7 +1,7 @@
 """Pattern-described subgroup summaries of local black-box explanations."""
 from __future__ import annotations
 
-from .splitter import Partition, Subgroup, loss_curve, run
+from .splitter import Partition, Subgroup, run
 
-__all__ = ["Partition", "Subgroup", "loss_curve", "run"]
+__all__ = ["Partition", "Subgroup", "run"]
 __version__ = "0.1.0"

@@ -51,12 +51,13 @@ from .errors import (
     SD4XError,
 )
 from .neighborhood import build, cache_key, label, load_cache, save_cache
+from .patterns import pattern_to_conditions, render
 from .splitter import Partition, Subgroup, TraceEntry
 from .synth import generate_synthetic, spec_from_dict
 from .text import featurize_text
-from .whitebox import WhiteBoxModel, subgroup_loss
+from .whitebox import WhiteBoxModel
+from .whitebox import subgroup_loss  # noqa: F401  perfbench/tracer.py wraps cli.subgroup_loss
 
-_LOSS_REL_TOL = 1e-6
 # Every key a --config file may hold: those that synth, featurize,
 # explain and eval read, so one file can serve all of them.
 _CONFIG_KEYS = frozenset(
@@ -323,12 +324,14 @@ def _members(sd: dict, where: str) -> np.ndarray:
 
 
 def _partition_from_dump(dump: dict, enc, classes) -> Partition:
-    """Rebuild the subgroups, models and trace of a dumped partition.
+    """Rebuild a dumped partition, each subgroup's pattern replayed from its trace.
 
-    Every field read here is type-checked, so a malformed file is bad
-    input.  Whether the subgroups cover the objects within the budget is
-    left to ``splitter.check_cover``, and whether they match their stored
-    losses to ``_check_dump_invariants``.
+    Every field read here, the ``trace`` list included, is type-checked
+    first: a malformed file is bad input.  The subgroup ids must then be
+    those :func:`splitter.trace_patterns` leaves, and each subgroup's
+    ``pattern`` and ``conditions`` its replayed pattern rendered and
+    serialized, or InvariantError is raised.  Every other invariant is
+    left to ``splitter.validate_partition`` and ``splitter.check_losses``.
     """
     config = _field(dump, "config", dict)
     for key in ("k", "z", "n_synth", "seed"):
@@ -342,7 +345,7 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
     if not sub_dicts:
         raise InputError("partition file: subgroups is empty")
     p, m = len(classes), enc.m
-    subgroups = []
+    subgroups, described = [], []
     for i, sd in enumerate(sub_dicts):
         where = f"subgroups[{i}]."
         model_d = _field(sd, "model", dict, where)
@@ -365,42 +368,29 @@ def _partition_from_dump(dump: dict, enc, classes) -> Partition:
                 loss=_field(sd, "loss", NUMBER, where),
             )
         )
+        text = _field(sd, "pattern", str, where)
+        described.append((text, _field(sd, "conditions", list, where)))
     trace = [
         TraceEntry(*(_field(td, key, kind, f"trace[{i}].") for key, kind in _TRACE_FIELDS))
-        for i, td in enumerate(_entries(dump, "trace") if "trace" in dump else [])
+        for i, td in enumerate(_entries(dump, "trace"))
     ]
-    return Partition(
+    partition = Partition(
         subgroups=subgroups,
         trace=trace,
         root_loss=_field(dump, "root_loss", NUMBER),
         global_loss=_field(dump, "global_loss", NUMBER),
         config=config,
     )
-
-
-def _check_dump_invariants(partition: Partition, enc, ns) -> None:
-    """Each dumped model's loss recomputed from the Gram pieces.
-
-    Every subgroup's stored loss must match its own recomputed loss, and
-    the stored total their sum, each within ``_LOSS_REL_TOL`` of
-    max(1, |stored|).
-    """
-    recomputed = 0.0
-    for sg in partition.subgroups:
-        loss = subgroup_loss(ns, sg.members, sg.model)
-        if abs(loss - sg.loss) > _LOSS_REL_TOL * max(1.0, abs(sg.loss)):
-            raise InvariantError(
-                f"subgroup {sg.id}: recomputed loss {loss!r} does not match the "
-                f"stored loss {sg.loss!r}"
-            )
-        recomputed += loss
-    scale = max(1.0, abs(partition.global_loss))
-    if abs(recomputed - partition.global_loss) > _LOSS_REL_TOL * scale:
-        raise InvariantError(
-            f"recomputed loss {recomputed!r} does not match the stored "
-            f"loss {partition.global_loss!r}"
-        )
-    partition.global_loss = recomputed
+    patterns = splitter.trace_patterns(trace, enc)
+    if sorted(sg.id for sg in subgroups) != sorted(patterns):
+        raise InvariantError(f"subgroup ids are not {sorted(patterns)}, those the trace leaves")
+    for sg, (text, conditions) in zip(subgroups, described):
+        sg.pattern = patterns[sg.id]
+        if text != render(sg.pattern, enc.attributes):
+            raise InvariantError(f"subgroup {sg.id}: pattern is not the trace's")
+        if conditions != pattern_to_conditions(sg.pattern, enc.attributes):
+            raise InvariantError(f"subgroup {sg.id}: conditions are not the trace's")
+    return partition
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -410,8 +400,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     enc = encode(dataset)
     dump = read_json(args.partition, "partition")
     partition = _partition_from_dump(dump, enc, dataset.classes)
-    # Before labeling: a dump that cannot cover the objects needs no black box.
-    splitter.check_cover(partition, enc.n)
+    # Before labeling: a dump that fails its invariants needs no black box.
+    splitter.validate_partition(partition, enc)
     pconf = partition.config
     bb, bb_tag = _load_bb(args, dataset.classes, enc.column_names)
     ns = _neighborhoods(
@@ -424,7 +414,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         threads=threads,
         cache_dir=getattr(args, "cache_dir", None),
     )
-    _check_dump_invariants(partition, enc, ns)
+    partition.global_loss = splitter.check_losses(partition, ns)
     curve = partition.curve() if partition.trace else None
     report = evaluation.build_report(
         partition, ns, enc.values, float(pconf["lambda"]), curve=curve

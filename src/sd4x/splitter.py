@@ -96,7 +96,7 @@ import numpy as np
 
 from . import kernels
 from .dataset import AttributeKind, EncodedMatrix, attribute_slices, content_hash
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, PatternError
 from .neighborhood import NeighborhoodSet, build, label
 from .patterns import (
     Pattern,
@@ -118,13 +118,14 @@ from .whitebox import (
 
 _GAIN_GUARD = 1e-12
 _TOP_FEATURES = 5
+_LOSS_REL_TOL = 1e-6
 
 
 @dataclass
 class Subgroup:
     id: int
     members: np.ndarray
-    pattern: Pattern
+    pattern: Pattern | None  # None until filled from the trace (:func:`trace_patterns`)
     model: WhiteBoxModel
     loss: float
     # Sum of the members' own least-squares SSEs (``_Engine.loc``): no
@@ -748,7 +749,7 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
     root = Subgroup(
         id=0,
         members=members,
-        pattern=Pattern.unrestricted(len(enc.attributes)),
+        pattern=None,
         model=root_model,
         loss=subgroup_loss(ns, members, root_model),
         loc=float(engine.loc.sum()),
@@ -766,11 +767,10 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
         parent_yy = float(engine.grams[2][parent.members].sum())
         if best.gain <= _GAIN_GUARD * parent_yy:
             break
-        col = enc.columns[best.column]
         left = Subgroup(
             id=next_id,
             members=best.left_members,
-            pattern=refine(parent.pattern, enc.attributes, col, "le", best.threshold),
+            pattern=None,
             model=best.left_model,
             loss=best.left_loss,
             loc=float(engine.loc[best.left_members].sum()),
@@ -778,7 +778,7 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
         right = Subgroup(
             id=next_id + 1,
             members=best.right_members,
-            pattern=refine(parent.pattern, enc.attributes, col, "gt", best.threshold),
+            pattern=None,
             model=best.right_model,
             loss=best.right_loss,
             loc=float(engine.loc[best.right_members].sum()),
@@ -793,7 +793,7 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
             TraceEntry(
                 iteration=len(trace) + 1,
                 subgroup=parent.id,
-                column=col.name,
+                column=enc.columns[best.column].name,
                 threshold=best.threshold,
                 gain=best.gain,
                 loss_after=loss_after,
@@ -801,6 +801,9 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
         )
 
     subgroups = [active[sid] for sid in sorted(active)]
+    patterns = trace_patterns(trace, enc)
+    for sg in subgroups:
+        sg.pattern = patterns[sg.id]
     global_loss = float(sum(sg.loss for sg in subgroups))
     partition = Partition(
         subgroups=subgroups,
@@ -827,48 +830,75 @@ def _greedy_partition(enc, ns, K, lam, min_support, split_columns, validate) -> 
     return partition
 
 
-def check_cover(partition: Partition, n: int, K: int | None = None) -> None:
-    """At most K subgroups whose members disjointly cover 0..n-1.
+def trace_patterns(trace: list[TraceEntry], enc: EncodedMatrix) -> dict[int, Pattern]:
+    """Pattern of every subgroup the trace leaves active, keyed by id.
 
-    K defaults to the partition's configured budget.  Raises
-    InvariantError on violation.
+    The trace is replayed from the unrestricted root, id 0, as
+    :func:`run` splits: entry i splits its subgroup at its column and
+    threshold into ids 2i+1 (``<=``) and 2i+2 (``>``).  Raises
+    InvariantError for an entry that splits an inactive id, names an
+    unknown column, or cannot refine its subgroup's pattern.
     """
-    if K is None:
-        K = int(partition.config.get("k", len(partition.subgroups)))
-    if len(partition.subgroups) > K:
-        raise InvariantError(
-            f"{len(partition.subgroups)} subgroups exceed the budget K={K}"
-        )
-    seen = np.concatenate([sg.members for sg in partition.subgroups])
-    if seen.size != n or not np.array_equal(np.sort(seen), np.arange(n)):
-        raise InvariantError("subgroups do not disjointly cover the explained objects")
+    columns = {c.name: c for c in enc.columns}
+    active = {0: Pattern.unrestricted(len(enc.attributes))}
+    for i, t in enumerate(trace):
+        if t.subgroup not in active:
+            raise InvariantError(f"trace[{i}]: subgroup {t.subgroup} is not active")
+        if t.column not in columns:
+            raise InvariantError(f"trace[{i}]: unknown column {t.column!r}")
+        parent, col = active.pop(t.subgroup), columns[t.column]
+        try:
+            active[2 * i + 1] = refine(parent, enc.attributes, col, "le", t.threshold)
+            active[2 * i + 2] = refine(parent, enc.attributes, col, "gt", t.threshold)
+        except (PatternError, InputError) as exc:
+            raise InvariantError(f"trace[{i}]: {exc}") from exc
+    return active
 
 
 def validate_partition(partition: Partition, enc: EncodedMatrix, K: int | None = None) -> None:
     """Check the partition invariants; raises InvariantError on violation.
 
-    The subgroups must disjointly cover every explained object, respect
-    the budget, and each pattern's extent over the explained objects
-    must equal the stored member set exactly.
+    At most K subgroups, K defaulting to the partition's configured
+    budget, must disjointly cover every explained object, and each
+    pattern's extent over the explained objects must equal the stored
+    member set exactly.  The trace must count its iterations 1, 2, ...,
+    and its last ``loss_after``, or the root loss without a trace, must
+    equal the global loss exactly: :func:`run` sums both in one order.
     """
-    check_cover(partition, enc.n, K)
+    if K is None:
+        K = int(partition.config.get("k", len(partition.subgroups)))
+    if len(partition.subgroups) > K:
+        raise InvariantError(f"{len(partition.subgroups)} subgroups exceed the budget K={K}")
+    seen = np.concatenate([sg.members for sg in partition.subgroups])
+    if seen.size != enc.n or not np.array_equal(np.sort(seen), np.arange(enc.n)):
+        raise InvariantError("subgroups do not disjointly cover the explained objects")
     for sg in partition.subgroups:
-        ext = extent(sg.pattern, enc)
-        if not np.array_equal(ext, np.sort(sg.members)):
+        if not np.array_equal(extent(sg.pattern, enc), np.sort(sg.members)):
+            raise InvariantError(f"subgroup {sg.id}: pattern extent does not match its members")
+    for i, t in enumerate(partition.trace):
+        if t.iteration != i + 1:
+            raise InvariantError(f"trace[{i}]: iter {t.iteration} is not {i + 1}")
+    last = partition.trace[-1].loss_after if partition.trace else partition.root_loss
+    if last != partition.global_loss:
+        raise InvariantError(f"the trace's last loss {last!r} is not the global loss")
+
+
+def check_losses(partition: Partition, ns: NeighborhoodSet) -> float:
+    """Each subgroup's loss recomputed from the Gram pieces; returns their sum.
+
+    Every subgroup's stored loss must match its own recomputed loss, and
+    the stored total their sum, each within ``_LOSS_REL_TOL`` of
+    max(1, |stored|); raises InvariantError otherwise.
+    """
+    losses = [subgroup_loss(ns, sg.members, sg.model) for sg in partition.subgroups]
+    total = sum(losses)
+    stored = [(f"subgroup {sg.id}: ", sg.loss) for sg in partition.subgroups]
+    for (where, want), got in zip(stored + [("", partition.global_loss)], losses + [total]):
+        if abs(got - want) > _LOSS_REL_TOL * max(1.0, abs(want)):
             raise InvariantError(
-                f"subgroup {sg.id}: pattern extent does not match its members"
+                f"{where}recomputed loss {got!r} does not match the stored loss {want!r}"
             )
-
-
-def loss_curve(
-    enc: EncodedMatrix,
-    bb=None,
-    K_max: int = 10,
-    **params,
-) -> tuple[list[tuple[int, float]], Partition]:
-    """Loss after each greedy step of a single K_max run: [(K, loss), ...]."""
-    partition = run(enc, bb, K_max, **params)
-    return partition.curve(), partition
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sd4x import evaluation, kernels, splitter
+from sd4x import cli, evaluation, kernels, splitter
 from sd4x.blackbox import (
     Condition,
     LinearBlackBox,
@@ -207,6 +207,17 @@ def test_criterion_4_partition_invariants_hold_and_tampering_is_caught(twenty_ru
     _verdict(4, ok, detail)
 
 
+def test_dumped_patterns_replay_from_the_trace(twenty_runs):
+    # The dump's thresholds survive JSON, and the replay of its trace gives
+    # back every pattern the run found.
+    for enc, partition in twenty_runs:
+        dump = json.loads(json.dumps(splitter.partition_to_dict(partition, enc)))
+        back = cli._partition_from_dump(dump, enc, enc.classes)
+        assert [sg.id for sg in back.subgroups] == [sg.id for sg in partition.subgroups]
+        for got, want in zip(back.subgroups, partition.subgroups):
+            assert got.pattern == want.pattern
+
+
 # ---------------------------------------------------------------------------
 # criteria 5 and 6: regime recovery on a piecewise-constant black box
 # ---------------------------------------------------------------------------
@@ -246,9 +257,8 @@ def regime_design():
         classes=classes, columns=enc.column_names, regimes=tuple(regimes)
     )
     ns = label(build(enc, z=10000, n_synth=50, seed=99), bb)
-    curve, partition = splitter.loss_curve(
-        enc, K_max=10, lam=0.0, min_support=2, ns=ns
-    )
+    partition = splitter.run(enc, K=10, lam=0.0, min_support=2, ns=ns)
+    curve = partition.curve()
     elapsed = time.perf_counter() - start
     return {
         "enc": enc,

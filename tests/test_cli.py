@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from sd4x import cli, neighborhood
+from sd4x import cli, neighborhood, splitter
 from sd4x.blackbox import load_blackbox
 from sd4x.cli import main
 from sd4x.dataset import encode, load_dataset
 from sd4x.errors import InputError
 from sd4x.neighborhood import build, label, load_cache
+from sd4x.patterns import pattern_to_conditions, render
 from sd4x.synth import generate_synthetic, spec_from_dict
 
 from conftest import TOY_CSV, TOY_SCHEMA, row_outputs
@@ -301,32 +302,104 @@ def test_explain_rejects_a_schema_with_repeated_encoded_columns(tmp_path, capsys
     assert err.count("\n") == 1
 
 
-def _overlap(dump):
+def _overlap(dump, enc):
     dump["subgroups"][0]["members"].append(dump["subgroups"][1]["members"][0])
 
 
-def _over_budget(dump):
+def _over_budget(dump, enc):
     dump["config"]["k"] = 1
 
 
-@pytest.mark.parametrize("tamper", [_overlap, _over_budget], ids=["overlap", "budget"])
-def test_eval_rejects_tampered_members(gen_dir, tmp_path, monkeypatch, tamper):
+def _trace_threshold(dump, enc):
+    dump["trace"][0]["threshold"] += 0.01
+
+
+def _condition_value(dump, enc):
+    dump["subgroups"][0]["conditions"][0]["value"] += 0.01
+
+
+def _pattern_string(dump, enc):
+    dump["subgroups"][0]["pattern"] += " ∧ flag = True"
+
+
+def _inactive_subgroup(dump, enc):
+    dump["trace"][-1]["subgroup"] = 0  # split by the first entry
+
+
+def _unknown_column(dump, enc):
+    dump["trace"][0]["column"] = "x9"
+
+
+def _empty_child(dump, enc):
+    # the second split of x0 > t0 at a threshold below t0 leaves its left child empty
+    first, second = dump["trace"][:2]
+    assert first["column"] == second["column"] and second["subgroup"] == 2
+    second["threshold"] = first["threshold"] - 0.01
+
+
+def _iteration(dump, enc):
+    dump["trace"][-1]["iter"] = 7
+
+
+def _last_loss(dump, enc):
+    dump["trace"][-1]["loss_after"] /= 2
+
+
+def _threshold_everywhere(dump, enc):
+    """Move one object across the first split in the trace, the patterns and the
+    conditions alike: only the extents then disagree with the members."""
+    first = dump["trace"][0]
+    values = enc.values[:, enc.column_names.index(first["column"])]
+    first["threshold"] = float(np.nextafter(values[values <= first["threshold"]].max(), -np.inf))
+    trace = [splitter.TraceEntry(*(t[k] for k, _ in cli._TRACE_FIELDS)) for t in dump["trace"]]
+    patterns = splitter.trace_patterns(trace, enc)
+    for sd in dump["subgroups"]:
+        sd["pattern"] = render(patterns[sd["id"]], enc.attributes)
+        sd["conditions"] = pattern_to_conditions(patterns[sd["id"]], enc.attributes)
+
+
+@pytest.mark.parametrize(
+    "tamper, fragment",
+    [
+        (_overlap, "disjointly cover"),
+        (_over_budget, "exceed the budget"),
+        (_trace_threshold, "subgroup 1: pattern is not"),
+        (_condition_value, "subgroup 1: conditions are not"),
+        (_pattern_string, "subgroup 1: pattern is not"),
+        (_inactive_subgroup, "trace[1]: subgroup 0 is not active"),
+        (_unknown_column, "trace[0]: unknown column 'x9'"),
+        (_empty_child, "trace[1]: empty interval"),
+        (_iteration, "trace[1]: iter 7"),
+        (_last_loss, "last loss"),
+        (_threshold_everywhere, "pattern extent does not match"),
+    ],
+    ids=[
+        "overlap", "budget", "trace-threshold", "condition-value", "pattern-string",
+        "inactive-subgroup", "unknown-column", "empty-child", "iter", "last-loss",
+        "threshold-everywhere",
+    ],
+)
+def test_eval_rejects_tampered_members(gen_dir, tmp_path, monkeypatch, capsys, tamper, fragment):
     out = tmp_path / "partition.json"
     assert main(_explain_args(gen_dir, out)) == 0
     dump = json.loads(out.read_text())
-    if len(dump["subgroups"]) < 2:
-        pytest.skip("needs two subgroups to overlap")
-    tamper(dump)
+    assert len(dump["subgroups"]) == 3 and len(dump["trace"]) == 2
+    enc = encode(load_dataset(str(gen_dir / "data.csv"), str(gen_dir / "schema.json")))
+    tamper(dump, enc)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(dump))
 
     def no_labels(*args, **kwargs):
-        raise AssertionError("a dump that fails to cover the objects is labeled")
+        raise AssertionError("a dump that fails a check is labeled")
 
-    # The cover is checked before any neighborhood is built or labeled.
+    # Every check but the losses' runs before any neighborhood is built or labeled.
     monkeypatch.setattr(cli, "build", no_labels)
     monkeypatch.setattr(cli, "label", no_labels)
+    capsys.readouterr()
     assert main(_eval_args(gen_dir, tampered, tmp_path / "r")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err, err
 
 
 def _swap_losses(dump):
@@ -371,6 +444,7 @@ _DROP = object()
         (("config", "z"), "x"),
         (("subgroups", 0, "model", "coefficients"), [[0.5]]),
         (("subgroups", 0, "members"), [1.5]),
+        (("trace",), _DROP),
     ],
     ids=[
         "no-model",
@@ -379,6 +453,7 @@ _DROP = object()
         "z-str",
         "coefficients-1x1",
         "members-float",
+        "no-trace",
     ],
 )
 def test_eval_rejects_malformed_partition_file(gen_dir, tmp_path, capsys, path, value):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sd4x import evaluation, kernels, splitter
+from sd4x import cli, evaluation, kernels, splitter
 from sd4x.blackbox import LinearBlackBox
 from sd4x.dataset import Attribute, AttributeKind, Dataset, encode
 from sd4x.errors import InputError, InvariantError
@@ -14,7 +14,6 @@ from sd4x.neighborhood import build, label, load_cache, save_cache
 from sd4x.patterns import extent
 from sd4x.splitter import (
     Partition,
-    loss_curve,
     partition_to_dict,
     run,
     validate_partition,
@@ -276,13 +275,28 @@ def test_loss_curve_follows_trace():
     rng = np.random.default_rng(11)
     enc = numeric_enc(rng.random((40, 2)))
     bb = random_linear_bb(rng, enc, scale=2.0)
-    curve, partition = loss_curve(enc, bb, K_max=5, z=10, n_synth=20, lam=1.0, seed=5)
+    partition = run(enc, bb, K=5, z=10, n_synth=20, lam=1.0, seed=5)
+    curve = partition.curve()
     assert curve[0] == (1, partition.root_loss)
     assert len(curve) == len(partition.trace) + 1
     ks = [k for k, _ in curve]
     assert ks == list(range(1, len(curve) + 1))
     losses = [v for _, v in curve]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+def test_dumped_patterns_of_every_kind_replay_from_the_trace():
+    # Boolean, one-hot and ordinal splits round-trip through a dump too.
+    kinds = set()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        enc = mixed_enc(rng)
+        partition = run(enc, random_linear_bb(rng, enc), K=8, z=10, n_synth=15, seed=seed)
+        kinds |= {enc.columns[enc.column_names.index(t.column)].kind for t in partition.trace}
+        dump = json.loads(json.dumps(partition_to_dict(partition, enc)))
+        back = cli._partition_from_dump(dump, enc, enc.classes)
+        assert [sg.pattern for sg in back.subgroups] == [sg.pattern for sg in partition.subgroups]
+    assert kinds == set(AttributeKind)
 
 
 def test_partition_dict_contents(toy, toy_enc):
